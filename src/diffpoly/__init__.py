@@ -29,7 +29,7 @@ from .enumeration import (
     triangle_decomposition,
     triangle_prune,
 )
-from .geometry import extreme_points, hull_membership, hull_vertices, minimize
+from .geometry import extreme_points, hull_membership, hull_vertices
 from .optimize import (
     EnergyReport,
     Objective,
@@ -75,7 +75,6 @@ __all__ = [
     "extreme_points",
     "hull_membership",
     "hull_vertices",
-    "minimize",
     "EnergyReport",
     "Objective",
     "energy",

@@ -21,7 +21,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "PopulationVector",
@@ -42,9 +41,6 @@ __all__ = [
     "sweep_word",
     "uniform_vector",
 ]
-
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """
@@ -166,9 +162,6 @@ class DiffusionGraph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def is_subgraph_of(self, other: "DiffusionGraph") -> bool:
-        return self.n == other.n and self.edges <= other.edges
 
     def induced_connected(self, subset: Iterable[int]) -> bool:
         """Is the induced subgraph on `subset` connected?"""

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from .core import (
     AveragingOp,
-    BlockOp,
     DiffusionGraph,
     OperationSequence,
     PairOp,
@@ -98,8 +97,22 @@ class ReachableSet:
         )
 
 
+def _expand(graph: DiffusionGraph, frontier: Sequence[PopulationVector],
+            ops: Sequence[AveragingOp], triangle_pruning: bool):
+    """
+    One BFS layer: every (state, op, image) in canonical order, states in
+    frontier order and operators in `ops` order.  With triangle pruning,
+    pairs that `triangle_prune` rules out are skipped.
+    """
+    for s in frontier:
+        for op in ops:
+            if triangle_pruning and isinstance(op, PairOp) and triangle_prune(graph, s, op):
+                continue
+            yield s, op, op.apply(s)
+
+
 def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
-            use_blocks: bool = False, triangle_pruning: bool = False) -> ReachableSet:
+            use_blocks: bool = False) -> ReachableSet:
     """
     Breadth-first search over operator words, deduplicating exact states.
 
@@ -118,18 +131,10 @@ def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
     exhausted = not ops
     for depth in range(1, max_depth + 1):
         new: list[PopulationVector] = []
-        for s in frontier:
-            for op in ops:
-                if (
-                    triangle_pruning
-                    and isinstance(op, PairOp)
-                    and triangle_prune(graph, s, op)
-                ):
-                    continue
-                t = op.apply(s)
-                if t not in states:
-                    states[t] = OperationSequence(tuple(states[s]) + (op,))
-                    new.append(t)
+        for s, op, t in _expand(graph, frontier, ops, False):
+            if t not in states:
+                states[t] = OperationSequence(tuple(states[s]) + (op,))
+                new.append(t)
         if not new:
             exhausted = True
             break
@@ -254,18 +259,12 @@ class PolytopeConfig:
     use_blocks: bool = True
     triangle_pruning: bool = False
     classify: bool | None = None      # default: only for n <= 5 (needs a K_n reference)
-    classification_depth: int | None = None  # pair-word search bound; default C(n,2)
 
     def resolved_depth(self, n: int) -> int:
         return comb(n, 2) + n if self.max_depth is None else self.max_depth
 
     def resolved_classify(self, n: int) -> bool:
         return (n <= 5) if self.classify is None else self.classify
-
-    def resolved_classification_depth(self, n: int) -> int:
-        if self.classification_depth is not None:
-            return self.classification_depth
-        return min(self.resolved_depth(n), comb(n, 2))
 
 
 @dataclass(frozen=True)
@@ -320,22 +319,14 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     for _depth in range(max_depth):
         hull = IncrementalHull(vertices)
         outside: list[PopulationVector] = []
-        for s in frontier:
-            for op in ops:
-                if (
-                    triangle_pruning
-                    and isinstance(op, PairOp)
-                    and triangle_prune(graph, s, op)
-                ):
-                    continue
-                t = op.apply(s)
-                if t in seen:
-                    continue
-                seen.add(t)
-                if hull.contains(t):
-                    continue
-                provenance[t] = OperationSequence(tuple(provenance[s]) + (op,))
-                outside.append(t)
+        for s, op, t in _expand(graph, frontier, ops, triangle_pruning):
+            if t in seen:
+                continue
+            seen.add(t)
+            if hull.contains(t):
+                continue
+            provenance[t] = OperationSequence(tuple(provenance[s]) + (op,))
+            outside.append(t)
         if not outside:
             saturated = True
             break
@@ -429,7 +420,6 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
         return {p: "nonlocal" for p in points}
 
     # complete-graph reference: candidate points whose hull is DP(K_n)
-    from .geometry import IncrementalHull
     from .structured.complete import kn_candidate_points
 
     if len(set(rho0)) == len(rho0):
@@ -459,8 +449,7 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
         # mostly power-of-two block means: the lattice test cannot exclude
         # them, so search pair words directly, pruned by majorization
         found = _pair_reachable_targets(
-            graph, rho0, unresolved,
-            cfg.resolved_classification_depth(n), cfg.triangle_pruning,
+            graph, rho0, unresolved, min(depth, comb(n, 2)), cfg.triangle_pruning,
         )
         for p in unresolved:
             out[p] = "local_finite" if p in found else "asymptotic"
@@ -490,7 +479,7 @@ def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
     exactly?  States that majorize no remaining target are pruned; that is
     lossless because every averaging image is majorized by its source.
     """
-    ops = [op for op in graph_ops(graph, False)]
+    ops = graph_ops(graph, False)
     remaining = set(targets)
     found: set[PopulationVector] = set()
     if rho0 in remaining:
@@ -502,24 +491,16 @@ def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
         if not remaining or not frontier:
             break
         new: list[PopulationVector] = []
-        for s in frontier:
-            for op in ops:
-                if (
-                    triangle_pruning
-                    and isinstance(op, PairOp)
-                    and triangle_prune(graph, s, op)
-                ):
-                    continue
-                t = op.apply(s)
-                if t in seen:
-                    continue
-                seen.add(t)
-                if t in remaining:
-                    remaining.discard(t)
-                    found.add(t)
-                    if not remaining:
-                        return found
-                if any(_majorizes(t, goal) for goal in remaining):
-                    new.append(t)
+        for _s, _op, t in _expand(graph, frontier, ops, triangle_pruning):
+            if t in seen:
+                continue
+            seen.add(t)
+            if t in remaining:
+                remaining.discard(t)
+                found.add(t)
+                if not remaining:
+                    return found
+            if any(_majorizes(t, goal) for goal in remaining):
+                new.append(t)
         frontier = new
     return found

@@ -1,7 +1,7 @@
 """
 Exact rational convex geometry over finite point sets.
 
-Three primitives, all decided in exact arithmetic with verifiable
+Two primitives, both decided in exact arithmetic with verifiable
 certificates:
 
 * ``hull_membership`` -- is a point a convex combination of a point set?
@@ -10,8 +10,6 @@ certificates:
 * ``extreme_points`` -- the vertices of the convex hull, each certified:
   vertices carry a separating functional, interior points carry an exact
   reconstruction over the vertices.
-* ``minimize`` -- exact linear optimization over the hull; the optimum is
-  attained at a vertex and ties are reported in full.
 
 The LP solver is a dense phase-one simplex with Bland's rule, which cannot
 cycle; instances here are tiny (dimension <= 10, at most a few hundred
@@ -29,11 +27,9 @@ __all__ = [
     "SeparatingFunctional",
     "HullMembership",
     "ExtremalityCertificate",
-    "MinimizeResult",
     "hull_membership",
     "hull_vertices",
     "extreme_points",
-    "minimize",
 ]
 
 
@@ -215,104 +211,68 @@ class ExtremalityCertificate:
         return data
 
 
-def _vertex_scan(points: list) -> list:
-    """
-    Vertices of conv(points) by incremental discovery: membership is only
-    ever tested against the confirmed vertex list, and each separation
-    failure walks to a genuine vertex via an exact support maximization.
-    """
-    if not points:
-        return []
-    vertices = [min(points)]  # the lexicographic minimum is always a vertex
-    vset = {vertices[0]}
-    for p in points:
-        while p not in vset:
-            res = _phase_one(p, vertices)
-            if res.inside:
-                break
-            func = res.functional
-            best = max(points, key=lambda q: (func.value(q), q))
-            if best in vset:  # impossible: best scores above every vertex
-                raise AssertionError("support maximization returned a known vertex")
-            vertices.append(best)
-            vset.add(best)
-    return sorted(vset)
+def _distinct(points) -> list:
+    """The distinct points as tuples, in lexicographic order."""
+    return sorted(set(tuple(p) if not isinstance(p, tuple) else p for p in points))
 
 
 class IncrementalHull:
     """
     Membership and extremality queries against a fixed point set, sharing
     work across queries: LPs only ever run against the small list of
-    vertices confirmed so far, and a failed separation walks to a new
-    confirmed point by exact support maximization.  Answers are identical
-    to testing against the full set.
+    points confirmed so far, and a failed separation walks to a new
+    confirmed point by exact support maximization (Clarkson's
+    output-sensitive scheme).  Answers are identical to testing against
+    the full set.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
-        self.points = sorted(set(tuple(p) if not isinstance(p, tuple) else p for p in points))
+        self.points = _distinct(points)
         self._point_set = frozenset(self.points)
-        self._confirmed: list = []
-        self._confirmed_set: set = set()
+        self._confirmed: dict = {}  # confirmed point -> known to be a hull vertex
 
-    def _grow(self, functional: SeparatingFunctional, exclude) -> bool:
-        """Confirm the support-maximal point along `functional`; False when
-        nothing outside the confirmed set scores above zero."""
-        best = None
-        best_key = None
-        for q in self.points:
-            if q == exclude:
-                continue
-            key = (functional.value(q), q)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = q
-        if best is None or best_key[0] <= 0:
-            return False
-        if best in self._confirmed_set:  # the LP just separated these points
-            raise AssertionError("support maximization returned a separated point")
-        self._confirmed.append(best)
-        self._confirmed_set.add(best)
+    def _outside(self, point, exclude=None) -> bool:
+        """
+        Is `point` outside the hull of the set's points other than itself
+        and `exclude`?  Each LP runs against the confirmed points; when it
+        separates, the support-maximal point other than `exclude` is
+        confirmed.  With nothing excluded that point is a hull vertex, so
+        the walk ends without an LP once `point` itself is confirmed.
+        """
+        while exclude is not None or not self._confirmed.get(point):
+            others = [q for q in self._confirmed if q != point]
+            if others:
+                res = _phase_one(point, others)
+                if res.inside:
+                    return False
+                func = res.functional
+                score, best = max(((func.value(q), q) for q in self.points if q != exclude),
+                                  default=(0, None))
+                if score <= 0:
+                    return True
+                if best in others:  # the LP just separated these points
+                    raise AssertionError("support maximization returned a separated point")
+            else:
+                # the least point other than `exclude` is a vertex of their hull
+                best = next((q for q in self.points if q != exclude), None)
+                if best is None:
+                    return True  # there are no other points at all
+            self._confirmed[best] = exclude is None
         return True
 
-    def _seed(self, exclude) -> bool:
-        """Confirm the least point other than `exclude`; False when none exists."""
-        for q in self.points:
-            if q != exclude and q not in self._confirmed_set:
-                self._confirmed.append(q)
-                self._confirmed_set.add(q)
-                return True
-        return False
+    def vertices(self) -> list:
+        """The vertices of the hull, in lexicographic order."""
+        return [p for p in self.points if self._outside(p)]
 
     def is_extreme_in(self, point) -> bool:
         """Is `point` outside the hull of every *other* point of the set?"""
         point = tuple(point) if not isinstance(point, tuple) else point
-        while True:
-            others = [q for q in self._confirmed if q != point]
-            if not others:
-                if self._seed(exclude=point):
-                    continue
-                return True  # there are no other points at all
-            res = _phase_one(point, others)
-            if res.inside:
-                return False
-            if not self._grow(res.functional, exclude=point):
-                return True
+        return self._outside(point, exclude=point)
 
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?"""
         point = tuple(point) if not isinstance(point, tuple) else point
-        if point in self._point_set:
-            return True
-        while True:
-            if not self._confirmed:
-                if self._seed(exclude=None):
-                    continue
-                return False  # empty set has an empty hull
-            res = _phase_one(point, self._confirmed)
-            if res.inside:
-                return True
-            if not self._grow(res.functional, exclude=None):
-                return False
+        return point in self._point_set or not self._outside(point)
 
 
 def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
@@ -320,8 +280,7 @@ def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
     Just the vertices of conv(points), in lexicographic order, without
     building certificates.  Exact, like everything else here.
     """
-    pts = sorted(set(tuple(p) if not isinstance(p, tuple) else p for p in points))
-    return _vertex_scan(pts)
+    return IncrementalHull(points).vertices()
 
 
 def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCertificate]:
@@ -333,14 +292,15 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     strictly separating functional (checked against every other point),
     non-vertices with an exact convex reconstruction over the vertices.
     """
-    pts = sorted(set(tuple(p) if not isinstance(p, tuple) else p for p in points))
+    hull = IncrementalHull(points)
+    pts = hull.points
     if not pts:
         return []
     n = len(pts[0])
     if any(len(q) != n for q in pts):
         raise ValueError("dimension mismatch in extreme_points")
 
-    vertices = _vertex_scan(pts)
+    vertices = hull.vertices()
     vset = set(vertices)
 
     certificates = []
@@ -379,44 +339,3 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
                 raise AssertionError("reconstruction witness failed direct substitution")
         certificates.append(cert)
     return certificates
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Exact minimum of a linear objective over the hull of a point set."""
-
-    value: Fraction
-    minimizers: tuple[PopulationVector, ...]  # tied vertices, lexicographic
-
-    def to_json(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "minimizers": [[format_rational(c) for c in p] for p in self.minimizers],
-        }
-
-
-def minimize(weights: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> MinimizeResult:
-    """
-    Minimize  sum_i w_i x_i  over the convex hull of `points`.
-
-    The minimum over the hull equals the minimum over the points and is
-    attained at a vertex; all tied vertices are returned in lexicographic
-    order.
-    """
-    pts = sorted(set(tuple(p) if not isinstance(p, tuple) else p for p in points))
-    if not pts:
-        raise ValueError("cannot minimize over an empty point set")
-    w = [Fraction(x) for x in weights]
-    if len(w) != len(pts[0]):
-        raise ValueError("weight vector dimension mismatch")
-
-    values = [sum(a * b for a, b in zip(w, p)) for p in pts]
-    best = min(values)
-    achievers = [p for p, v in zip(pts, values) if v == best]
-    # a minimizer is a hull vertex iff it is not a combination of the other
-    # minimizers (any witness must put all weight on the optimal face)
-    tied_vertices = [
-        p for p in achievers
-        if not _phase_one(p, [q for q in achievers if q != p]).inside
-    ] if len(achievers) > 1 else achievers
-    return MinimizeResult(value=best, minimizers=tuple(tied_vertices))

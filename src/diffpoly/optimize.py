@@ -17,9 +17,7 @@ from typing import Iterable, Sequence
 
 from .core import (
     DiffusionGraph,
-    OperationSequence,
     PopulationVector,
-    apply_sequence,
     complete,
     format_rational,
     path,

@@ -90,16 +90,13 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     ]
 
 
-def is_kn_extreme(point: Sequence[Fraction], rho0: Sequence[Fraction],
-                  hull: IncrementalHull | None = None) -> bool:
+def is_kn_extreme(point: Sequence[Fraction], rho0: Sequence[Fraction]) -> bool:
     """
     Is `point` an extreme point of the complete-graph polytope of `rho0`?
 
     Any point of that polytope is a convex combination of the candidate
     points, so extremality reduces to membership in the hull of the other
-    candidates.  Pass a prebuilt ``IncrementalHull`` over the candidate
-    points to share work across queries.
+    candidates.
     """
-    if hull is None:
-        hull = IncrementalHull(list(kn_candidate_points(rho0)))
+    hull = IncrementalHull(list(kn_candidate_points(rho0)))
     return hull.is_extreme_in(tuple(point))

@@ -23,7 +23,6 @@ from itertools import combinations
 from .core import (
     BlockOp,
     DiffusionGraph,
-    OperationSequence,
     PairOp,
     PopulationVector,
     apply_sequence,
@@ -36,6 +35,7 @@ from .core import (
 from .enumeration import (
     PolytopeConfig,
     explore,
+    graph_ops,
     polytope,
     triangle_decomposition,
 )
@@ -43,7 +43,6 @@ from .geometry import hull_membership
 from .optimize import (
     energy,
     exponential_populations,
-    gardner_limit,
     monotone_extremal_check,
     optimize_over,
 )
@@ -475,12 +474,7 @@ def check_local_properties(n: int | None = None) -> CheckResult:
         size = rnd.randrange(2, 6)
         graph = _random_connected_graph(rnd, size)
         rho = _random_rho(rnd, size)
-        ops = [PairOp(i, j) for i, j in sorted(graph.edges)]
-        for s in range(3, size + 1):
-            for comb in combinations(range(1, size + 1), s):
-                if graph.induced_connected(comb):
-                    ops.append(BlockOp(comb))
-        op = rnd.choice(ops)
+        op = rnd.choice(graph_ops(graph, use_blocks=True))
         image = op.apply(rho)
         if sum(image) != 1:
             return _fail(name, "conservation failed")
@@ -587,13 +581,11 @@ SUITES = {
     ],
 }
 
-_ORDER = ["k3", "p3", "pn", "counts", "c4", "witness", "triangles", "energy", "properties"]
-
 
 def run_suite(selector: str, n: int | None = None, workers: int = 1) -> list[CheckResult]:
     """Run one named suite (or "all"); checks may run in parallel workers."""
     if selector == "all":
-        checks = [c for key in _ORDER for c in SUITES[key]]
+        checks = [c for suite in SUITES.values() for c in suite]
     elif selector in SUITES:
         checks = list(SUITES[selector])
     else:

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from diffpoly.cli import canonical_json
 from diffpoly.core import (
     BlockOp,
     DiffusionGraph,
@@ -296,3 +298,25 @@ class TestDyadicScreen:
         pat = polytope(path(4), rho)
         pat_kinds = {v.point: v.kind for v in pat.vertices}
         assert pat_kinds[target] == "asymptotic"
+
+
+class TestGoldenOutput:
+    """Canonical-JSON digests pinned across versions, default config."""
+
+    @pytest.mark.parametrize(
+        "graph, rho, digest",
+        [
+            # pair-word search for block means
+            (cycle(4), pv("1/10", "2/10", "3/10", "4/10"),
+             "f5a7c5756c402f47b883c2f95dc19c985516b343f40e3c68c8238dcb4467a56e"),
+            # tied populations: the K_n reference comes from the saturating BFS
+            (cycle(4), PopulationVector.normalized([1, 1, 2, 3]),
+             "34792418080af90192ea4365641045aeaa2504cb7270483ad86aa944c62ac24e"),
+            (DiffusionGraph.from_edges(3, [(1, 3), (2, 3)]), pv("0", "2/7", "5/7"),
+             "ac6b3b019eb148e0a9d877f1814044355ba44d2eefd23429c0d64d5f998f8dbb"),
+        ],
+        ids=["c4-even", "c4-tied", "p3-star"],
+    )
+    def test_canonical_json_digest(self, graph, rho, digest):
+        text = canonical_json(polytope(graph, rho).to_json())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

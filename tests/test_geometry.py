@@ -9,7 +9,6 @@ from diffpoly.geometry import (
     extreme_points,
     hull_membership,
     hull_vertices,
-    minimize,
 )
 
 from conftest import random_population
@@ -150,31 +149,18 @@ class TestIncrementalHull:
         assert hull.contains(probe) == hull_membership(probe, sorted(set(cloud))).inside
 
 
-class TestMinimize:
-    def test_k3_example(self):
-        # brute force over the seven vertices: the winner is the triple
-        # word ending in the upper pair, at 13/7 (the full reversal point
-        # scores 15/8, slightly worse)
-        res = minimize((1, 2, 3), K3_VERTICES)
-        by_hand = min(sum(w * x for w, x in zip((1, 2, 3), p)) for p in K3_VERTICES)
-        assert res.value == by_hand == Fraction(13, 7)
-        assert res.minimizers == (pv("3/7", "2/7", "2/7"),)
-        assert sum(w * x for w, x in zip((1, 2, 3), pv("3/8", "3/8", "1/4"))) == Fraction(15, 8)
+    def test_vertices_after_extremality_queries(self):
+        # leaving the query point out lets the walk confirm a point that is
+        # not a vertex of the whole set (here the midpoint); vertices() must
+        # not count it
+        line = [pv("0", "1"), pv("1/2", "1/2"), pv("1", "0")]
+        hull = IncrementalHull(line)
+        assert hull.is_extreme_in(line[2])
+        assert hull.vertices() == [line[0], line[2]] == hull_vertices(line)
 
-    def test_uniform_weights_tie_everywhere(self):
-        res = minimize((1, 1, 1), K3_VERTICES)
-        assert res.value == 1
-        assert res.minimizers == tuple(sorted(K3_VERTICES))
-
-    def test_value_attained_at_vertex(self):
-        rnd = random.Random(3)
-        cloud = [random_population(rnd, 3) for _ in range(40)]
-        weights = (2, 7, 5)
-        res = minimize(weights, cloud)
-        verts = hull_vertices(cloud)
-        assert res.value == min(sum(w * x for w, x in zip(weights, p)) for p in verts)
-        assert all(m in verts for m in res.minimizers)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            minimize((1, 2), [])
+        rnd = random.Random(31)
+        cloud = [random_population(rnd, 3, bound=6) for _ in range(20)]
+        hull = IncrementalHull(cloud)
+        for p in rnd.sample(cloud, 8):
+            hull.is_extreme_in(p)
+        assert hull.vertices() == brute_force_vertices(cloud)
