@@ -309,15 +309,18 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     already-seen states can never produce anything outside the hull of
     their images: only states outside the current hull are expanded.  If a
     layer adds nothing outside, the hull absorbs every operator and the
-    search is provably complete ("saturated").
+    search is provably complete ("saturated").  Every state found outside
+    is kept, and conv(kept) is the current hull, so each layer queries a
+    fresh hull of `kept` and the vertices are extracted once, at the end.
+    A fresh hull per layer keeps ex-vertices out of the LPs.
     """
-    vertices = [rho0]
+    kept = [rho0]
     seen = {rho0}
     provenance: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
     frontier = [rho0]
     saturated = not ops
     for _depth in range(max_depth):
-        hull = IncrementalHull(vertices)
+        hull = IncrementalHull(kept)
         outside: list[PopulationVector] = []
         for s, op, t in _expand(graph, frontier, ops, triangle_pruning):
             if t in seen:
@@ -330,9 +333,9 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
         if not outside:
             saturated = True
             break
-        vertices = hull_vertices(vertices + outside)
+        kept += outside
         frontier = outside
-    return sorted(vertices), provenance, saturated
+    return hull_vertices(kept), provenance, saturated
 
 
 def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
@@ -431,7 +434,7 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
         )
         if not kn_sat:
             raise ArithmeticError("complete-graph reference did not saturate")
-        kn_extreme = {p for p in points if p in set(kn_points)}
+        kn_extreme = set(points) & set(kn_points)
 
     out = {}
     unresolved = []

@@ -11,6 +11,10 @@ certificates:
   vertices carry a separating functional, interior points carry an exact
   reconstruction over the vertices.
 
+Both vertex scans and certificates come from one engine,
+``IncrementalHull``: a Clarkson walk whose LPs run against the points
+confirmed so far, and which returns the witness that decided each answer.
+
 The LP solver is a dense phase-one simplex with Bland's rule, which cannot
 cycle; instances here are tiny (dimension <= 10, at most a few hundred
 points), so simplicity wins over sparsity tricks.
@@ -223,7 +227,8 @@ class IncrementalHull:
     points confirmed so far, and a failed separation walks to a new
     confirmed point by exact support maximization (Clarkson's
     output-sensitive scheme).  Answers are identical to testing against
-    the full set.
+    the full set, and the walk that decides an answer also yields its
+    witness: a separating functional or a convex combination.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -231,48 +236,52 @@ class IncrementalHull:
         self._point_set = frozenset(self.points)
         self._confirmed: dict = {}  # confirmed point -> known to be a hull vertex
 
-    def _outside(self, point, exclude=None) -> bool:
+    def _outside(self, point, exclude=None):
         """
-        Is `point` outside the hull of the set's points other than itself
-        and `exclude`?  Each LP runs against the confirmed points; when it
-        separates, the support-maximal point other than `exclude` is
-        confirmed.  With nothing excluded that point is a hull vertex, so
-        the walk ends without an LP once `point` itself is confirmed.
+        Walk to the witness that decides `point` against the hull of the
+        set's points other than itself and `exclude`.  Each LP runs against
+        the confirmed points.  Inside, the witness is the tuple of nonzero
+        (point, weight) pairs of a convex combination of confirmed points.
+        Outside, it is the LP's functional with its offset lowered by the
+        best score over the points other than `exclude`, returned as soon as
+        that score falls below the value at `point`.  Otherwise the
+        best-scoring point is confirmed and the walk goes on.  With nothing
+        excluded that point is a hull vertex, so the walk ends with None once
+        `point` itself is confirmed; None also means there is no other point.
         """
         while exclude is not None or not self._confirmed.get(point):
             others = [q for q in self._confirmed if q != point]
             if others:
                 res = _phase_one(point, others)
                 if res.inside:
-                    return False
+                    return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
                 func = res.functional
-                score, best = max(((func.value(q), q) for q in self.points if q != exclude),
-                                  default=(0, None))
-                if score <= 0:
-                    return True
+                score, best = max((func.value(q), q) for q in self.points if q != exclude)
+                if score < func.value(point):
+                    return SeparatingFunctional(func.coefficients, func.offset - score)
                 if best in others:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
             else:
                 # the least point other than `exclude` is a vertex of their hull
                 best = next((q for q in self.points if q != exclude), None)
                 if best is None:
-                    return True  # there are no other points at all
+                    return None  # there are no other points at all
             self._confirmed[best] = exclude is None
-        return True
+        return None
 
     def vertices(self) -> list:
         """The vertices of the hull, in lexicographic order."""
-        return [p for p in self.points if self._outside(p)]
+        return [p for p in self.points if not isinstance(self._outside(p), tuple)]
 
     def is_extreme_in(self, point) -> bool:
         """Is `point` outside the hull of every *other* point of the set?"""
         point = tuple(point) if not isinstance(point, tuple) else point
-        return self._outside(point, exclude=point)
+        return not isinstance(self._outside(point, exclude=point), tuple)
 
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?"""
         point = tuple(point) if not isinstance(point, tuple) else point
-        return point in self._point_set or not self._outside(point)
+        return point in self._point_set or isinstance(self._outside(point), tuple)
 
 
 def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
@@ -291,6 +300,8 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     distinct point, in lexicographic order: hull vertices come with a
     strictly separating functional (checked against every other point),
     non-vertices with an exact convex reconstruction over the vertices.
+    Both come from one hull walk per point, run after the vertex scan has
+    confirmed every vertex, so each LP runs against the other vertices.
     """
     hull = IncrementalHull(points)
     pts = hull.points
@@ -300,42 +311,21 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     if any(len(q) != n for q in pts):
         raise ValueError("dimension mismatch in extreme_points")
 
-    vertices = hull.vertices()
-    vset = set(vertices)
-
+    # certify against the vertices in lexicographic order, so that each
+    # certificate depends on the vertex set alone, not on the scan's path
+    hull._confirmed = dict.fromkeys(hull.vertices(), True)
     certificates = []
     for p in pts:
-        if p in vset:
-            others = [q for q in vertices if q != p]
-            if not others:
-                func = SeparatingFunctional((Fraction(0),) * n, Fraction(1))
-            else:
-                res = _phase_one(p, others)
-                if res.inside:
-                    raise AssertionError("vertex scan kept a non-vertex")
-                # the LP separates p from the other *vertices*; every other
-                # point scores strictly below p along the same direction, so
-                # only the offset needs tightening against the full set
-                direction = res.functional.coefficients
-                threshold = max(
-                    sum(c * x for c, x in zip(direction, q))
-                    for q in pts
-                    if q != p
-                )
-                func = SeparatingFunctional(direction, -threshold)
-            cert = ExtremalityCertificate(point=p, is_extreme=True, functional=func)
-            rest = [q for q in pts if q != p]
-            if not cert.verify(rest):
-                raise AssertionError("separating functional failed direct substitution")
+        witness = hull._outside(p, exclude=p)
+        if isinstance(witness, tuple):
+            cert = ExtremalityCertificate(point=p, is_extreme=False, combination=witness)
         else:
-            res = _phase_one(p, vertices)
-            if not res.inside:
-                raise AssertionError("non-vertex escaped the vertex scan")
-            combo = tuple(
-                (q, w) for q, w in zip(vertices, res.coefficients) if w != 0
-            )
-            cert = ExtremalityCertificate(point=p, is_extreme=False, combination=combo)
-            if not cert.verify([q for q in pts if q != p]):
-                raise AssertionError("reconstruction witness failed direct substitution")
+            if witness is None:  # p is the only point
+                witness = SeparatingFunctional((Fraction(0),) * n, Fraction(1))
+            cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
+        if cert.is_extreme != (p in hull._confirmed):
+            raise AssertionError("certification walk disagrees with the vertex scan")
+        if not cert.verify([q for q in pts if q != p]):
+            raise AssertionError("certificate failed direct substitution")
         certificates.append(cert)
     return certificates

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -24,7 +24,7 @@ from diffpoly.enumeration import (
     triangle_decomposition,
     triangle_prune,
 )
-from diffpoly.geometry import hull_membership
+from diffpoly.geometry import hull_membership, hull_vertices
 
 from conftest import random_population, random_sorted_population
 
@@ -213,6 +213,26 @@ class TestPolytope:
     def test_mismatched_rho_rejected(self, rho3):
         with pytest.raises(ValueError):
             polytope(complete(4), rho3)
+
+    def test_matches_explore_oracle_on_random_graphs(self):
+        # explore to the longest vertex word reaches every vertex, and all
+        # it finds lies in the polytope, so its hull has the same vertices
+        rnd = random.Random(41)
+        for trial in range(30):
+            n = 3 if trial < 20 else 4
+            pairs = list(combinations(range(1, n + 1), 2))
+            while True:
+                try:
+                    graph = DiffusionGraph.from_edges(n, rnd.sample(pairs, rnd.randint(n - 1, 3)))
+                    break
+                except ValueError:
+                    continue
+            rho = random_population(rnd, n)
+            res = polytope(graph, rho, PolytopeConfig(classify=False))
+            assert res.completeness == "proven"
+            depth = max(len(v.sequence) for v in res.vertices)
+            reach = explore(graph, rho, depth, use_blocks=True)
+            assert res.points() == hull_vertices(reach.points())
 
 
 class TestAsymptoticApproach:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -115,6 +116,10 @@ class TestExtremePoints:
             cloud.append(combo)
         certs = extreme_points(cloud)
         assert [c.point for c in certs if c.is_extreme] == sorted(gens)
+        extreme = {c.point for c in certs if c.is_extreme}
+        for c in certs:
+            if not c.is_extreme:
+                assert {q for q, _ in c.combination} <= extreme
 
     def test_invariant_under_permutation_and_duplication(self):
         rnd = random.Random(9)
@@ -148,6 +153,28 @@ class TestIncrementalHull:
         probe = random_population(rnd, 4)
         assert hull.contains(probe) == hull_membership(probe, sorted(set(cloud))).inside
 
+
+    def test_ties_on_simplex_lattices(self):
+        # lattice points tie with their neighbours along many functionals:
+        # a walk may stop only when the query point scores strictly highest
+        def lattice(levels, denominator):
+            return [
+                PopulationVector.normalized(c)
+                for c in product(range(denominator + 1), repeat=levels)
+                if sum(c) == denominator
+            ]
+
+        for points in (lattice(3, 6), lattice(4, 4)):
+            corners = [p for p in points if max(p) == 1]
+            for cloud in (
+                points,
+                [p for p in points if p not in corners],
+                [p for p in points if max(p) <= Fraction(1, 2)],
+            ):
+                hull = IncrementalHull(cloud)
+                slow = set(brute_force_vertices(cloud))
+                for p in cloud:
+                    assert hull.is_extreme_in(p) == (p in slow)
 
     def test_vertices_after_extremality_queries(self):
         # leaving the query point out lets the walk confirm a point that is
