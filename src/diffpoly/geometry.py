@@ -17,12 +17,19 @@ confirmed so far, and which returns the witness that decided each answer.
 
 The LP solver is a dense phase-one simplex with Bland's rule, which cannot
 cycle; instances here are tiny (dimension <= 10, at most a few hundred
-points), so simplicity wins over sparsity tricks.
+points), so simplicity wins over sparsity tricks.  Its tableau holds
+integers, scaled column by column from the rationals, and is pivoted
+fraction-free (Edmonds/Bareiss, as in lrs): the true tableau is the integer
+one divided by the last pivot, and every division is exact.  Positive
+column scalings leave every Bland choice, and so every answer, as a
+rational tableau would give it; rationals are rebuilt only for the answer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .core import PopulationVector, format_rational
@@ -85,78 +92,104 @@ def _phase_one(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) 
     """
     Decide feasibility of  sum(lam_k * s_k) = p, sum(lam_k) = 1, lam >= 0
     by minimizing the sum of artificial variables (Bland's rule throughout).
+
+    The tableau holds integers.  Each point column is scaled by the lcm of
+    its denominators and the right-hand side by the lcm of `point`'s; the
+    artificial columns stay unit vectors.  Scaling column j by c > 0
+    multiplies its reduced cost by c, and every ratio of one ratio test by
+    the same positive factor (a basic column's own scaling cancels within its
+    row's ratio), so Bland's rule picks the same entering column and the same
+    leaving row at every pivot.  Rows are never scaled: that would reweight
+    the artificial variables and change the phase-one objective.
+
+    Pivots are fraction-free (Edmonds/Bareiss, as in lrs): the true tableau
+    is `tab / det` with `det` the last pivot (1 at the start, always > 0).
+    A pivot leaves its own row as it is, turns every other row, objective
+    included, into (a*piv - f*p) // det, exact by Sylvester's identity, and
+    then sets det = piv.  Rationals come back only in the result.
     """
     m = len(points)
     n = len(point)
     rows = n + 1
 
-    b = [Fraction(point[r]) for r in range(n)] + [Fraction(1)]
-    sign = [1] * rows
-    for r in range(rows):
-        if b[r] < 0:
-            sign[r] = -1
-            b[r] = -b[r]
+    scale = [math.lcm(*(x.denominator for x in q)) for q in points]
+    bscale = math.lcm(*(x.denominator for x in point))
+    b = [x.numerator * (bscale // x.denominator) for x in point] + [bscale]
+    sign = [-1 if v < 0 else 1 for v in b]
 
-    width = m + rows + 1
-    tableau: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     for r in range(rows):
-        row = [Fraction(0)] * width
-        for j, q in enumerate(points):
-            val = q[r] if r < n else Fraction(1)
-            row[j] = sign[r] * val
-        row[m + r] = Fraction(1)
-        row[-1] = b[r]
-        tableau.append(row)
+        s = sign[r]
+        if r < n:
+            row = [s * q[r].numerator * (c // q[r].denominator) for q, c in zip(points, scale)]
+        else:
+            row = list(scale)
+        row += [0] * rows
+        row[m + r] = 1
+        row.append(s * b[r])
+        tab.append(row)
 
     basis = [m + r for r in range(rows)]
     # reduced costs for phase-one objective (artificials cost 1)
-    reduced = [Fraction(0)] * width
-    for j in range(m + rows):
-        cost = Fraction(1) if j >= m else Fraction(0)
-        reduced[j] = cost - sum(tableau[r][j] for r in range(rows))
-    reduced[-1] = -sum(tableau[r][-1] for r in range(rows))
+    reduced = [-sum(col) for col in zip(*tab)]
+    for j in range(m, m + rows):
+        reduced[j] += 1
+    det = 1
 
     while True:
         enter = next((j for j in range(m + rows) if reduced[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for r in range(rows):
-            coef = tableau[r][enter]
+            coef = tab[r][enter]
             if coef > 0:
-                ratio = tableau[r][-1] / coef
-                key = (ratio, basis[r])
-                if best is None or key < best:
-                    best = key
+                if leave is None:
+                    leave = r
+                    continue
+                # compare rhs/coef with the best ratio so far, then basis index
+                lhs = tab[r][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave is None:  # cannot happen: lam bounded by the normalization row
             raise ArithmeticError("phase-one LP unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        pivot_row = tableau[leave]
+        pivot_row = tab[leave]
+        piv = pivot_row[enter]
         for r in range(rows):
             if r != leave:
-                f = tableau[r][enter]
-                if f:
-                    tableau[r] = [a - f * p for a, p in zip(tableau[r], pivot_row)]
-        f = reduced[enter]
-        if f:
-            reduced = [a - f * p for a, p in zip(reduced, pivot_row)]
+                tab[r] = _eliminate(tab[r], pivot_row, enter, piv, det)
+        reduced = _eliminate(reduced, pivot_row, enter, piv, det)
+        det = piv
         basis[leave] = enter
 
-    objective = -reduced[-1]
-    if objective == 0:
+    if reduced[-1] == 0:
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
             if var < m:
-                lam[var] = tableau[r][-1]
+                lam[var] = Fraction(tab[r][-1] * scale[var], det * bscale)
         return HullMembership(inside=True, coefficients=tuple(lam))
 
     # infeasible: dual vector y_r = 1 - reduced(artificial r), un-flip the rows
-    y = [sign[r] * (Fraction(1) - reduced[m + r]) for r in range(rows)]
+    y = [sign[r] * (1 - Fraction(reduced[m + r], det)) for r in range(rows)]
     functional = SeparatingFunctional(tuple(y[:n]), y[n])
     return HullMembership(inside=False, functional=functional)
+
+
+def _eliminate(row: list[int], pivot_row: list[int], enter: int, piv: int, det: int) -> list[int]:
+    """One fraction-free row update of a pivot on `pivot_row[enter] == piv`."""
+    f = row[enter]
+    if f:
+        return [(a * piv - f * p) // det for a, p in zip(row, pivot_row)]
+    return [a * piv // det for a in row]
+
+
+def _require_rational(points) -> None:
+    """Reject any coordinate that is not an exact rational (int or Fraction)."""
+    for q in points:
+        for x in q:
+            if not isinstance(x, Rational):
+                raise TypeError(f"coordinate {x!r} is not an exact rational (int or Fraction)")
 
 
 def hull_membership(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> HullMembership:
@@ -165,8 +198,10 @@ def hull_membership(point: Sequence[Fraction], points: Sequence[Sequence[Fractio
 
     The answer always carries a certificate that `HullMembership.verify`
     checks by direct substitution.  The hull of the empty set is empty.
+    Coordinates must be ints or Fractions; anything else is a TypeError.
     """
     pts = list(points)
+    _require_rational([point, *pts])
     if not pts:
         return HullMembership(inside=False)
     n = len(point)
@@ -289,6 +324,8 @@ def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
     Just the vertices of conv(points), in lexicographic order, without
     building certificates.  Exact, like everything else here.
     """
+    points = list(points)
+    _require_rational(points)
     return IncrementalHull(points).vertices()
 
 
@@ -303,6 +340,8 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     Both come from one hull walk per point, run after the vertex scan has
     confirmed every vertex, so each LP runs against the other vertices.
     """
+    points = list(points)
+    _require_rational(points)
     hull = IncrementalHull(points)
     pts = hull.points
     if not pts:

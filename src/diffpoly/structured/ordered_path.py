@@ -278,6 +278,16 @@ class StepDecomposition:
         }
 
 
+def _checked(dec: StepDecomposition) -> StepDecomposition:
+    """`dec`, after its exact verification; a failed one raises."""
+    if not dec.verify():
+        raise AssertionError(
+            f"{dec.case} step decomposition failed exact verification "
+            f"for A={sorted(dec.subset)}, i={dec.position}"
+        )
+    return dec
+
+
 def _mean(rho: Sequence[Fraction], first: int, last: int) -> Fraction | None:
     """Mean of 1-based positions first..last; None when the range is empty."""
     if last < first:
@@ -320,7 +330,8 @@ def decompose_step(subset: Iterable[int], position: int,
 
     if i in A:
         point = subset_point(A, rho0)
-        assert target == point
+        if target != point:
+            raise AssertionError(f"pair {i},{i + 1} moved the subset point of {sorted(A)}")
         dec = StepDecomposition(
             subset=A, position=i, rho0=rho0, case="identity", k=0, l=0,
             target=target, points=(point,) * 4,
@@ -329,8 +340,7 @@ def decompose_step(subset: Iterable[int], position: int,
             p_values=(None, rho0[i] - rho0[i - 1], None),
             x=s_a[i - 1], y=s_a[i], segment_values={},
         )
-        assert dec.verify()
-        return dec
+        return _checked(dec)
 
     k = 1
     while (i - k) in A:
@@ -372,8 +382,7 @@ def decompose_step(subset: Iterable[int], position: int,
             case="all_coincide",
             lambdas=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
             p_values=(None, r3 - r2, None), **common)
-        assert dec.verify()
-        return dec
+        return _checked(dec)
 
     if k == 1:  # S3 == S1 and S4 == S2: a two-point decomposition
         w = _two_point_weight(target, s1, s2)
@@ -381,8 +390,7 @@ def decompose_step(subset: Iterable[int], position: int,
             case="short_left",
             lambdas=(w, 1 - w, Fraction(0), Fraction(0)),
             p_values=(None, r3 - r2, r4 - r3), **common)
-        assert dec.verify()
-        return dec
+        return _checked(dec)
 
     if l == 1:  # S2 == S1 and S4 == S3
         w = _two_point_weight(target, s1, s3)
@@ -390,8 +398,7 @@ def decompose_step(subset: Iterable[int], position: int,
             case="short_right",
             lambdas=(w, Fraction(0), 1 - w, Fraction(0)),
             p_values=(r2 - r1, r3 - r2, None), **common)
-        assert dec.verify()
-        return dec
+        return _checked(dec)
 
     p1 = r2 - r1
     p2 = r3 - r2
@@ -413,8 +420,7 @@ def decompose_step(subset: Iterable[int], position: int,
             lams.append(w)
         dec = StepDecomposition(
             case="flat", lambdas=tuple(lams), p_values=(p1, p2, p3), **common)
-        assert dec.verify()
-        return dec
+        return _checked(dec)
 
     c1 = (p2 + 2 * p3) * (p2 + 2 * p1) * (k + l) / (2 * den_k * den_l)
     c2 = -(p2 + 2 * p3) * (k + 1) / (2 * den_k)
@@ -449,8 +455,7 @@ def decompose_step(subset: Iterable[int], position: int,
         window=(lo, hi),
         ratios=(ratio1, ratio2, ratio3),
         **common)
-    assert dec.verify()
-    return dec
+    return _checked(dec)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +508,8 @@ def fibonacci_nonlocal_count(n: int) -> int:
     if n <= 2:
         raise ValueError("counting needs n > 2")
     total = sum(count_commuting_subsets(n, k) for k in range(0, n // 2 + 1))
-    assert total == fibonacci(n + 1)
+    if total != fibonacci(n + 1):
+        raise AssertionError(f"commuting-subset count {total} is not F({n + 1})")
     return total
 
 

@@ -6,11 +6,15 @@ import pytest
 
 from diffpoly.core import PairOp, PopulationVector, apply_sequence, uniform_vector
 from diffpoly.geometry import (
+    HullMembership,
     IncrementalHull,
+    SeparatingFunctional,
+    _phase_one,
     extreme_points,
     hull_membership,
     hull_vertices,
 )
+from diffpoly.optimize import exponential_populations
 
 from conftest import random_population
 
@@ -76,6 +80,18 @@ class TestHullMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             hull_membership(uniform_vector(3), [uniform_vector(4)])
+
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError, match="0.1"):
+            hull_membership([0.1, 0.9], [[0, 1], [1, 0]])
+        with pytest.raises(TypeError, match="0.5"):
+            hull_membership([Fraction(1, 2), Fraction(1, 2)], [[0, 1], [0.5, 0.5]])
+        with pytest.raises(TypeError, match="0.25"):
+            hull_vertices([[0, 1], [0.25, 0.75], [1, 0]])
+        with pytest.raises(TypeError, match="'1/2'"):
+            extreme_points([[0, 1], ["1/2", "1/2"]])
+        # ints and Fractions are exact and stay accepted
+        assert hull_membership([Fraction(1, 2), Fraction(1, 2)], [[0, 1], [1, 0]]).inside
 
 
 class TestExtremePoints:
@@ -191,3 +207,147 @@ class TestIncrementalHull:
         for p in rnd.sample(cloud, 8):
             hull.is_extreme_in(p)
         assert hull.vertices() == brute_force_vertices(cloud)
+
+
+def reference_phase_one(point, points):
+    """
+    The phase-one simplex on a tableau of `Fraction`s, with the same Bland
+    rule: the reference the integer kernel must agree with exactly.
+    """
+    m = len(points)
+    n = len(point)
+    rows = n + 1
+
+    b = [Fraction(point[r]) for r in range(n)] + [Fraction(1)]
+    sign = [1] * rows
+    for r in range(rows):
+        if b[r] < 0:
+            sign[r] = -1
+            b[r] = -b[r]
+
+    width = m + rows + 1
+    tableau = []
+    for r in range(rows):
+        row = [Fraction(0)] * width
+        for j, q in enumerate(points):
+            val = q[r] if r < n else Fraction(1)
+            row[j] = sign[r] * val
+        row[m + r] = Fraction(1)
+        row[-1] = b[r]
+        tableau.append(row)
+
+    basis = [m + r for r in range(rows)]
+    reduced = [Fraction(0)] * width
+    for j in range(m + rows):
+        cost = Fraction(1) if j >= m else Fraction(0)
+        reduced[j] = cost - sum(tableau[r][j] for r in range(rows))
+    reduced[-1] = -sum(tableau[r][-1] for r in range(rows))
+
+    while True:
+        enter = next((j for j in range(m + rows) if reduced[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for r in range(rows):
+            coef = tableau[r][enter]
+            if coef > 0:
+                key = (tableau[r][-1] / coef, basis[r])
+                if best is None or key < best:
+                    best = key
+                    leave = r
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        pivot_row = tableau[leave]
+        for r in range(rows):
+            if r != leave:
+                f = tableau[r][enter]
+                if f:
+                    tableau[r] = [a - f * p for a, p in zip(tableau[r], pivot_row)]
+        f = reduced[enter]
+        if f:
+            reduced = [a - f * p for a, p in zip(reduced, pivot_row)]
+        basis[leave] = enter
+
+    if reduced[-1] == 0:
+        lam = [Fraction(0)] * m
+        for r, var in enumerate(basis):
+            if var < m:
+                lam[var] = tableau[r][-1]
+        return HullMembership(inside=True, coefficients=tuple(lam))
+    y = [sign[r] * (Fraction(1) - reduced[m + r]) for r in range(rows)]
+    return HullMembership(inside=False, functional=SeparatingFunctional(tuple(y[:n]), y[n]))
+
+
+def _combination(rnd, points):
+    weights = [rnd.randrange(0, 4) for _ in points]
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    return tuple(
+        sum(Fraction(w, total) * q[r] for w, q in zip(weights, points))
+        for r in range(len(points[0]))
+    )
+
+
+def phase_one_cases():
+    """Seeded (point, points) inputs: signs, ties, m = 1 and 40-digit rationals."""
+    rnd = random.Random(2016)
+
+    def coord():
+        # zeros and small denominators give degenerate ratio ties;
+        # the 7-digit prime denominator gives large scalings
+        den = rnd.choice([1, 1, 2, 3, 4, 6, 9999991])
+        return Fraction(rnd.randint(-3 * den, 3 * den), den)
+
+    def query(points):
+        kind = rnd.randrange(4)
+        if kind == 0:
+            return tuple(coord() for _ in points[0])
+        if kind == 1:
+            return rnd.choice(points)
+        return _combination(rnd, rnd.sample(points, rnd.randint(1, len(points))))
+
+    cases = []
+    for _ in range(120):  # general position, negative coordinates
+        dim = rnd.randint(1, 5)
+        points = [tuple(coord() for _ in range(dim)) for _ in range(rnd.randint(1, 8))]
+        cases.append((query(points), points))
+    for _ in range(100):  # duplicates, collinear points and combinations
+        dim = rnd.randint(1, 4)
+        a, b = (tuple(coord() for _ in range(dim)) for _ in range(2))
+        line = [
+            tuple(x + t * (y - x) for x, y in zip(a, b))
+            for t in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+        ]
+        base = line + [tuple(coord() for _ in range(dim)) for _ in range(2)]
+        points = [rnd.choice(base) for _ in range(rnd.randint(2, 9))]
+        points += [_combination(rnd, points) for _ in range(rnd.randrange(3))]
+        cases.append((query(points), points))
+    for _ in range(40):  # m = 1
+        q = tuple(coord() for _ in range(rnd.randint(1, 4)))
+        cases.append((q if rnd.random() < 0.3 else tuple(coord() for _ in q), [q]))
+    rho = exponential_populations(4)
+    pairs = [PairOp.of(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    for _ in range(60):  # 40-digit rationals
+        states = [
+            apply_sequence(rnd.choices(pairs, k=rnd.randrange(4)), rho)
+            for _ in range(rnd.randint(1, 10))
+        ]
+        point = (
+            apply_sequence(rnd.choices(pairs, k=rnd.randrange(5)), rho)
+            if rnd.random() < 0.5 else _combination(rnd, states)
+        )
+        cases.append((point, states))
+    return cases
+
+
+def test_integer_kernel_matches_fraction_reference():
+    cases = phase_one_cases()
+    assert len(cases) >= 300
+    outcomes = set()
+    for point, points in cases:
+        result = _phase_one(point, points)
+        assert result == reference_phase_one(point, points), (point, points)
+        outcomes.add(result.inside)
+    assert outcomes == {True, False}

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
@@ -282,6 +286,43 @@ class TestStepDecomposition:
             decompose_step(set(), 5, rho)
         with pytest.raises(ValueError):
             decompose_step({9}, 1, rho)
+
+    def test_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the exact checks must still run
+        import diffpoly
+
+        script = textwrap.dedent("""
+            from fractions import Fraction
+            from diffpoly.core import PopulationVector
+            from diffpoly.structured import ordered_path as op
+
+            assert False, "this assert must be stripped by -O"
+            op.StepDecomposition.verify = lambda self: False
+            rho = PopulationVector.normalized([1, 2, 4, 7, 11, 16])
+            flat = PopulationVector([Fraction(1, 6)] * 3 + [Fraction(1, 2)])
+            cases = [({2}, 2, rho), (set(), 2, rho), ({3}, 2, rho), ({2}, 3, rho),
+                     ({2, 4}, 3, rho), (set(), 1, flat)]
+            unchecked = []
+            for subset, i, r in cases:
+                try:
+                    op.decompose_step(subset, i, r)
+                except AssertionError:
+                    continue
+                unchecked.append((sorted(subset), i))
+            op.fibonacci = lambda m: -1
+            try:
+                op.fibonacci_nonlocal_count(5)
+            except AssertionError:
+                pass
+            else:
+                unchecked.append("fibonacci_nonlocal_count")
+            raise SystemExit(f"unchecked under -O: {unchecked}" if unchecked else 0)
+        """)
+        src = os.path.dirname(os.path.dirname(diffpoly.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCounts:
