@@ -65,6 +65,15 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _exact(c) -> Fraction:
+    """`c` as a Fraction; a float is refused rather than expanded in binary."""
+    if isinstance(c, float):
+        raise TypeError(
+            f"population {c!r} is a float; give it exactly, as an int, Fraction or 'p/q' string"
+        )
+    return Fraction(c)
+
+
 class PopulationVector(tuple):
     """
     A normalized population state: non-negative rationals summing to one.
@@ -76,7 +85,7 @@ class PopulationVector(tuple):
     __slots__ = ()
 
     def __new__(cls, components: Iterable[Fraction | int | str]) -> "PopulationVector":
-        comps = tuple(Fraction(c) for c in components)
+        comps = tuple(map(_exact, components))
         if not comps:
             raise ValueError("population vector needs at least one component")
         if any(c < 0 for c in comps):
@@ -89,7 +98,7 @@ class PopulationVector(tuple):
     @classmethod
     def normalized(cls, raw: Iterable[Fraction | int]) -> "PopulationVector":
         """Scale a non-negative, not-all-zero vector so it sums to one."""
-        vals = [Fraction(c) for c in raw]
+        vals = [_exact(c) for c in raw]
         total = sum(vals)
         if total <= 0:
             raise ValueError("cannot normalize a non-positive total")

@@ -23,6 +23,13 @@ fraction-free (Edmonds/Bareiss, as in lrs): the true tableau is the integer
 one divided by the last pivot, and every division is exact.  Positive
 column scalings leave every Bland choice, and so every answer, as a
 rational tableau would give it; rationals are rebuilt only for the answer.
+
+Separating functionals are scored and checked in integers too: a point
+enters as its image (d, d*x) with d the lcm of its denominators, made once
+per hull, and a functional as its coefficients and offset times the lcm of
+theirs.  Every sign and every comparison of two values is then decided by
+integer dot products and cross-multiplication, with the same ties as in
+rationals; a `Fraction` is built only for a functional that is returned.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import mul
 from typing import Sequence
 
 from .core import PopulationVector, format_rational
@@ -44,6 +52,12 @@ __all__ = [
 ]
 
 
+def _image(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d*x for x in values]) with d > 0 the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 @dataclass(frozen=True)
 class SeparatingFunctional:
     """Affine functional with value(x) <= 0 on the hull and > 0 at the point."""
@@ -51,11 +65,20 @@ class SeparatingFunctional:
     coefficients: tuple[Fraction, ...]
     offset: Fraction
 
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        return sum(c * x for c, x in zip(self.coefficients, point)) + self.offset
+    def _integers(self) -> tuple[int, list[int], int]:
+        """(D, integer coefficients, integer offset): the functional times D."""
+        den, ints = _image((*self.coefficients, self.offset))
+        return den, ints[:-1], ints[-1]
 
     def separates(self, point: Sequence[Fraction], others: Sequence[Sequence[Fraction]]) -> bool:
-        return self.value(point) > 0 and all(self.value(q) <= 0 for q in others)
+        """value > 0 at `point` and <= 0 at every other point, decided on integers."""
+        _, coeffs, offset = self._integers()
+
+        def numerator(q):  # sign of value(q), scaled by positive D and d
+            d, xs = _image(q)
+            return sum(map(mul, coeffs, xs)) + offset * d
+
+        return numerator(point) > 0 and all(numerator(q) <= 0 for q in others)
 
     def to_json(self) -> dict:
         return {
@@ -112,16 +135,17 @@ def _phase_one(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) 
     n = len(point)
     rows = n + 1
 
-    scale = [math.lcm(*(x.denominator for x in q)) for q in points]
-    bscale = math.lcm(*(x.denominator for x in point))
-    b = [x.numerator * (bscale // x.denominator) for x in point] + [bscale]
+    columns = [_image(q) for q in points]
+    scale = [d for d, _ in columns]
+    bscale, b = _image(point)
+    b.append(bscale)
     sign = [-1 if v < 0 else 1 for v in b]
 
     tab: list[list[int]] = []
     for r in range(rows):
         s = sign[r]
         if r < n:
-            row = [s * q[r].numerator * (c // q[r].denominator) for q, c in zip(points, scale)]
+            row = [s * xs[r] for _, xs in columns]
         else:
             row = list(scale)
         row += [0] * rows
@@ -268,6 +292,9 @@ class IncrementalHull:
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
         self.points = _distinct(points)
+        for q in self.points:
+            self._query(q)
+        self._images = [_image(q) for q in self.points]
         self._point_set = frozenset(self.points)
         self._confirmed: dict = {}  # confirmed point -> known to be a hull vertex
 
@@ -280,20 +307,36 @@ class IncrementalHull:
         Outside, it is the LP's functional with its offset lowered by the
         best score over the points other than `exclude`, returned as soon as
         that score falls below the value at `point`.  Otherwise the
-        best-scoring point is confirmed and the walk goes on.  With nothing
-        excluded that point is a hull vertex, so the walk ends with None once
-        `point` itself is confirmed; None also means there is no other point.
+        best-scoring point (the lexicographically largest among equal
+        scores) is confirmed and the walk goes on.  With nothing excluded
+        that point is a hull vertex, so the walk ends with None once `point`
+        itself is confirmed; None also means there is no other point.
+
+        Scores are compared in integers: with the functional times D as
+        integers `coeffs`, `offset` and a point's image (d, xs), its value
+        is (coeffs.xs + offset*d) / (D*d).
         """
+        point_d, point_xs = _image(point)
         while exclude is not None or not self._confirmed.get(point):
             others = [q for q in self._confirmed if q != point]
             if others:
                 res = _phase_one(point, others)
                 if res.inside:
                     return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
-                func = res.functional
-                score, best = max((func.value(q), q) for q in self.points if q != exclude)
-                if score < func.value(point):
-                    return SeparatingFunctional(func.coefficients, func.offset - score)
+                den, coeffs, offset = res.functional._integers()
+                best, best_num, best_d = None, 0, 1
+                for q, (d, xs) in zip(self.points, self._images):
+                    if q == exclude:
+                        continue
+                    num = sum(map(mul, coeffs, xs)) + offset * d
+                    # ">=": the points ascend, so the last of equal scores wins
+                    if best is None or num * best_d >= best_num * d:
+                        best, best_num, best_d = q, num, d
+                point_num = sum(map(mul, coeffs, point_xs)) + offset * point_d
+                if best_num * point_d < point_num * best_d:
+                    # offset - best score = (offset*best_d - best_num) / (D*best_d)
+                    lowered = Fraction(offset * best_d - best_num, den * best_d)
+                    return SeparatingFunctional(res.functional.coefficients, lowered)
                 if best in others:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
             else:
@@ -310,13 +353,22 @@ class IncrementalHull:
 
     def is_extreme_in(self, point) -> bool:
         """Is `point` outside the hull of every *other* point of the set?"""
-        point = tuple(point) if not isinstance(point, tuple) else point
+        point = self._query(point)
         return not isinstance(self._outside(point, exclude=point), tuple)
 
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?"""
-        point = tuple(point) if not isinstance(point, tuple) else point
+        point = self._query(point)
         return point in self._point_set or isinstance(self._outside(point), tuple)
+
+    def _query(self, point) -> tuple:
+        """`point` as a tuple, with as many coordinates as the set's points."""
+        point = tuple(point) if not isinstance(point, tuple) else point
+        if self.points and len(point) != len(self.points[0]):
+            raise ValueError(
+                f"dimension mismatch: {len(point)} coordinates against {len(self.points[0])}"
+            )
+        return point
 
 
 def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
@@ -347,8 +399,6 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     if not pts:
         return []
     n = len(pts[0])
-    if any(len(q) != n for q in pts):
-        raise ValueError("dimension mismatch in extreme_points")
 
     # certify against the vertices in lexicographic order, so that each
     # certificate depends on the vertex set alone, not on the scan's path

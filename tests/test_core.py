@@ -58,6 +58,42 @@ class TestPopulationVector:
     def test_normalized_constructor(self):
         assert PopulationVector.normalized([2, 2, 4]) == pv("1/4", "1/4", "1/2")
 
+    def test_rejects_floats(self):
+        # a float holds a binary fraction, not the decimal it prints as
+        with pytest.raises(TypeError, match="0.5"):
+            PopulationVector([0.5, 0.3, 0.2])
+        with pytest.raises(TypeError, match="0.1"):
+            PopulationVector([0.1, 0.9])
+        with pytest.raises(TypeError, match="0.9"):
+            PopulationVector([Fraction(1, 10), 0.9])
+        with pytest.raises(TypeError, match="2.0"):
+            PopulationVector.normalized([1, 2.0])
+        with pytest.raises(TypeError, match="0.25"):
+            PopulationVector.normalized([Fraction(3, 4), 0.25])
+
+    def test_exact_inputs_accepted(self):
+        from decimal import Decimal
+
+        half = PopulationVector([Fraction(1, 2), "1/4", Decimal("0.25")])
+        assert half == pv("1/2", "1/4", "1/4")
+        assert PopulationVector([1, 0]) == pv("1", "0")
+        assert PopulationVector.normalized([2, "2", Decimal("4"), Fraction(8)]) == pv(
+            "1/8", "1/8", "1/4", "1/2"
+        )
+        assert all(type(c) is Fraction for c in half)
+
+    def test_float_populations_rejected_at_entry_points(self):
+        from diffpoly.enumeration import polytope
+        from diffpoly.optimize import optimize_over
+        from diffpoly.structured.ordered_path import pn_polytope
+
+        with pytest.raises(TypeError, match="0.1"):
+            polytope(cycle(4), [0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(TypeError, match="0.125"):
+            pn_polytope([0.125, 0.125, 0.25, 0.5])
+        with pytest.raises(TypeError, match="0.25"):
+            optimize_over(path(3), [0.25, 0.25, 0.5], [1, 2, 3])
+
     def test_json_round_trip(self, rho3):
         assert PopulationVector.from_json(rho3.to_json()) == rho3
         assert rho3.to_json() == ["0/1", "2/7", "5/7"]

@@ -40,6 +40,14 @@ def brute_force_vertices(points):
     return [p for p in pts if not hull_membership(p, [q for q in pts if q != p]).inside]
 
 
+def simplex_lattice(levels, denominator):
+    return [
+        PopulationVector.normalized(c)
+        for c in product(range(denominator + 1), repeat=levels)
+        if sum(c) == denominator
+    ]
+
+
 class TestHullMembership:
     def test_uniform_inside_k3_hull(self):
         res = hull_membership(uniform_vector(3), K3_VERTICES)
@@ -173,14 +181,7 @@ class TestIncrementalHull:
     def test_ties_on_simplex_lattices(self):
         # lattice points tie with their neighbours along many functionals:
         # a walk may stop only when the query point scores strictly highest
-        def lattice(levels, denominator):
-            return [
-                PopulationVector.normalized(c)
-                for c in product(range(denominator + 1), repeat=levels)
-                if sum(c) == denominator
-            ]
-
-        for points in (lattice(3, 6), lattice(4, 4)):
+        for points in (simplex_lattice(3, 6), simplex_lattice(4, 4)):
             corners = [p for p in points if max(p) == 1]
             for cloud in (
                 points,
@@ -191,6 +192,22 @@ class TestIncrementalHull:
                 slow = set(brute_force_vertices(cloud))
                 for p in cloud:
                     assert hull.is_extreme_in(p) == (p in slow)
+
+    def test_dimension_mismatch(self):
+        for cloud in ([(1, 0), (0, 1, 0)], [(1, 0, 0), (0, 1)], [(1,), (0, 1)]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                hull_vertices(cloud)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                extreme_points(cloud)
+        hull = IncrementalHull([(1, 0), (0, 1)])
+        for query in ((1, 0, 0), (1,)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                hull.contains(query)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                hull.is_extreme_in(query)
+        assert hull.contains([Fraction(1, 2), Fraction(1, 2)])
+        assert hull.is_extreme_in((1, 0))
+        assert not IncrementalHull([]).contains((1, 0, 0))  # nothing to compare with
 
     def test_vertices_after_extremality_queries(self):
         # leaving the query point out lets the walk confirm a point that is
@@ -351,3 +368,130 @@ def test_integer_kernel_matches_fraction_reference():
         assert result == reference_phase_one(point, points), (point, points)
         outcomes.add(result.inside)
     assert outcomes == {True, False}
+
+
+def reference_value(func, point):
+    """A functional's value at a point, in `Fraction` arithmetic."""
+    return sum(c * x for c, x in zip(func.coefficients, point)) + func.offset
+
+
+def reference_separates(func, point, others):
+    return reference_value(func, point) > 0 and all(reference_value(func, q) <= 0 for q in others)
+
+
+def reference_outside(hull, point, exclude=None):
+    """
+    `IncrementalHull._outside` with every score a `Fraction`: the reference
+    the integer scoring must agree with, witness by witness and in the order
+    it confirms points.
+    """
+    while exclude is not None or not hull._confirmed.get(point):
+        others = [q for q in hull._confirmed if q != point]
+        if others:
+            res = _phase_one(point, others)
+            if res.inside:
+                return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
+            func = res.functional
+            score, best = max((reference_value(func, q), q) for q in hull.points if q != exclude)
+            if score < reference_value(func, point):
+                return SeparatingFunctional(func.coefficients, func.offset - score)
+            if best in others:
+                raise AssertionError("support maximization returned a separated point")
+        else:
+            best = next((q for q in hull.points if q != exclude), None)
+            if best is None:
+                return None
+        hull._confirmed[best] = exclude is None
+    return None
+
+
+def walk_clouds():
+    """Seeded clouds: mixed denominators, lattice ties, integers, 40-digit rationals."""
+    rnd = random.Random(2024)
+    clouds = []
+    for _ in range(12):
+        dim = rnd.randint(2, 5)
+        bound = rnd.choice([4, 7, 50, 10 ** 6])
+        size = rnd.randint(2, 24)
+        clouds.append([random_population(rnd, dim, bound=bound) for _ in range(size)])
+    for points in (simplex_lattice(3, 6), simplex_lattice(4, 4)):
+        corners = [p for p in points if max(p) == 1]
+        clouds.append(points)
+        clouds.append([p for p in points if p not in corners])
+        clouds.append([p for p in points if max(p) <= Fraction(1, 2)])
+    for _ in range(6):  # integer coordinates, not populations
+        dim = rnd.randint(1, 4)
+        clouds.append(
+            [tuple(rnd.randint(-4, 4) for _ in range(dim)) for _ in range(rnd.randint(1, 15))]
+        )
+    rho = exponential_populations(4)
+    pairs = [PairOp.of(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    for _ in range(3):
+        clouds.append(
+            [apply_sequence(rnd.choices(pairs, k=rnd.randrange(5)), rho) for _ in range(20)]
+        )
+    return rnd, clouds
+
+
+def test_walk_matches_fraction_reference():
+    rnd, clouds = walk_clouds()
+    witnesses, kinds = 0, set()
+    for cloud in clouds:
+        pts = sorted(set(cloud))
+        dim = len(pts[0])
+        probes = [tuple(Fraction(rnd.randint(-2, 9), 7) for _ in range(dim)) for _ in range(3)]
+        probes += [_combination(rnd, rnd.sample(pts, rnd.randint(1, len(pts))))]
+        # the vertex scan, then probes and extremality queries on the same hull
+        # (as in is_extreme_in), then certification walks against the vertices
+        fast, slow = IncrementalHull(cloud), IncrementalHull(cloud)
+        queries = [(p, None) for p in pts] + [(q, None) for q in probes]
+        queries += [(p, p) for p in rnd.sample(pts, min(5, len(pts)))]
+        for point, exclude in queries:
+            witness = fast._outside(point, exclude)
+            assert witness == reference_outside(slow, point, exclude)
+            assert list(fast._confirmed.items()) == list(slow._confirmed.items())
+            witnesses += 1
+            kinds.add(type(witness))
+        vertices = dict.fromkeys(fast.vertices(), True)
+        fast._confirmed, slow._confirmed = dict(vertices), dict(vertices)
+        for p in pts:
+            assert fast._outside(p, exclude=p) == reference_outside(slow, p, exclude=p)
+            assert list(fast._confirmed.items()) == list(slow._confirmed.items())
+            witnesses += 1
+    assert witnesses > 1000
+    assert kinds == {tuple, SeparatingFunctional, type(None)}
+
+
+def test_separates_matches_fraction_reference():
+    rnd = random.Random(77)
+
+    def coord():
+        den = rnd.choice([1, 2, 3, 5, 9999991])
+        return Fraction(rnd.randint(-3 * den, 3 * den), den)
+
+    verdicts = set()
+    for _ in range(200):
+        dim = rnd.randint(1, 4)
+        func = SeparatingFunctional(tuple(coord() for _ in range(dim)), coord())
+        points = [tuple(coord() for _ in range(dim)) for _ in range(rnd.randint(0, 6))]
+        points += [tuple(rnd.randint(-3, 3) for _ in range(dim)) for _ in range(2)]
+        point, others = points[0], points[1:]
+        verdict = func.separates(point, others)
+        assert verdict == reference_separates(func, point, others)
+        verdicts.add(verdict)
+        # exactly 0 at another point counts as <= 0; exactly 0 at the point does not separate
+        q = others[0]
+        zero = SeparatingFunctional(func.coefficients, func.offset - reference_value(func, q))
+        assert zero.separates(point, [q]) == (reference_value(zero, point) > 0)
+        assert not zero.separates(q, [point])
+        verdicts.add(zero.separates(point, [q]))
+    assert verdicts == {True, False}
+
+    # x - y on the line x + y = 1: (1, 0) scores 1, (1/2, 1/2) scores 0, (0, 1) scores -1
+    func = SeparatingFunctional((Fraction(1), Fraction(-1)), Fraction(0))
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert func.separates((1, 0), [half, (0, 1)])
+    assert not func.separates(half, [(0, 1)])  # exactly 0 at the point
+    assert not func.separates((0, 1), [])
+    assert func.separates((1, 0), [])  # nothing else to separate from
+    assert not func.separates((1, 0), [(2, 1), (3, 1)])  # 1 at another point
