@@ -15,21 +15,24 @@ Both vertex scans and certificates come from one engine,
 ``IncrementalHull``: a Clarkson walk whose LPs run against the points
 confirmed so far, and which returns the witness that decided each answer.
 
-The LP solver is a dense phase-one simplex with Bland's rule, which cannot
-cycle; instances here are tiny (dimension <= 10, at most a few hundred
-points), so simplicity wins over sparsity tricks.  Its tableau holds
-integers, scaled column by column from the rationals, and is pivoted
-fraction-free (Edmonds/Bareiss, as in lrs): the true tableau is the integer
-one divided by the last pivot, and every division is exact.  Positive
-column scalings leave every Bland choice, and so every answer, as a
-rational tableau would give it; rationals are rebuilt only for the answer.
+Everything is decided in integers.  A point enters as its image
+(d*x, d), with d the lcm of its denominators, made once per hull; a
+functional as its coefficients and offset times the lcm of theirs.  Every
+sign and every comparison of two values is then an integer dot product or
+a cross-multiplication, with the same ties as in rationals, and two points
+are equal exactly when their images are.
 
-Separating functionals are scored and checked in integers too: a point
-enters as its image (d, d*x) with d the lcm of its denominators, made once
-per hull, and a functional as its coefficients and offset times the lcm of
-theirs.  Every sign and every comparison of two values is then decided by
-integer dot products and cross-multiplication, with the same ties as in
-rationals; a `Fraction` is built only for a functional that is returned.
+The LP solver is a phase-one simplex with Bland's rule, which cannot
+cycle, in revised form: the LPs are short and wide (dimension + 1 <= 11
+rows, up to hundreds of point columns), so it keeps only the basis
+inverse, prices the point images in index order against the current dual
+vector, and builds only the entering column.  The basis inverse is held as
+the integer matrix det*B^-1 and pivoted fraction-free (Edmonds/Bareiss, as
+in lrs), where every division is exact.  These are the entries a full
+integer tableau would hold, and positive column scalings leave every Bland
+choice, so every answer is the one a rational tableau gives; rationals are
+built only for the answer, and a `Fraction` only for a functional that is
+returned.
 """
 from __future__ import annotations
 
@@ -52,10 +55,12 @@ __all__ = [
 ]
 
 
-def _image(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d*x for x in values]) with d > 0 the lcm of the denominators."""
+def _image(values: Sequence[Fraction]) -> list[int]:
+    """[d*x for x in values] + [d], with d > 0 the lcm of the denominators."""
     d = math.lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
+    image = [x.numerator * (d // x.denominator) for x in values]
+    image.append(d)
+    return image
 
 
 @dataclass(frozen=True)
@@ -65,20 +70,22 @@ class SeparatingFunctional:
     coefficients: tuple[Fraction, ...]
     offset: Fraction
 
-    def _integers(self) -> tuple[int, list[int], int]:
-        """(D, integer coefficients, integer offset): the functional times D."""
-        den, ints = _image((*self.coefficients, self.offset))
-        return den, ints[:-1], ints[-1]
+    def _integers(self) -> tuple[int, list[int]]:
+        """(D, the coefficients and the offset times D), D the lcm of their denominators."""
+        ints = _image((*self.coefficients, self.offset))
+        return ints.pop(), ints
 
     def separates(self, point: Sequence[Fraction], others: Sequence[Sequence[Fraction]]) -> bool:
         """value > 0 at `point` and <= 0 at every other point, decided on integers."""
-        _, coeffs, offset = self._integers()
+        return self._separates(_image(point), (_image(q) for q in others))
 
-        def numerator(q):  # sign of value(q), scaled by positive D and d
-            d, xs = _image(q)
-            return sum(map(mul, coeffs, xs)) + offset * d
-
-        return numerator(point) > 0 and all(numerator(q) <= 0 for q in others)
+    def _separates(self, point_image, other_images) -> bool:
+        """`separates` on the points' `_image`s."""
+        _, func = self._integers()
+        # func . image is the value at the point times D*d > 0
+        return sum(map(mul, func, point_image)) > 0 and all(
+            sum(map(mul, func, image)) <= 0 for image in other_images
+        )
 
     def to_json(self) -> dict:
         return {
@@ -111,91 +118,110 @@ class HullMembership:
         return self.functional.separates(point, points)
 
 
-def _phase_one(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> HullMembership:
+def _phase_one(
+    point: Sequence[Fraction],
+    points: Sequence[Sequence[Fraction]],
+    *,
+    images: Sequence[list[int]] | None = None,
+) -> HullMembership:
     """
     Decide feasibility of  sum(lam_k * s_k) = p, sum(lam_k) = 1, lam >= 0
     by minimizing the sum of artificial variables (Bland's rule throughout).
+    `images`, if given, are the points' `_image`s; a caller that holds them
+    saves rebuilding them on every call.
 
-    The tableau holds integers.  Each point column is scaled by the lcm of
-    its denominators and the right-hand side by the lcm of `point`'s; the
-    artificial columns stay unit vectors.  Scaling column j by c > 0
-    multiplies its reduced cost by c, and every ratio of one ratio test by
-    the same positive factor (a basic column's own scaling cancels within its
-    row's ratio), so Bland's rule picks the same entering column and the same
-    leaving row at every pivot.  Rows are never scaled: that would reweight
-    the artificial variables and change the phase-one objective.
+    The LP is held in integers.  Column j of the constraint matrix is the
+    image (d_j*s_j, d_j) of point j, with row r flipped by sign_r so that
+    the right-hand side, `point`'s image, is >= 0; the artificial columns
+    are unit vectors.  Scaling column j by d_j > 0 multiplies its reduced
+    cost by d_j, and every ratio of one ratio test by the same positive
+    factor (a basic column's own scaling cancels within its row's ratio), so
+    Bland's rule picks the same entering column and the same leaving row at
+    every pivot.  Rows are never scaled: that would reweight the artificial
+    variables and change the phase-one objective.
 
-    Pivots are fraction-free (Edmonds/Bareiss, as in lrs): the true tableau
-    is `tab / det` with `det` the last pivot (1 at the start, always > 0).
-    A pivot leaves its own row as it is, turns every other row, objective
-    included, into (a*piv - f*p) // det, exact by Sylvester's identity, and
-    then sets det = piv.  Rationals come back only in the result.
+    The simplex is revised (Azulay & Pique's integer form of it).  It holds
+    only the basis inverse, as the integer matrix det*B^-1 (the artificial
+    columns of the full tableau) beside the right-hand side, and the reduced
+    costs of the artificial columns beside the objective value, all times
+    det, the last pivot (1 at the start, always > 0).  With
+    u_r = det - reduced(artificial r), column j prices at -(u . A_j).
+    Columns are priced in index order, the point columns first, and the
+    first negative one enters; only that column is built, as det*B^-1*A_e,
+    with no division.  Pivots are fraction-free (Edmonds/Bareiss, as in
+    lrs): the pivot row stays as it is, every other row, objective
+    included, becomes (a*piv - f*p) // det, exact by Sylvester's identity,
+    and then det = piv.  These are the entries the full integer tableau
+    would hold, so every choice is the one it would make.  Rationals come
+    back only in the result.
     """
     m = len(points)
     n = len(point)
     rows = n + 1
-
-    columns = [_image(q) for q in points]
-    scale = [d for d, _ in columns]
-    bscale, b = _image(point)
-    b.append(bscale)
+    if images is None:
+        images = [_image(q) for q in points]
+    b = _image(point)
     sign = [-1 if v < 0 else 1 for v in b]
 
-    tab: list[list[int]] = []
+    # row r: [det*B^-1 row r | rhs_r | entering column's entry]
+    tab = [[0] * rows + [abs(v), 0] for v in b]
     for r in range(rows):
-        s = sign[r]
-        if r < n:
-            row = [s * xs[r] for _, xs in columns]
-        else:
-            row = list(scale)
-        row += [0] * rows
-        row[m + r] = 1
-        row.append(s * b[r])
-        tab.append(row)
-
+        tab[r][r] = 1
+    # reduced costs of the artificial columns, the objective, the entering column's
+    reduced = [0] * rows + [-sum(abs(v) for v in b), 0]
     basis = [m + r for r in range(rows)]
-    # reduced costs for phase-one objective (artificials cost 1)
-    reduced = [-sum(col) for col in zip(*tab)]
-    for j in range(m, m + rows):
-        reduced[j] += 1
     det = 1
 
     while True:
-        enter = next((j for j in range(m + rows) if reduced[j] < 0), None)
-        if enter is None:
-            break
+        # w_r = sign_r * u_r: point column j prices at -(w . image_j)
+        w = [s * (det - c) for s, c in zip(sign, reduced)]
+        enter = next((j for j, im in enumerate(images) if sum(map(mul, w, im)) > 0), None)
+        if enter is not None:
+            a = list(map(mul, sign, images[enter]))
+            column = [sum(map(mul, row, a)) for row in tab]
+            cost = -sum(map(mul, w, images[enter]))
+        else:
+            r = next((r for r in range(rows) if reduced[r] < 0), None)
+            if r is None:
+                break
+            enter = m + r
+            column = [row[r] for row in tab]
+            cost = reduced[r]
         leave = None
         for r in range(rows):
-            coef = tab[r][enter]
+            coef = column[r]
             if coef > 0:
                 if leave is None:
                     leave = r
                     continue
                 # compare rhs/coef with the best ratio so far, then basis index
-                lhs = tab[r][-1] * tab[leave][enter]
-                rhs = tab[leave][-1] * coef
+                lhs = tab[r][rows] * column[leave]
+                rhs = tab[leave][rows] * coef
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
         if leave is None:  # cannot happen: lam bounded by the normalization row
             raise ArithmeticError("phase-one LP unbounded")
+        for row, f in zip(tab, column):
+            row[-1] = f
+        reduced[-1] = cost
         pivot_row = tab[leave]
-        piv = pivot_row[enter]
+        piv = column[leave]
         for r in range(rows):
             if r != leave:
-                tab[r] = _eliminate(tab[r], pivot_row, enter, piv, det)
-        reduced = _eliminate(reduced, pivot_row, enter, piv, det)
+                tab[r] = _eliminate(tab[r], pivot_row, -1, piv, det)
+        reduced = _eliminate(reduced, pivot_row, -1, piv, det)
         det = piv
         basis[leave] = enter
 
-    if reduced[-1] == 0:
+    if reduced[rows] == 0:
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
             if var < m:
-                lam[var] = Fraction(tab[r][-1] * scale[var], det * bscale)
+                lam[var] = Fraction(tab[r][rows] * images[var][-1], det * b[-1])
         return HullMembership(inside=True, coefficients=tuple(lam))
 
     # infeasible: dual vector y_r = 1 - reduced(artificial r), un-flip the rows
-    y = [sign[r] * (1 - Fraction(reduced[m + r], det)) for r in range(rows)]
+    y = [sign[r] * (1 - Fraction(reduced[r], det)) for r in range(rows)]
     functional = SeparatingFunctional(tuple(y[:n]), y[n])
     return HullMembership(inside=False, functional=functional)
 
@@ -295,6 +321,9 @@ class IncrementalHull:
         for q in self.points:
             self._query(q)
         self._images = [_image(q) for q in self.points]
+        # keyed by identity: hashing a tuple of Fractions costs more than
+        # rebuilding its image; points not of the set get theirs built
+        self._image_of = {id(q): im for q, im in zip(self.points, self._images)}
         self._point_set = frozenset(self.points)
         self._confirmed: dict = {}  # confirmed point -> known to be a hull vertex
 
@@ -312,40 +341,52 @@ class IncrementalHull:
         that point is a hull vertex, so the walk ends with None once `point`
         itself is confirmed; None also means there is no other point.
 
-        Scores are compared in integers: with the functional times D as
-        integers `coeffs`, `offset` and a point's image (d, xs), its value
-        is (coeffs.xs + offset*d) / (D*d).
+        Points are compared and scored on their images, in integers: two
+        points are equal if their images are, and with the functional times
+        D as integers `func` (offset last), a point with image (d*x, d)
+        scores func.image / (D*d).
         """
-        point_d, point_xs = _image(point)
+        point_image = self._image_of_point(point)
+        excluded = None if exclude is None else self._image_of_point(exclude)
         while exclude is not None or not self._confirmed.get(point):
-            others = [q for q in self._confirmed if q != point]
+            others, images = [], []
+            for q in self._confirmed:
+                image = self._image_of_point(q)
+                if image != point_image:
+                    others.append(q)
+                    images.append(image)
             if others:
-                res = _phase_one(point, others)
+                res = _phase_one(point, others, images=images)
                 if res.inside:
                     return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
-                den, coeffs, offset = res.functional._integers()
-                best, best_num, best_d = None, 0, 1
-                for q, (d, xs) in zip(self.points, self._images):
-                    if q == exclude:
+                den, func = res.functional._integers()
+                best, best_image, best_num, best_d = None, None, 0, 1
+                for q, image in zip(self.points, self._images):
+                    if image == excluded:
                         continue
-                    num = sum(map(mul, coeffs, xs)) + offset * d
+                    num, d = sum(map(mul, func, image)), image[-1]
                     # ">=": the points ascend, so the last of equal scores wins
                     if best is None or num * best_d >= best_num * d:
-                        best, best_num, best_d = q, num, d
-                point_num = sum(map(mul, coeffs, point_xs)) + offset * point_d
-                if best_num * point_d < point_num * best_d:
+                        best, best_image, best_num, best_d = q, image, num, d
+                point_num = sum(map(mul, func, point_image))
+                if best_num * point_image[-1] < point_num * best_d:
                     # offset - best score = (offset*best_d - best_num) / (D*best_d)
-                    lowered = Fraction(offset * best_d - best_num, den * best_d)
+                    lowered = Fraction(func[-1] * best_d - best_num, den * best_d)
                     return SeparatingFunctional(res.functional.coefficients, lowered)
-                if best in others:  # the LP just separated these points
+                if best_image in images:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
             else:
                 # the least point other than `exclude` is a vertex of their hull
-                best = next((q for q in self.points if q != exclude), None)
+                pairs = zip(self.points, self._images)
+                best = next((q for q, image in pairs if image != excluded), None)
                 if best is None:
                     return None  # there are no other points at all
             self._confirmed[best] = exclude is None
         return None
+
+    def _image_of_point(self, point) -> list[int]:
+        """`point`'s `_image`, cached for the set's own point objects."""
+        return self._image_of.get(id(point)) or _image(point)
 
     def vertices(self) -> list:
         """The vertices of the hull, in lexicographic order."""
@@ -362,8 +403,9 @@ class IncrementalHull:
         return point in self._point_set or isinstance(self._outside(point), tuple)
 
     def _query(self, point) -> tuple:
-        """`point` as a tuple, with as many coordinates as the set's points."""
+        """`point` as a tuple of exact rationals, as many as the set's points have."""
         point = tuple(point) if not isinstance(point, tuple) else point
+        _require_rational((point,))
         if self.points and len(point) != len(self.points[0]):
             raise ValueError(
                 f"dimension mismatch: {len(point)} coordinates against {len(self.points[0])}"
@@ -403,18 +445,22 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     # certify against the vertices in lexicographic order, so that each
     # certificate depends on the vertex set alone, not on the scan's path
     hull._confirmed = dict.fromkeys(hull.vertices(), True)
+    images = hull._images
     certificates = []
-    for p in pts:
+    for i, p in enumerate(pts):
         witness = hull._outside(p, exclude=p)
         if isinstance(witness, tuple):
             cert = ExtremalityCertificate(point=p, is_extreme=False, combination=witness)
+            verified = cert.verify(())  # a reconstruction needs no other point
         else:
             if witness is None:  # p is the only point
                 witness = SeparatingFunctional((Fraction(0),) * n, Fraction(1))
             cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
+            # cert.verify on the cached images of p and of every other point
+            verified = witness._separates(images[i], images[:i] + images[i + 1:])
         if cert.is_extreme != (p in hull._confirmed):
             raise AssertionError("certification walk disagrees with the vertex scan")
-        if not cert.verify([q for q in pts if q != p]):
+        if not verified:
             raise AssertionError("certificate failed direct substitution")
         certificates.append(cert)
     return certificates

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,12 +9,15 @@ from diffpoly.geometry import (
     HullMembership,
     IncrementalHull,
     SeparatingFunctional,
+    _image,
     _phase_one,
     extreme_points,
     hull_membership,
     hull_vertices,
 )
 from diffpoly.optimize import exponential_populations
+from diffpoly.structured.complete import kn_candidate_points
+from diffpoly.structured.ordered_path import subset_point
 
 from conftest import random_population
 
@@ -145,6 +148,26 @@ class TestExtremePoints:
             if not c.is_extreme:
                 assert {q for q, _ in c.combination} <= extreme
 
+    def test_substitution_check_covers_the_point_and_every_other(self, monkeypatch):
+        # (0, 1) is a vertex of the square; hand extreme_points a wrong
+        # functional for it and the certificate check must refuse it
+        square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        half = Fraction(1, 2)
+        walk = IncrementalHull._outside
+        for wrong in (
+            # y - 1/2 is > 0 at (1, 1), the last other point; 1/2 - y is < 0 at (0, 1) itself
+            SeparatingFunctional((Fraction(0), Fraction(1)), -half),
+            SeparatingFunctional((Fraction(0), Fraction(-1)), half),
+        ):
+            def outside(hull, point, exclude=None, wrong=wrong):
+                return wrong if exclude == (0, 1) else walk(hull, point, exclude)
+
+            monkeypatch.setattr(IncrementalHull, "_outside", outside)
+            with pytest.raises(AssertionError, match="direct substitution"):
+                extreme_points(square)
+        monkeypatch.undo()
+        assert [c.is_extreme for c in extreme_points(square)] == [True] * 4
+
     def test_invariant_under_permutation_and_duplication(self):
         rnd = random.Random(9)
         cloud = [random_population(rnd, 4) for _ in range(25)]
@@ -209,6 +232,17 @@ class TestIncrementalHull:
         assert hull.is_extreme_in((1, 0))
         assert not IncrementalHull([]).contains((1, 0, 0))  # nothing to compare with
 
+    def test_float_queries_rejected(self):
+        hull = IncrementalHull([(0, 1), (1, 0)])
+        for query in ((0.5, 0.5), [Fraction(1, 2), 0.5]):
+            with pytest.raises(TypeError, match="0.5"):
+                hull.contains(query)
+            with pytest.raises(TypeError, match="0.5"):
+                hull.is_extreme_in(query)
+        with pytest.raises(TypeError, match="0.5"):
+            IncrementalHull([(0, 1), (0.5, 0.5)])
+        assert hull.contains((Fraction(1, 2), Fraction(1, 2)))
+
     def test_vertices_after_extremality_queries(self):
         # leaving the query point out lets the walk confirm a point that is
         # not a vertex of the whole set (here the midpoint); vertices() must
@@ -226,10 +260,11 @@ class TestIncrementalHull:
         assert hull.vertices() == brute_force_vertices(cloud)
 
 
-def reference_phase_one(point, points):
+def reference_phase_one(point, points, entered=None):
     """
     The phase-one simplex on a tableau of `Fraction`s, with the same Bland
-    rule: the reference the integer kernel must agree with exactly.
+    rule: the reference the integer kernel must agree with exactly.  Each
+    entering column's index is appended to `entered`, if given.
     """
     m = len(points)
     n = len(point)
@@ -247,7 +282,7 @@ def reference_phase_one(point, points):
     for r in range(rows):
         row = [Fraction(0)] * width
         for j, q in enumerate(points):
-            val = q[r] if r < n else Fraction(1)
+            val = Fraction(q[r]) if r < n else Fraction(1)
             row[j] = sign[r] * val
         row[m + r] = Fraction(1)
         row[-1] = b[r]
@@ -264,6 +299,8 @@ def reference_phase_one(point, points):
         enter = next((j for j in range(m + rows) if reduced[j] < 0), None)
         if enter is None:
             break
+        if entered is not None:
+            entered.append(enter)
         leave = None
         best = None
         for r in range(rows):
@@ -495,3 +532,51 @@ def test_separates_matches_fraction_reference():
     assert not func.separates((0, 1), [])
     assert func.separates((1, 0), [])  # nothing else to separate from
     assert not func.separates((1, 0), [(2, 1), (3, 1)])  # 1 at another point
+
+
+def wide_phase_one_cases():
+    """
+    LPs of the workloads' shape, 8 rows by 63 columns and 5 by 42, entering
+    late: each ordered-P_7 subset point against the other 63, each K_4
+    candidate against the other candidates, and random convex combinations
+    against all of them.
+    """
+    rnd = random.Random(7)
+    rho = PopulationVector.normalized([2, 3, 5, 7, 11, 13, 17])
+    cube = [subset_point(sub, rho) for k in range(7) for sub in combinations(range(1, 7), k)]
+    cloud = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
+    cases = []
+    for points in (cube, cloud):
+        cases += [(p, points[:i] + points[i + 1:]) for i, p in enumerate(points)]
+        cases += [(_combination(rnd, rnd.sample(points, 4)), points) for _ in range(8)]
+    return cases
+
+
+def reentry_phase_one_cases(count=40):
+    """Small integer LPs, degenerate with ties, in which an artificial column re-enters."""
+    rnd = random.Random(6)
+    cases = []
+    while len(cases) < count:
+        dim = rnd.randint(2, 4)
+        points = [tuple(rnd.randint(-2, 2) for _ in range(dim)) for _ in range(rnd.randint(2, 6))]
+        point = (
+            tuple(rnd.randint(-2, 2) for _ in range(dim))
+            if rnd.random() < 0.5 else _combination(rnd, points)
+        )
+        entered = []
+        reference_phase_one(point, points, entered)
+        if any(j >= len(points) for j in entered):
+            cases.append((point, points))
+    return cases
+
+
+def test_wide_and_reentry_lps_match_fraction_reference():
+    wide, reentry = wide_phase_one_cases(), reentry_phase_one_cases()
+    assert len(wide) == 64 + 43 + 2 * 8
+    outcomes = set()
+    for point, points in wide + reentry:
+        result = _phase_one(point, points)
+        assert result == reference_phase_one(point, points), (point, points)
+        assert _phase_one(point, points, images=[_image(q) for q in points]) == result
+        outcomes.add(result.inside)
+    assert outcomes == {True, False}
