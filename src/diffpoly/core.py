@@ -11,6 +11,11 @@ the subset, which is why they are first-class here.
 
 Everything in this module is an immutable value and every function is
 pure; no floating point is used anywhere.
+
+A search builds and hashes states by the thousand, so two costs are paid
+once: an operator's image of a ``PopulationVector`` skips re-validation
+(averaging keeps components non-negative and their sum at one), and each
+state computes its tuple hash on first use and keeps it.
 """
 from __future__ import annotations
 
@@ -79,10 +84,10 @@ class PopulationVector(tuple):
     A normalized population state: non-negative rationals summing to one.
 
     Behaves as a plain tuple of ``Fraction`` (hashable, ordered), so exact
-    de-duplication of states is just set membership.
+    de-duplication of states is just set membership.  The hash is the
+    tuple's, computed once and kept: hashing a ``Fraction`` costs a modular
+    inverse, and a search hashes each state many times.
     """
-
-    __slots__ = ()
 
     def __new__(cls, components: Iterable[Fraction | int | str]) -> "PopulationVector":
         comps = tuple(map(_exact, components))
@@ -94,6 +99,18 @@ class PopulationVector(tuple):
         if total != 1:
             raise ValueError(f"populations must sum to 1, got {total}")
         return super().__new__(cls, comps)
+
+    @classmethod
+    def _trusted(cls, comps: list[Fraction]) -> "PopulationVector":
+        """`comps` unchecked: non-negative Fractions already known to sum to one."""
+        return super().__new__(cls, comps)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = tuple.__hash__(self)
+            return h
 
     @classmethod
     def normalized(cls, raw: Iterable[Fraction | int]) -> "PopulationVector":
@@ -228,7 +245,7 @@ class PairOp:
         m = (comps[self.i - 1] + comps[self.j - 1]) / 2
         comps[self.i - 1] = m
         comps[self.j - 1] = m
-        return PopulationVector(comps)
+        return _averaged(rho, comps)
 
     def to_json(self) -> list:
         return ["pair", self.i, self.j]
@@ -248,6 +265,8 @@ class BlockOp:
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("block op needs at least two vertices")
+        if verts[0] < 1:
+            raise ValueError(f"block op vertices are labeled from 1, got {verts}")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -264,7 +283,7 @@ class BlockOp:
         m = sum(comps[v - 1] for v in self.vertices) / len(self.vertices)
         for v in self.vertices:
             comps[v - 1] = m
-        return PopulationVector(comps)
+        return _averaged(rho, comps)
 
     def to_json(self) -> list:
         return ["block", list(self.vertices)]
@@ -276,6 +295,17 @@ class BlockOp:
 
 
 AveragingOp = PairOp | BlockOp
+
+
+def _averaged(rho: Sequence[Fraction], comps: list[Fraction]) -> PopulationVector:
+    """
+    The averaged components `comps` of `rho` as a state.  Averaging keeps
+    components non-negative and their sum, so the image of a
+    `PopulationVector` needs no check; any other input is validated.
+    """
+    if isinstance(rho, PopulationVector):
+        return PopulationVector._trusted(comps)
+    return PopulationVector(comps)
 
 
 def op_from_json(data: Sequence) -> AveragingOp:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
 from typing import Sequence
 
@@ -378,7 +379,7 @@ def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
         )
         for p in points
     )
-    certificates = tuple(extreme_points(points))
+    certificates = tuple(extreme_points(points, _all_vertices=True))
     return PolytopeResult(
         graph=graph,
         rho0=rho0,
@@ -459,19 +460,16 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
     return out
 
 
-def _majorizes(s: Sequence[Fraction], t: Sequence[Fraction]) -> bool:
-    """Can averaging possibly turn s into t?  Necessary: t below s in the
+def _prefix_sums(v: Sequence[Fraction]) -> list[Fraction]:
+    """Sums of the k largest components of `v`, k = 1, 2, ..."""
+    return list(accumulate(sorted(v, reverse=True)))
+
+
+def _majorizes(sums: Sequence[Fraction], goal: Sequence[Fraction]) -> bool:
+    """Can averaging possibly turn a state into `goal`, given the
+    `_prefix_sums` of both?  Necessary: the goal below the state in the
     majorization order (both sum to one)."""
-    ss = sorted(s, reverse=True)
-    tt = sorted(t, reverse=True)
-    acc_s = Fraction(0)
-    acc_t = Fraction(0)
-    for a, b in zip(ss, tt):
-        acc_s += a
-        acc_t += b
-        if acc_t > acc_s:
-            return False
-    return True
+    return all(a >= b for a, b in zip(sums, goal))
 
 
 def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
@@ -481,12 +479,13 @@ def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
     Which of `targets` does some pair word of length <= max_depth hit
     exactly?  States that majorize no remaining target are pruned; that is
     lossless because every averaging image is majorized by its source.
+    Each vector's `_prefix_sums` are built once.
     """
     ops = graph_ops(graph, False)
-    remaining = set(targets)
+    remaining = {t: _prefix_sums(t) for t in targets}
     found: set[PopulationVector] = set()
     if rho0 in remaining:
-        remaining.discard(rho0)
+        del remaining[rho0]
         found.add(rho0)
     frontier = [rho0]
     seen = {rho0}
@@ -499,11 +498,12 @@ def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
                 continue
             seen.add(t)
             if t in remaining:
-                remaining.discard(t)
+                del remaining[t]
                 found.add(t)
                 if not remaining:
                     return found
-            if any(_majorizes(t, goal) for goal in remaining):
+            sums = _prefix_sums(t)
+            if any(_majorizes(sums, goal) for goal in remaining.values()):
                 new.append(t)
         frontier = new
     return found

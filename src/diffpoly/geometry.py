@@ -17,9 +17,11 @@ confirmed so far, and which returns the witness that decided each answer.
 
 Everything is decided in integers.  A point enters as its image
 (d*x, d), with d the lcm of its denominators, made once per hull; a
-functional as its coefficients and offset times the lcm of theirs.  Every
-sign and every comparison of two values is then an integer dot product or
-a cross-multiplication, with the same ties as in rationals, and two points
+functional is held as its coefficients and offset times the lcm D of
+theirs, with D beside them, and builds its `Fraction` coefficients and
+offset only when a caller first reads them.  Every sign and every
+comparison of two values is then an integer dot product or a
+cross-multiplication, with the same ties as in rationals, and two points
 are equal exactly when their images are.
 
 The LP solver is a phase-one simplex with Bland's rule, which cannot
@@ -30,9 +32,9 @@ vector, and builds only the entering column.  The basis inverse is held as
 the integer matrix det*B^-1 and pivoted fraction-free (Edmonds/Bareiss, as
 in lrs), where every division is exact.  These are the entries a full
 integer tableau would hold, and positive column scalings leave every Bland
-choice, so every answer is the one a rational tableau gives; rationals are
-built only for the answer, and a `Fraction` only for a functional that is
-returned.
+choice, so every answer is the one a rational tableau gives.  Rationals are
+built only for a convex combination; an infeasible LP's functional comes
+straight from the integer dual vector.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import PopulationVector, format_rational
 
@@ -63,17 +65,68 @@ def _image(values: Sequence[Fraction]) -> list[int]:
     return image
 
 
-@dataclass(frozen=True)
 class SeparatingFunctional:
-    """Affine functional with value(x) <= 0 on the hull and > 0 at the point."""
+    """
+    Affine functional with value(x) <= 0 on the hull and > 0 at the point.
 
-    coefficients: tuple[Fraction, ...]
-    offset: Fraction
+    Held in integers: D, the coefficients and the offset times D, with D > 0
+    the lcm of their denominators.  That form is unique, so it decides
+    equality; the `Fraction` coefficients and offset are built when first read.
+    """
 
-    def _integers(self) -> tuple[int, list[int]]:
-        """(D, the coefficients and the offset times D), D the lcm of their denominators."""
-        ints = _image((*self.coefficients, self.offset))
-        return ints.pop(), ints
+    __slots__ = ("_den", "_func", "_rationals")
+
+    def __init__(self, coefficients: Sequence[Fraction], offset: Fraction):
+        values = (*coefficients, offset)
+        func = _image(values)
+        self._set(func.pop(), func, (tuple(values[:-1]), offset))
+
+    @classmethod
+    def _from_integers(cls, den: int, func: list[int]) -> "SeparatingFunctional":
+        """The functional with coefficients and offset `func` / `den`, `den` > 0."""
+        g = math.gcd(den, *func)
+        self = cls.__new__(cls)
+        self._set(den // g, (v // g for v in func), None)
+        return self
+
+    def _set(self, den: int, func: Iterable[int], rationals) -> None:
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_func", tuple(func))
+        object.__setattr__(self, "_rationals", rationals)
+
+    def __reduce__(self):
+        return type(self)._from_integers, (self._den, list(self._func))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: SeparatingFunctional is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: SeparatingFunctional is immutable")
+
+    def _fractions(self) -> tuple[tuple[Fraction, ...], Fraction]:
+        if self._rationals is None:
+            values = [Fraction(v, self._den) for v in self._func]
+            object.__setattr__(self, "_rationals", (tuple(values[:-1]), values[-1]))
+        return self._rationals
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return self._fractions()[0]
+
+    @property
+    def offset(self) -> Fraction:
+        return self._fractions()[1]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self._func == other._func
+
+    def __hash__(self) -> int:
+        return hash((self._den, self._func))
+
+    def __repr__(self) -> str:
+        return f"SeparatingFunctional(coefficients={self.coefficients!r}, offset={self.offset!r})"
 
     def separates(self, point: Sequence[Fraction], others: Sequence[Sequence[Fraction]]) -> bool:
         """value > 0 at `point` and <= 0 at every other point, decided on integers."""
@@ -81,7 +134,7 @@ class SeparatingFunctional:
 
     def _separates(self, point_image, other_images) -> bool:
         """`separates` on the points' `_image`s."""
-        _, func = self._integers()
+        func = self._func
         # func . image is the value at the point times D*d > 0
         return sum(map(mul, func, point_image)) > 0 and all(
             sum(map(mul, func, image)) <= 0 for image in other_images
@@ -220,9 +273,9 @@ def _phase_one(
                 lam[var] = Fraction(tab[r][rows] * images[var][-1], det * b[-1])
         return HullMembership(inside=True, coefficients=tuple(lam))
 
-    # infeasible: dual vector y_r = 1 - reduced(artificial r), un-flip the rows
-    y = [sign[r] * (1 - Fraction(reduced[r], det)) for r in range(rows)]
-    functional = SeparatingFunctional(tuple(y[:n]), y[n])
+    # infeasible: dual vector y_r = 1 - reduced(artificial r) / det, rows un-flipped
+    y = [s * (det - c) for s, c in zip(sign, reduced)]
+    functional = SeparatingFunctional._from_integers(det, y)
     return HullMembership(inside=False, functional=functional)
 
 
@@ -359,7 +412,7 @@ class IncrementalHull:
                 res = _phase_one(point, others, images=images)
                 if res.inside:
                     return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
-                den, func = res.functional._integers()
+                den, func = res.functional._den, res.functional._func
                 best, best_image, best_num, best_d = None, None, 0, 1
                 for q, image in zip(self.points, self._images):
                     if image == excluded:
@@ -371,8 +424,9 @@ class IncrementalHull:
                 point_num = sum(map(mul, func, point_image))
                 if best_num * point_image[-1] < point_num * best_d:
                     # offset - best score = (offset*best_d - best_num) / (D*best_d)
-                    lowered = Fraction(func[-1] * best_d - best_num, den * best_d)
-                    return SeparatingFunctional(res.functional.coefficients, lowered)
+                    lowered = [c * best_d for c in func]
+                    lowered[-1] -= best_num
+                    return SeparatingFunctional._from_integers(den * best_d, lowered)
                 if best_image in images:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
             else:
@@ -423,7 +477,8 @@ def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
     return IncrementalHull(points).vertices()
 
 
-def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCertificate]:
+def extreme_points(points: Sequence[Sequence[Fraction]], *,
+                   _all_vertices: bool = False) -> list[ExtremalityCertificate]:
     """
     Certified vertices of the convex hull of a finite point set.
 
@@ -433,6 +488,10 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     non-vertices with an exact convex reconstruction over the vertices.
     Both come from one hull walk per point, run after the vertex scan has
     confirmed every vertex, so each LP runs against the other vertices.
+
+    `_all_vertices` is for a caller that already holds a vertex list (the
+    polytope search): the scan is skipped, and a point that is not a
+    vertex still fails the check that walk and scan agree.
     """
     points = list(points)
     _require_rational(points)
@@ -444,7 +503,7 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
 
     # certify against the vertices in lexicographic order, so that each
     # certificate depends on the vertex set alone, not on the scan's path
-    hull._confirmed = dict.fromkeys(hull.vertices(), True)
+    hull._confirmed = dict.fromkeys(pts if _all_vertices else hull.vertices(), True)
     images = hull._images
     certificates = []
     for i, p in enumerate(pts):

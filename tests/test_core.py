@@ -297,6 +297,14 @@ class TestOps:
         with pytest.raises(ValueError):
             BlockOp((2,))
 
+    @pytest.mark.parametrize("labels", [(0, 1), (-1, 2), (0, 2, 3)])
+    def test_block_rejects_labels_below_one(self, labels):
+        # label 0 would average component n through negative indexing
+        with pytest.raises(ValueError, match="labeled from 1"):
+            BlockOp(labels)
+        with pytest.raises(ValueError, match="labeled from 1"):
+            op_from_json(["block", list(labels)])
+
     def test_block_canonical_order(self):
         assert BlockOp((3, 1, 2)).vertices == (1, 2, 3)
 
@@ -315,3 +323,50 @@ class TestOps:
         assert [b.vertices for b in blocks] == [
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4),
         ]
+
+
+def ops(n):
+    """Pair and block operators on the labels 1..n."""
+    labels = st.integers(1, n)
+    return st.one_of(
+        st.tuples(labels, labels).filter(lambda p: p[0] != p[1]).map(lambda p: PairOp.of(*p)),
+        st.sets(labels, min_size=2).map(lambda vs: BlockOp(tuple(vs))),
+    )
+
+
+class TestTrustedImages:
+    @given(populations.flatmap(lambda rho: st.tuples(st.just(rho), ops(len(rho)))))
+    def test_image_equals_validated_vector(self, case):
+        rho, op = case
+        image = op.apply(rho)
+        assert type(image) is PopulationVector
+        assert image == PopulationVector(list(image))
+        assert hash(image) == hash(PopulationVector(list(image)))
+        # a plain tuple input takes the validating path and lands on the same state
+        assert op.apply(tuple(rho)) == image
+
+    @pytest.mark.parametrize("op", [PairOp.of(1, 2), BlockOp((1, 2, 3))])
+    @pytest.mark.parametrize("bad", [
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1), Fraction(-1)),  # a negative component
+        (Fraction(1, 2),) * 4,                                        # sums to 2
+    ])
+    def test_invalid_plain_inputs_still_raise(self, op, bad):
+        with pytest.raises(ValueError):
+            op.apply(bad)
+        with pytest.raises(ValueError):
+            op.apply(list(bad))
+
+    @given(populations)
+    def test_memoized_hash_is_the_tuple_hash(self, rho):
+        fresh = PopulationVector(list(rho))
+        assert hash(tuple(fresh)) == hash(fresh) == hash(fresh) == hash(tuple(fresh))
+        image = PairOp.of(1, 2).apply(fresh)
+        assert hash(image) == hash(tuple(image))
+
+    def test_plain_tuples_find_equal_vectors(self, rho3):
+        key = tuple(rho3)
+        vec = PopulationVector(key)
+        hash(vec)
+        assert key in {vec} and vec in {key}
+        assert {vec: "state"}[key] == "state" and {key: "tuple"}[vec] == "tuple"
+        assert len({vec, key, PopulationVector(list(key))}) == 1

@@ -340,3 +340,44 @@ class TestGoldenOutput:
     def test_canonical_json_digest(self, graph, rho, digest):
         text = canonical_json(polytope(graph, rho).to_json())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def reference_majorizes(s, t):
+    """Is t below s in the majorization order?  Sorted and accumulated in `Fraction`s."""
+    ss, tt = sorted(s, reverse=True), sorted(t, reverse=True)
+    acc_s = acc_t = Fraction(0)
+    for a, b in zip(ss, tt):
+        acc_s += a
+        acc_t += b
+        if acc_t > acc_s:
+            return False
+    return True
+
+
+def test_prefix_sum_majorization_matches_reference():
+    from diffpoly.enumeration import _majorizes, _prefix_sums
+
+    rnd = random.Random(12)
+    verdicts = set()
+    for _ in range(400):
+        n = rnd.randint(2, 5)
+        bound = rnd.choice([2, 3, 8])  # small bounds give ties within and across vectors
+        s, t = random_population(rnd, n, bound), random_population(rnd, n, bound)
+        for a, b in ((s, t), (t, s), (s, s)):
+            verdict = _majorizes(_prefix_sums(a), _prefix_sums(b))
+            assert verdict == reference_majorizes(a, b), (a, b)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_pair_reachable_targets_match_explore_oracle():
+    from diffpoly.enumeration import _pair_reachable_targets
+
+    rnd = random.Random(4)
+    for graph in (path(4), cycle(4), complete(4)):
+        rho = random_population(rnd, 4, bound=6)
+        reach = explore(graph, rho, 4)
+        pool = sorted(explore(graph, rho, 4, use_blocks=True).states)
+        targets = rnd.sample(pool, min(12, len(pool)))
+        expected = {t for t in targets if t in reach}
+        assert _pair_reachable_targets(graph, rho, targets, 4, False) == expected

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -109,6 +110,19 @@ class TestExtremePoints:
     def test_single_point(self, rho3):
         certs = extreme_points([rho3])
         assert len(certs) == 1 and certs[0].is_extreme
+
+    def test_known_vertex_list_skips_the_scan_with_the_same_certificates(self):
+        rnd = random.Random(3)
+        for _ in range(10):
+            cloud = [random_population(rnd, 4) for _ in range(12)]
+            vertices = hull_vertices(cloud)
+            certs = extreme_points(vertices, _all_vertices=True)
+            assert certs == extreme_points(vertices)
+            assert [c.to_json() for c in certs] == [c.to_json() for c in extreme_points(vertices)]
+        # a point that is not a vertex still fails the walk-against-scan check
+        square = [(0, 0), (0, 1), (1, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
+        with pytest.raises(AssertionError, match="disagrees with the vertex scan"):
+            extreme_points(square, _all_vertices=True)
 
     def test_k3_reachable_states_give_seven_vertices(self, rho3):
         from diffpoly.enumeration import explore
@@ -580,3 +594,49 @@ def test_wide_and_reentry_lps_match_fraction_reference():
         assert _phase_one(point, points, images=[_image(q) for q in points]) == result
         outcomes.add(result.inside)
     assert outcomes == {True, False}
+
+
+def test_functional_from_integers_matches_fraction_form():
+    rnd = random.Random(31)
+    cases = [
+        (6, [3, -2, 0]),          # 1/2, -1/3, 0
+        (12, [6, -4, 0]),         # the same, not reduced
+        (5, [0, 0, 0]),           # all zeros: D = 1
+        (7, [0, 0, 14]),          # integer offset
+        (1, [-3, 4, -5]),         # integers, negative entries
+    ]
+    for _ in range(200):
+        den = rnd.choice([1, 2, 6, 9999991, 10 ** 12])
+        values = [rnd.randint(-3 * den, 3 * den) * rnd.choice([0, 1, 1]) for _ in range(rnd.randint(1, 5))]
+        scale = rnd.choice([1, 2, 35])
+        cases.append((den * scale, [v * scale for v in values]))
+    for den, func in cases:
+        values = [Fraction(v, den) for v in func]
+        ints = SeparatingFunctional._from_integers(den, func)
+        fracs = SeparatingFunctional(tuple(values[:-1]), values[-1])
+        assert ints == fracs and not ints != fracs
+        assert hash(ints) == hash(fracs)
+        assert (ints.coefficients, ints.offset) == (fracs.coefficients, fracs.offset)
+        assert all(type(c) is Fraction for c in (*ints.coefficients, ints.offset))
+        assert repr(ints) == repr(fracs)
+        assert ints.to_json() == fracs.to_json()
+        assert repr(fracs) == (
+            f"SeparatingFunctional(coefficients={tuple(values[:-1])!r}, offset={values[-1]!r})"
+        )
+    one = SeparatingFunctional((Fraction(1), Fraction(-1, 2)), Fraction(0))
+    assert one != SeparatingFunctional((Fraction(1), Fraction(1, 2)), Fraction(0))
+    assert one != SeparatingFunctional((Fraction(1), Fraction(-1, 2), Fraction(0)), Fraction(0))
+    assert one != (one.coefficients, one.offset)
+    assert len({one, SeparatingFunctional._from_integers(4, [4, -2, 0])}) == 1
+
+
+def test_functional_is_immutable():
+    func = SeparatingFunctional((Fraction(1, 2), Fraction(-1, 3)), Fraction(1))
+    for name, value in (("offset", Fraction(0)), ("coefficients", ()), ("_func", (0, 0, 0)),
+                        ("_den", 1), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(func, name, value)
+    with pytest.raises(AttributeError):
+        del func.offset
+    assert func == SeparatingFunctional((Fraction(1, 2), Fraction(-1, 3)), Fraction(1))
+    assert pickle.loads(pickle.dumps(func)) == func
