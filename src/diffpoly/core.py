@@ -152,7 +152,7 @@ class DiffusionGraph:
             i, j = e
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"bad edge {e} for n={self.n}")
-        if not self._connected():
+        if not self.induced_connected(self.vertices()):
             raise ValueError("graph must be connected")
 
     @classmethod
@@ -161,20 +161,6 @@ class DiffusionGraph:
         if any(i == j for i, j in canon):
             raise ValueError("self-loops are not allowed")
         return cls(n, canon)
-
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
 
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
@@ -242,6 +228,8 @@ class PairOp:
 
     def apply(self, rho: Sequence[Fraction]) -> PopulationVector:
         comps = list(rho)
+        if self.j > len(comps):
+            raise ValueError(f"{self} needs level {self.j}, the state has length {len(comps)}")
         m = (comps[self.i - 1] + comps[self.j - 1]) / 2
         comps[self.i - 1] = m
         comps[self.j - 1] = m
@@ -280,6 +268,10 @@ class BlockOp:
 
     def apply(self, rho: Sequence[Fraction]) -> PopulationVector:
         comps = list(rho)
+        if self.vertices[-1] > len(comps):
+            raise ValueError(
+                f"{self} needs level {self.vertices[-1]}, the state has length {len(comps)}"
+            )
         m = sum(comps[v - 1] for v in self.vertices) / len(self.vertices)
         for v in self.vertices:
             comps[v - 1] = m

@@ -423,19 +423,12 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
     if graph.edges == complete(n).edges:
         return {p: "nonlocal" for p in points}
 
-    # complete-graph reference: candidate points whose hull is DP(K_n)
+    # complete-graph reference: candidate points whose hull is DP(K_n),
+    # ties included (a tied rho0 is the limit of distinct ones ranked alike)
     from .structured.complete import kn_candidate_points
 
-    if len(set(rho0)) == len(rho0):
-        kn_hull = IncrementalHull(list(kn_candidate_points(rho0)))
-        kn_extreme = {p for p in points if kn_hull.is_extreme_in(p)}
-    else:
-        kn_points, _, kn_sat = _saturating_bfs(
-            complete(n), rho0, graph_ops(complete(n), False), depth, False
-        )
-        if not kn_sat:
-            raise ArithmeticError("complete-graph reference did not saturate")
-        kn_extreme = set(points) & set(kn_points)
+    kn_hull = IncrementalHull(list(kn_candidate_points(rho0)))
+    kn_extreme = {p for p in points if kn_hull.is_extreme_in(p)}
 
     out = {}
     unresolved = []

@@ -10,6 +10,12 @@ swaps do not change the point.  The candidate set provably covers every
 vertex of the polytope; it is certified and filtered exactly here, because
 a few classes (first seen at n = 4, on reverse-permutation words) yield
 points that are *not* extreme even for fully generic populations.
+
+Ties are covered too.  Ranks break ties by label, so each candidate is a
+fixed linear map, set by its word and that ranking, applied to rho0.  A
+tied rho0 is the limit of distinct vectors ranked the same way, for which
+the candidates' hull is the polytope; the hull of finitely many points is
+closed, so the limit carries that over to the tie.
 """
 from __future__ import annotations
 
@@ -65,14 +71,14 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     The certified extreme points of the complete-graph polytope of `rho0`,
     each with a generating pair sequence, in lexicographic point order.
 
-    Populations should be pairwise distinct; with ties the rank-word
-    construction is not exhaustive, so this falls back to direct
-    enumeration (with a warning).
+    With ties the candidates still give every vertex, but their words may
+    average levels that are already equal; this then takes the vertices
+    and shorter words from direct enumeration instead (with a warning).
     """
     rho0 = PopulationVector(rho0)
     if len(set(rho0)) != len(rho0):
         warnings.warn(
-            "populations are not pairwise distinct; falling back to enumeration",
+            "populations are not pairwise distinct; taking shorter words from enumeration",
             stacklevel=2,
         )
         from ..enumeration import PolytopeConfig, polytope

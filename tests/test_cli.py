@@ -113,6 +113,14 @@ class TestEnumerate:
         assert data["completeness"] == "depth-bounded"
         assert data["truncated"] is True
 
+    def test_tied_depth_bound_classifies(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--graph", "cycle:4",
+                               "--rho", "1/7,1/7,2/7,3/7", "--depth", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["completeness"] == "depth-bounded"
+        assert "unclassified" not in {v["kind"] for v in data["vertices"]}
+
 
 class TestOptimize:
     def test_path4_summary(self, capsys, tmp_path):

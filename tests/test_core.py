@@ -143,8 +143,13 @@ class TestGraph:
         assert g.edges == frozenset(expected)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="graph must be connected"):
             DiffusionGraph.from_edges(4, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="graph must be connected"):
+            DiffusionGraph.from_edges(3, [(1, 2)])
+
+    def test_single_vertex_is_connected(self):
+        assert DiffusionGraph.from_edges(1, []).n == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -180,6 +185,12 @@ class TestApply:
         graph = DiffusionGraph.from_edges(3, [(1, 3), (2, 3)])
         with pytest.raises(ValueError):
             apply_op(BlockOp((1, 2)), rho3, graph=graph)
+
+    @pytest.mark.parametrize("op", [PairOp(1, 5), PairOp(3, 4), BlockOp((2, 5))],
+                             ids=str)
+    def test_label_beyond_state_rejected(self, op):
+        with pytest.raises(ValueError, match=f"{op} needs level .*length 3"):
+            apply_op(op, uniform_vector(3))
 
     def test_sequence_composition(self, rho3):
         seq = [PairOp.of(1, 2), PairOp.of(1, 3)]

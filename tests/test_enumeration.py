@@ -25,6 +25,7 @@ from diffpoly.enumeration import (
     triangle_prune,
 )
 from diffpoly.geometry import hull_membership, hull_vertices
+from diffpoly.structured import is_kn_extreme
 
 from conftest import random_population, random_sorted_population
 
@@ -186,6 +187,17 @@ class TestPolytope:
         assert res.completeness == "depth-bounded"
         assert res.truncated
 
+    def test_tied_depth_bound_is_classified(self):
+        # the complete-graph reference needs no search, so a depth bound
+        # on the graph does not stop classification of tied populations
+        rho = PopulationVector.normalized([1, 1, 2, 3])
+        res = polytope(cycle(4), rho, PolytopeConfig(max_depth=2))
+        assert res.completeness == "depth-bounded"
+        kinds = res.kinds()
+        assert "unclassified" not in kinds and kinds["nonlocal"] > 0
+        for v in res.vertices:
+            assert (v.kind == "nonlocal") == is_kn_extreme(v.point, rho)
+
     def test_helium_saturates(self):
         from diffpoly.core import helium_p5
 
@@ -329,7 +341,7 @@ class TestGoldenOutput:
             # pair-word search for block means
             (cycle(4), pv("1/10", "2/10", "3/10", "4/10"),
              "f5a7c5756c402f47b883c2f95dc19c985516b343f40e3c68c8238dcb4467a56e"),
-            # tied populations: the K_n reference comes from the saturating BFS
+            # tied populations: the K_n reference is the rank-word candidates' hull
             (cycle(4), PopulationVector.normalized([1, 1, 2, 3]),
              "34792418080af90192ea4365641045aeaa2504cb7270483ad86aa944c62ac24e"),
             (DiffusionGraph.from_edges(3, [(1, 3), (2, 3)]), pv("0", "2/7", "5/7"),

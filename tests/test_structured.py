@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -18,7 +18,7 @@ from diffpoly.core import (
     uniform_vector,
 )
 from diffpoly.enumeration import PolytopeConfig, polytope
-from diffpoly.geometry import hull_membership
+from diffpoly.geometry import hull_membership, hull_vertices
 from diffpoly.structured import (
     count_commuting_subsets,
     counts_csv,
@@ -97,6 +97,23 @@ class TestCompleteGraph:
 
     def test_bijection_holds_at_n3(self, rho3):
         assert len(kn_extreme_points(rho3)) == total_commutation_classes(3) == 7
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_tied_candidates_give_the_polytope(self, n):
+        # every tie pattern of values 0..2, sorted and rotated by one label:
+        # ranks break ties by label, and the candidates' hull still is DP(K_n)
+        patterns = set()
+        for values in combinations_with_replacement(range(3), n):
+            if len(set(values)) < n and any(values):
+                patterns.add(PopulationVector.normalized(list(values)))
+                patterns.add(PopulationVector.normalized(list(values[1:] + values[:1])))
+        for rho in sorted(patterns):
+            candidates = kn_candidate_points(rho)
+            vertices = hull_vertices(list(candidates))
+            enum = polytope(complete(n), rho, PolytopeConfig(use_blocks=False, classify=False))
+            assert vertices == enum.points(), rho
+            for p in candidates:
+                assert is_kn_extreme(p, rho) == (p in vertices), (rho, p)
 
     def test_ties_fall_back_with_warning(self):
         rho = pv("1/4", "1/4", "1/2")
