@@ -32,18 +32,6 @@ from . import verify as verify_mod
 __all__ = ["main", "build_parser", "parse_graph", "parse_rho", "render_svg", "render_csv"]
 
 
-def worker_cap() -> int:
-    """Parallelism cap from DIFFPOLY_THREADS (>= 1); default 1."""
-    raw = os.environ.get("DIFFPOLY_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"DIFFPOLY_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError("DIFFPOLY_THREADS must be >= 1")
-    return value
-
-
 def parse_graph(spec: str) -> DiffusionGraph:
     """
     Build a graph from "builder:params" or load one from a JSON file
@@ -178,7 +166,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_suite(args.suite, n=args.n, workers=worker_cap())
+    results = verify_mod.run_suite(args.suite, n=args.n)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -70,11 +70,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _exact(c) -> Fraction:
+def _exact(c, what: str = "population") -> Fraction:
     """`c` as a Fraction; a float is refused rather than expanded in binary."""
     if isinstance(c, float):
         raise TypeError(
-            f"population {c!r} is a float; give it exactly, as an int, Fraction or 'p/q' string"
+            f"{what} {c!r} is a float; give it exactly, as an int, Fraction or 'p/q' string"
         )
     return Fraction(c)
 

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .core import (
     DiffusionGraph,
     PopulationVector,
+    _exact,
     complete,
     format_rational,
     path,
@@ -37,12 +38,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Objective:
-    """Per-level weights: positive and pairwise distinct."""
+    """Per-level weights: positive, pairwise distinct and exact (no floats)."""
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(_exact(w, "weight") for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if any(w <= 0 for w in ws):
             raise ValueError("weights must be positive")
@@ -56,7 +57,7 @@ class Objective:
 def _weights(w: Objective | Sequence) -> tuple[Fraction, ...]:
     if isinstance(w, Objective):
         return w.weights
-    return Objective(tuple(Fraction(x) for x in w)).weights
+    return Objective(tuple(w)).weights
 
 
 def energy(w: Objective | Sequence, rho: Sequence[Fraction]) -> Fraction:

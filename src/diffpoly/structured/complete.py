@@ -15,17 +15,17 @@ Ties are covered too.  Ranks break ties by label, so each candidate is a
 fixed linear map, set by its word and that ranking, applied to rho0.  A
 tied rho0 is the limit of distinct vectors ranked the same way, for which
 the candidates' hull is the polytope; the hull of finitely many points is
-closed, so the limit carries that over to the tie.
+closed, so the limit carries that over to the tie.  Sequences omit the
+letters that average two equal levels, which leave the point unchanged.
 """
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Sequence
 
-from ..core import OperationSequence, PairOp, PopulationVector
+from ..core import OperationSequence, PairOp, PopulationVector, op_sort_key
 from ..geometry import IncrementalHull
-from .words import all_permutations, commutation_classes
+from .words import all_permutations, commutation_classes, reduced_words
 
 __all__ = ["word_sequence", "kn_candidate_points", "kn_extreme_points", "is_kn_extreme"]
 
@@ -35,7 +35,8 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
     Run a rank-word from `rho0`: letter i averages the vertices currently
     ranked i and i+1 (ranks by increasing initial population) and swaps
     their rank slots.  Returns the resulting state and the vertex-labeled
-    pair sequence that produced it.
+    pair sequence that produced it; a letter whose two levels are already
+    equal still swaps their ranks but leaves no operator in the sequence.
     """
     n = len(rho0)
     ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
@@ -43,9 +44,10 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
     ops = []
     for letter in word:
         u, v = ranking[letter - 1], ranking[letter]
-        op = PairOp.of(u, v)
-        state = op.apply(state)
-        ops.append(op)
+        if state[u - 1] != state[v - 1]:
+            op = PairOp.of(u, v)
+            state = op.apply(state)
+            ops.append(op)
         ranking[letter - 1], ranking[letter] = ranking[letter], ranking[letter - 1]
     return state, OperationSequence(ops)
 
@@ -53,7 +55,8 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
 def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, OperationSequence]:
     """
     One candidate extreme point per commutation class, deduplicated; each
-    maps to the pair sequence of the least word in its class.
+    maps to the pair sequence of the least word in its class, which on ties
+    omits the letters that average equal levels (see `word_sequence`).
     """
     rho0 = PopulationVector(rho0)
     n = len(rho0)
@@ -70,30 +73,22 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     """
     The certified extreme points of the complete-graph polytope of `rho0`,
     each with a generating pair sequence, in lexicographic point order.
-
-    With ties the candidates still give every vertex, but their words may
-    average levels that are already equal; this then takes the vertices
-    and shorter words from direct enumeration instead (with a warning).
+    On ties each vertex takes its shortest sequence over every reduced
+    word, least in the canonical operator order.
     """
     rho0 = PopulationVector(rho0)
-    if len(set(rho0)) != len(rho0):
-        warnings.warn(
-            "populations are not pairwise distinct; taking shorter words from enumeration",
-            stacklevel=2,
-        )
-        from ..enumeration import PolytopeConfig, polytope
-        from ..core import complete
-
-        result = polytope(
-            complete(len(rho0)), rho0, PolytopeConfig(use_blocks=False, classify=False)
-        )
-        return [(v.point, v.sequence) for v in result.vertices]
-
     candidates = kn_candidate_points(rho0)
     hull = IncrementalHull(list(candidates))
-    return [
-        (p, candidates[p]) for p in sorted(candidates) if hull.is_extreme_in(p)
-    ]
+    vertices = {p: candidates[p] for p in sorted(candidates) if hull.is_extreme_in(p)}
+    if len(set(rho0)) != len(rho0):
+        def key(seq):
+            return len(seq), [op_sort_key(op) for op in seq]
+        for perm in all_permutations(len(rho0)):
+            for word in reduced_words(perm):
+                point, seq = word_sequence(word, rho0)
+                if point in vertices and key(seq) < key(vertices[point]):
+                    vertices[point] = seq
+    return list(vertices.items())
 
 
 def is_kn_extreme(point: Sequence[Fraction], rho0: Sequence[Fraction]) -> bool:

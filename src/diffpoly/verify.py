@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -581,16 +580,12 @@ SUITES = {
 }
 
 
-def run_suite(selector: str, n: int | None = None, workers: int = 1) -> list[CheckResult]:
-    """Run one named suite (or "all"); checks may run in parallel workers."""
+def run_suite(selector: str, n: int | None = None) -> list[CheckResult]:
+    """Run one named suite (or "all"), one check after another."""
     if selector == "all":
         checks = [c for suite in SUITES.values() for c in suite]
     elif selector in SUITES:
         checks = list(SUITES[selector])
     else:
         raise ValueError(f"unknown suite {selector!r}")
-    if workers > 1 and len(checks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(checks))) as pool:
-            futures = [pool.submit(c, n) for c in checks]
-            return [f.result() for f in futures]
     return [c(n) for c in checks]

@@ -171,17 +171,6 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
-    def test_worker_cap_parallel_matches_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIFFPOLY_THREADS", "2")
-        code, out, _ = run_cli(capsys, "verify", "p3")
-        assert code == 0
-        assert "p3-cases" in out
-
-    def test_invalid_worker_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIFFPOLY_THREADS", "zero")
-        code, _, err = run_cli(capsys, "verify", "counts")
-        assert code == 2 and "DIFFPOLY_THREADS" in err
-
 
 class TestErrors:
     def test_bad_rho_exit_2(self, capsys):

@@ -39,6 +39,26 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective((1, 1, 2))
 
+    def test_rejects_float_weights(self, rho3):
+        # 0.1 would become 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError, match="0.1"):
+            Objective((0.1, 2, 3))
+        with pytest.raises(TypeError, match="2.5"):
+            energy((1, 2.5, 3), rho3)
+        with pytest.raises(TypeError, match="0.3"):
+            gardner_limit((1, 2, 0.3), rho3)
+        with pytest.raises(TypeError, match="0.1"):
+            optimize_over(path(3), rho3, (0.1, 0.2, 0.3))
+        with pytest.raises(TypeError, match="3.0"):
+            monotone_extremal_check([PairOp.of(1, 2)], (1, 2, 3.0), rho3)
+
+    def test_exact_weights_accepted(self):
+        from decimal import Decimal
+
+        w = Objective((1, Fraction(3, 2), Decimal("2.5"), "7/2"))
+        assert w.weights == (1, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2))
+        assert all(type(x) is Fraction for x in w.weights)
+
 
 class TestEnergy:
     def test_uniform_state(self):

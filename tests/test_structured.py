@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -34,13 +35,27 @@ from diffpoly.structured import (
 )
 from diffpoly.structured.complete import word_sequence
 from diffpoly.structured.ordered_path import triangular
-from diffpoly.structured.words import total_commutation_classes
+from diffpoly.structured.words import (
+    all_permutations,
+    commutation_classes,
+    total_commutation_classes,
+)
 
 from conftest import random_sorted_population
 
 
 def pv(*comps):
     return PopulationVector(comps)
+
+
+def tie_patterns(n):
+    """Every tie pattern of values 0..2, sorted and rotated by one label."""
+    patterns = set()
+    for values in combinations_with_replacement(range(3), n):
+        if len(set(values)) < n and any(values):
+            patterns.add(PopulationVector.normalized(list(values)))
+            patterns.add(PopulationVector.normalized(list(values[1:] + values[:1])))
+    return sorted(patterns)
 
 
 K3_EXPECTED = sorted([
@@ -100,14 +115,8 @@ class TestCompleteGraph:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_tied_candidates_give_the_polytope(self, n):
-        # every tie pattern of values 0..2, sorted and rotated by one label:
         # ranks break ties by label, and the candidates' hull still is DP(K_n)
-        patterns = set()
-        for values in combinations_with_replacement(range(3), n):
-            if len(set(values)) < n and any(values):
-                patterns.add(PopulationVector.normalized(list(values)))
-                patterns.add(PopulationVector.normalized(list(values[1:] + values[:1])))
-        for rho in sorted(patterns):
+        for rho in tie_patterns(n):
             candidates = kn_candidate_points(rho)
             vertices = hull_vertices(list(candidates))
             enum = polytope(complete(n), rho, PolytopeConfig(use_blocks=False, classify=False))
@@ -115,12 +124,28 @@ class TestCompleteGraph:
             for p in candidates:
                 assert is_kn_extreme(p, rho) == (p in vertices), (rho, p)
 
-    def test_ties_fall_back_with_warning(self):
-        rho = pv("1/4", "1/4", "1/2")
-        with pytest.warns(UserWarning):
-            got = kn_extreme_points(rho)
-        enum = polytope(complete(3), rho, PolytopeConfig(use_blocks=False, classify=False))
-        assert [p for p, _ in got] == enum.points()
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_tied_words_match_enumeration(self, n):
+        # the pair-only search is the oracle: each vertex keeps its shortest
+        # word, least in the canonical operator order, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in tie_patterns(n):
+                enum = polytope(complete(n), rho, PolytopeConfig(use_blocks=False, classify=False))
+                expected = [(v.point, v.sequence) for v in enum.vertices]
+                assert kn_extreme_points(rho) == expected, rho
+
+    @pytest.mark.parametrize("values", [
+        (1, 5, 9), (1, 2, 3), (2, 3, 7, 11), (1, 2, 3, 4), (1, 3, 5, 8, 14), (1, 2, 3, 4, 5),
+    ], ids=lambda v: "-".join(map(str, v)))
+    def test_distinct_words_keep_every_letter(self, values):
+        # on distinct populations no letter of a class's least word averages
+        # equal levels, so no operator is dropped from a candidate sequence
+        rho = PopulationVector.normalized(list(values))
+        for perm in all_permutations(len(rho)):
+            for cls in commutation_classes(perm):
+                _, seq = word_sequence(cls[0], rho)
+                assert len(seq) == len(cls[0]), (values, cls[0])
 
 
 class TestSubsetPoints:
