@@ -424,11 +424,13 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
         return {p: "nonlocal" for p in points}
 
     # complete-graph reference: candidate points whose hull is DP(K_n),
-    # ties included (a tied rho0 is the limit of distinct ones ranked alike)
+    # ties included (a tied rho0 is the limit of distinct ones ranked alike);
+    # every vertex of that hull is a candidate, so only candidates need an LP
     from .structured.complete import kn_candidate_points
 
-    kn_hull = IncrementalHull(list(kn_candidate_points(rho0)))
-    kn_extreme = {p for p in points if kn_hull.is_extreme_in(p)}
+    candidates = kn_candidate_points(rho0)
+    kn_hull = IncrementalHull(list(candidates))
+    kn_extreme = {p for p in points if p in candidates and kn_hull.is_extreme_in(p)}
 
     out = {}
     unresolved = []

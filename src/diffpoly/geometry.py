@@ -176,12 +176,13 @@ def _phase_one(
     points: Sequence[Sequence[Fraction]],
     *,
     images: Sequence[list[int]] | None = None,
+    point_image: list[int] | None = None,
 ) -> HullMembership:
     """
     Decide feasibility of  sum(lam_k * s_k) = p, sum(lam_k) = 1, lam >= 0
     by minimizing the sum of artificial variables (Bland's rule throughout).
-    `images`, if given, are the points' `_image`s; a caller that holds them
-    saves rebuilding them on every call.
+    `images` and `point_image`, if given, are the `_image`s of `points` and
+    of `point`; a caller that holds them saves rebuilding them on every call.
 
     The LP is held in integers.  Column j of the constraint matrix is the
     image (d_j*s_j, d_j) of point j, with row r flipped by sign_r so that
@@ -213,7 +214,7 @@ def _phase_one(
     rows = n + 1
     if images is None:
         images = [_image(q) for q in points]
-    b = _image(point)
+    b = _image(point) if point_image is None else point_image
     sign = [-1 if v < 0 else 1 for v in b]
 
     # row r: [det*B^-1 row r | rhs_r | entering column's entry]
@@ -409,7 +410,7 @@ class IncrementalHull:
                     others.append(q)
                     images.append(image)
             if others:
-                res = _phase_one(point, others, images=images)
+                res = _phase_one(point, others, images=images, point_image=point_image)
                 if res.inside:
                     return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
                 den, func = res.functional._den, res.functional._func

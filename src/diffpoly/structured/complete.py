@@ -6,10 +6,15 @@ ever averages pairs whose populations are adjacent in the current ranking.
 Reading a reduced word letter by letter -- letter i meaning "average the
 two vertices currently ranked i and i+1, then swap their ranks" -- turns
 each commutation class into one candidate point, and commuting letter
-swaps do not change the point.  The candidate set provably covers every
-vertex of the polytope; it is certified and filtered exactly here, because
-a few classes (first seen at n = 4, on reverse-permutation words) yield
-points that are *not* extreme even for fully generic populations.
+swaps do not change the point.  The least word of a class is its
+lexicographic normal form, so the candidates come from a depth-first search
+over normal forms alone, which visits each class once and averages each
+prefix once; `words.reduced_words` and `words.commutation_classes` list
+every word and stay only as its test oracle.  The candidate set provably
+covers every vertex of the polytope; it is certified and filtered exactly
+here, because a few classes (first seen at n = 4, on reverse-permutation
+words) yield points that are *not* extreme even for fully generic
+populations.
 
 Ties are covered too.  Ranks break ties by label, so each candidate is a
 fixed linear map, set by its word and that ranking, applied to rho0.  A
@@ -24,8 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..core import OperationSequence, PairOp, PopulationVector, op_sort_key
-from ..geometry import IncrementalHull
-from .words import all_permutations, commutation_classes, reduced_words
+from ..geometry import IncrementalHull, _require_rational
 
 __all__ = ["word_sequence", "kn_candidate_points", "kn_extreme_points", "is_kn_extreme"]
 
@@ -52,21 +56,69 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
     return state, OperationSequence(ops)
 
 
+def _rank_words(rho0: PopulationVector, normal_forms: bool):
+    """
+    Depth-first walk over the reduced rank-words from `rho0`, sharing
+    prefixes: yields (permutation, word, point, ops) for every word, the
+    empty one first, as `word_sequence` and `apply_word` would give them.
+    Letter a may follow a prefix when it lengthens the permutation.  With
+    `normal_forms`, it must also keep the word the least of its commutation
+    class: no letter greater than a in the run of letters commuting with a
+    (|x - a| > 1) that ends the prefix.  Both rules are prefix-closed, so
+    that walk visits each commutation class once, at its least word.
+    """
+    n = len(rho0)
+    ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
+    stack = [((), list(range(1, n + 1)), ranking, rho0, ())]
+    while stack:
+        word, perm, ranking, state, ops = stack.pop()
+        yield tuple(perm), word, state, ops
+        for a in range(n - 1, 0, -1):  # pushed high to low: the least letter comes out first
+            if perm[a - 1] > perm[a]:
+                continue
+            if normal_forms and not _least_in_class(word, a):
+                continue
+            u, v = ranking[a - 1], ranking[a]
+            next_state, next_ops = state, ops
+            if state[u - 1] != state[v - 1]:
+                op = PairOp.of(u, v)
+                next_state, next_ops = op.apply(state), ops + (op,)
+            next_perm, next_ranking = perm[:], ranking[:]
+            next_perm[a - 1], next_perm[a] = perm[a], perm[a - 1]
+            next_ranking[a - 1], next_ranking[a] = v, u
+            stack.append((word + (a,), next_perm, next_ranking, next_state, next_ops))
+
+
+def _least_in_class(word: tuple[int, ...], a: int) -> bool:
+    """May `a` follow `word`, a lexicographic normal form, and keep it one?"""
+    for x in reversed(word):
+        if abs(x - a) <= 1:
+            return True
+        if x > a:
+            return False
+    return True
+
+
 def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, OperationSequence]:
     """
     One candidate extreme point per commutation class, deduplicated; each
     maps to the pair sequence of the least word in its class, which on ties
     omits the letters that average equal levels (see `word_sequence`).
+
+    The least words are generated directly, by a depth-first search over
+    lexicographic normal forms (Cartier & Foata; Anisimov & Knuth), so each
+    class is visited once and each prefix averaged once.  A point shared by
+    several classes keeps the sequence of the least (permutation, word),
+    and the points come in that key's order.
     """
     rho0 = PopulationVector(rho0)
-    n = len(rho0)
-    candidates: dict[PopulationVector, OperationSequence] = {}
-    for perm in all_permutations(n):
-        for cls in commutation_classes(perm):
-            point, seq = word_sequence(cls[0], rho0)
-            if point not in candidates:
-                candidates[point] = seq
-    return candidates
+    best: dict[PopulationVector, tuple] = {}
+    for perm, word, point, ops in _rank_words(rho0, normal_forms=True):
+        key = (perm, word)
+        if point not in best or key < best[point][0]:
+            best[point] = (key, ops)
+    ordered = sorted(best.items(), key=lambda item: item[1][0])
+    return {point: OperationSequence(ops) for point, (_key, ops) in ordered}
 
 
 def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, OperationSequence]]:
@@ -74,20 +126,19 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     The certified extreme points of the complete-graph polytope of `rho0`,
     each with a generating pair sequence, in lexicographic point order.
     On ties each vertex takes its shortest sequence over every reduced
-    word, least in the canonical operator order.
+    word, least in the canonical operator order; that minimum does not
+    depend on the order the words are walked in.
     """
     rho0 = PopulationVector(rho0)
     candidates = kn_candidate_points(rho0)
     hull = IncrementalHull(list(candidates))
     vertices = {p: candidates[p] for p in sorted(candidates) if hull.is_extreme_in(p)}
     if len(set(rho0)) != len(rho0):
-        def key(seq):
-            return len(seq), [op_sort_key(op) for op in seq]
-        for perm in all_permutations(len(rho0)):
-            for word in reduced_words(perm):
-                point, seq = word_sequence(word, rho0)
-                if point in vertices and key(seq) < key(vertices[point]):
-                    vertices[point] = seq
+        def key(ops):
+            return len(ops), [op_sort_key(op) for op in ops]
+        for _perm, _word, point, ops in _rank_words(rho0, normal_forms=False):
+            if point in vertices and key(ops) < key(vertices[point]):
+                vertices[point] = OperationSequence(ops)
     return list(vertices.items())
 
 
@@ -96,8 +147,11 @@ def is_kn_extreme(point: Sequence[Fraction], rho0: Sequence[Fraction]) -> bool:
     Is `point` an extreme point of the complete-graph polytope of `rho0`?
 
     Any point of that polytope is a convex combination of the candidate
-    points, so extremality reduces to membership in the hull of the other
-    candidates.
+    points, so every vertex is a candidate, and a candidate is extreme when
+    it lies outside the hull of the other candidates.  A point that is no
+    candidate is not extreme, inside the polytope or not, and costs no LP.
     """
-    hull = IncrementalHull(list(kn_candidate_points(rho0)))
-    return hull.is_extreme_in(tuple(point))
+    point = tuple(point)
+    _require_rational((point,))
+    candidates = kn_candidate_points(rho0)
+    return point in candidates and IncrementalHull(list(candidates)).is_extreme_in(point)

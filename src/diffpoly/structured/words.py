@@ -8,10 +8,14 @@ permutation is *reduced* when its length equals the inversion count.
 
 Two reduced words are in the same commutation class when one turns into
 the other by repeatedly swapping neighboring letters i, j with |i-j| > 1.
+
+`reduced_words` and `commutation_classes` list every word and partition
+them, which grows fast (the longest element of S_6 alone has 292,864
+reduced words).  They are the test oracle for `complete.kn_candidate_points`,
+which generates the least word of each class directly.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -66,7 +70,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     return _itertools_permutations(range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
 def reduced_words(perm: Permutation) -> tuple[Word, ...]:
     """
     Every reduced word realizing `perm`, in lexicographic order.

@@ -14,6 +14,7 @@ from diffpoly.core import (
     apply_sequence,
     complete,
     cycle,
+    helium_p5,
     path,
     uniform_vector,
 )
@@ -24,8 +25,9 @@ from diffpoly.enumeration import (
     triangle_decomposition,
     triangle_prune,
 )
-from diffpoly.geometry import hull_membership, hull_vertices
-from diffpoly.structured import is_kn_extreme
+from diffpoly.geometry import IncrementalHull, hull_membership, hull_vertices
+from diffpoly.optimize import exponential_populations
+from diffpoly.structured import is_kn_extreme, kn_candidate_points
 
 from conftest import random_population, random_sorted_population
 
@@ -197,6 +199,22 @@ class TestPolytope:
         assert "unclassified" not in kinds and kinds["nonlocal"] > 0
         for v in res.vertices:
             assert (v.kind == "nonlocal") == is_kn_extreme(v.point, rho)
+
+    @pytest.mark.parametrize("graph, rho", [
+        (cycle(4), PopulationVector([Fraction(k, 10) for k in (1, 2, 3, 4)])),
+        (cycle(4), PopulationVector.normalized([314159, 265358, 979323, 846264])),
+        (cycle(4), exponential_populations(4)),
+        (path(4), PopulationVector.normalized([1, 1, 2, 3])),
+        (helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11])),
+    ], ids=["c4-even", "c4-generic", "c4-energy", "p4-tied", "helium"])
+    def test_classify_needs_lps_only_for_candidates(self, graph, rho):
+        # a vertex of the candidates' hull is a candidate, so testing every
+        # point against that hull marks the same points nonlocal
+        res = polytope(graph, rho)
+        hull = IncrementalHull(list(kn_candidate_points(rho)))
+        assert [v.point for v in res.vertices if v.kind == "nonlocal"] == [
+            p for p in res.points() if hull.is_extreme_in(p)
+        ]
 
     def test_helium_saturates(self):
         from diffpoly.core import helium_p5

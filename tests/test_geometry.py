@@ -592,6 +592,7 @@ def test_wide_and_reentry_lps_match_fraction_reference():
         result = _phase_one(point, points)
         assert result == reference_phase_one(point, points), (point, points)
         assert _phase_one(point, points, images=[_image(q) for q in points]) == result
+        assert _phase_one(point, points, point_image=_image(point)) == result
         outcomes.add(result.inside)
     assert outcomes == {True, False}
 

@@ -3,9 +3,10 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -33,11 +34,13 @@ from diffpoly.structured import (
     subset_point,
     subset_sequence,
 )
-from diffpoly.structured.complete import word_sequence
+from diffpoly.structured.complete import _rank_words, word_sequence
 from diffpoly.structured.ordered_path import triangular
 from diffpoly.structured.words import (
     all_permutations,
+    apply_word,
     commutation_classes,
+    reduced_words,
     total_commutation_classes,
 )
 
@@ -146,6 +149,72 @@ class TestCompleteGraph:
             for cls in commutation_classes(perm):
                 _, seq = word_sequence(cls[0], rho)
                 assert len(seq) == len(cls[0]), (values, cls[0])
+
+
+def oracle_candidates(rho, classes):
+    """The all-words route: the least word of every class, replayed, in
+    (permutation, class) order, first point wins."""
+    candidates = {}
+    for cls in classes:
+        point, seq = word_sequence(cls[0], rho)
+        candidates.setdefault(point, seq)
+    return candidates
+
+
+def all_classes(n):
+    return [cls for perm in all_permutations(n) for cls in commutation_classes(perm)]
+
+
+class TestNormalFormCandidates:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_tie_pattern_matches_the_oracle(self, n):
+        # values 0..3 in every order: distinct, tied and zero levels
+        classes = all_classes(n)
+        patterns = {PopulationVector.normalized(list(v)) for v in product(range(4), repeat=n) if any(v)}
+        for rho in sorted(patterns):
+            assert list(kn_candidate_points(rho).items()) == list(oracle_candidates(rho, classes).items()), rho
+
+    def test_seeded_n5_vectors_match_the_oracle(self):
+        classes = all_classes(5)
+        rnd = random.Random(55)
+        vectors = [random_sorted_population(rnd, 5) for _ in range(2)]
+        vectors.append(PopulationVector.normalized(rnd.sample(range(1, 100), 5)))
+        vectors += [PopulationVector.normalized(v) for v in ([3, 1, 3, 0, 2], [1, 1, 4, 7, 11], [2, 2, 2, 5, 5])]
+        for rho in vectors:
+            assert list(kn_candidate_points(rho).items()) == list(oracle_candidates(rho, classes).items()), rho
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_walk_visits_each_class_at_its_least_word(self, n):
+        rho = PopulationVector.normalized(range(1, n + 1))
+        least = sorted((perm, cls[0]) for perm in all_permutations(n) for cls in commutation_classes(perm))
+        visited = [(perm, word) for perm, word, _, _ in _rank_words(rho, normal_forms=True)]
+        assert sorted(visited) == least
+        assert all(apply_word(word, n) == perm for perm, word in visited)
+        everything = sorted((perm, w) for perm in all_permutations(n) for w in reduced_words(perm))
+        assert sorted((perm, word) for perm, word, _, _ in _rank_words(rho, normal_forms=False)) == everything
+
+    def test_walk_replays_each_word(self):
+        rho = PopulationVector.normalized([2, 0, 2, 1])
+        for _perm, word, point, ops in _rank_words(rho, normal_forms=False):
+            assert (point, ops) == word_sequence(word, rho), word
+
+    def test_n6_candidates_in_seconds(self):
+        # the all-words route took about 45 s here; the longest element of
+        # S_6 alone has 292,864 reduced words
+        rho = PopulationVector.normalized([1, 3, 5, 8, 14, 23])
+        start = time.perf_counter()
+        candidates = kn_candidate_points(rho)
+        assert len(candidates) == 9661
+        assert time.perf_counter() - start < 30
+
+    def test_points_outside_the_polytope_are_not_extreme(self):
+        rho = PopulationVector.normalized([1, 3, 7])
+        assert not is_kn_extreme((1, 0, 0), rho)
+        assert not is_kn_extreme((Fraction(1, 2), Fraction(1, 2), 0), rho)
+        assert not is_kn_extreme((2, 0, 0), rho)  # not even a population
+        assert is_kn_extreme(rho, rho)
+        with pytest.raises(TypeError):
+            is_kn_extreme((1.0, 0, 0), rho)
 
 
 class TestSubsetPoints:
