@@ -34,7 +34,6 @@ from .core import (
     OperationSequence,
     PairOp,
     PopulationVector,
-    complete,
     connected_blocks,
     op_sort_key,
     uniform_vector,
@@ -261,6 +260,10 @@ class PolytopeConfig:
     triangle_pruning: bool = False
     classify: bool | None = None      # default: only for n <= 5 (needs a K_n reference)
 
+    def __post_init__(self) -> None:
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+
     def resolved_depth(self, n: int) -> int:
         return comb(n, 2) + n if self.max_depth is None else self.max_depth
 
@@ -420,7 +423,7 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
               provenance: dict[PopulationVector, OperationSequence],
               depth: int, cfg: PolytopeConfig) -> dict[PopulationVector, str]:
     n = graph.n
-    if graph.edges == complete(n).edges:
+    if len(graph.edges) == comb(n, 2):
         return {p: "nonlocal" for p in points}
 
     # complete-graph reference: candidate points whose hull is DP(K_n),

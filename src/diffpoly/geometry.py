@@ -11,9 +11,10 @@ certificates:
   vertices carry a separating functional, interior points carry an exact
   reconstruction over the vertices.
 
-Both vertex scans and certificates come from one engine,
-``IncrementalHull``: a Clarkson walk whose LPs run against the points
-confirmed so far, and which returns the witness that decided each answer.
+Both come from one engine, ``IncrementalHull``: a Clarkson walk that
+confirms only hull vertices and returns the witness that decided each
+answer, and a certification step that decides a point in one LP against
+a working set, such as the other vertices.
 
 Everything is decided in integers.  A point enters as its image
 (d*x, d), with d the lcm of its denominators, made once per hull; a
@@ -354,90 +355,95 @@ class ExtremalityCertificate:
         return data
 
 
-def _distinct(points) -> list:
-    """The distinct points as tuples, in lexicographic order."""
-    return sorted(set(tuple(p) if not isinstance(p, tuple) else p for p in points))
-
-
 class IncrementalHull:
     """
     Membership and extremality queries against a fixed point set, sharing
-    work across queries: LPs only ever run against the small list of
-    points confirmed so far, and a failed separation walks to a new
-    confirmed point by exact support maximization (Clarkson's
-    output-sensitive scheme).  Answers are identical to testing against
-    the full set, and the walk that decides an answer also yields its
-    witness: a separating functional or a convex combination.
+    work across queries (Clarkson's output-sensitive scheme): each LP runs
+    against the vertices confirmed so far, and a failed separation confirms
+    one more vertex by exact support maximization over the whole set.
+    Answers are identical to testing against the full set, and the walk
+    that decides an answer also yields its witness: a separating functional
+    or a convex combination.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
-        self.points = _distinct(points)
-        for q in self.points:
+        self.points = list({tuple(p) if not isinstance(p, tuple) else p for p in points})
+        for q in self.points:  # before sorting, which mixed types would fail first
             self._query(q)
+        self.points.sort()
         self._images = [_image(q) for q in self.points]
         # keyed by identity: hashing a tuple of Fractions costs more than
         # rebuilding its image; points not of the set get theirs built
         self._image_of = {id(q): im for q, im in zip(self.points, self._images)}
         self._point_set = frozenset(self.points)
-        self._confirmed: dict = {}  # confirmed point -> known to be a hull vertex
+        self._confirmed: dict = {}  # the confirmed vertices, as an insertion-ordered set
 
-    def _outside(self, point, exclude=None):
+    def _outside(self, point):
         """
         Walk to the witness that decides `point` against the hull of the
-        set's points other than itself and `exclude`.  Each LP runs against
-        the confirmed points.  Inside, the witness is the tuple of nonzero
-        (point, weight) pairs of a convex combination of confirmed points.
-        Outside, it is the LP's functional with its offset lowered by the
-        best score over the points other than `exclude`, returned as soon as
-        that score falls below the value at `point`.  Otherwise the
-        best-scoring point (the lexicographically largest among equal
-        scores) is confirmed and the walk goes on.  With nothing excluded
-        that point is a hull vertex, so the walk ends with None once `point`
-        itself is confirmed; None also means there is no other point.
-
-        Points are compared and scored on their images, in integers: two
-        points are equal if their images are, and with the functional times
-        D as integers `func` (offset last), a point with image (d*x, d)
-        scores func.image / (D*d).
+        set: a combination or a strictly separating functional, from
+        `_decide` against the confirmed vertices with every point scored.
+        Otherwise its best-scoring point is confirmed and the walk goes on,
+        until it ends with None: `point` is confirmed, or the set is empty.
         """
         point_image = self._image_of_point(point)
-        excluded = None if exclude is None else self._image_of_point(exclude)
-        while exclude is not None or not self._confirmed.get(point):
-            others, images = [], []
-            for q in self._confirmed:
-                image = self._image_of_point(q)
-                if image != point_image:
-                    others.append(q)
-                    images.append(image)
-            if others:
-                res = _phase_one(point, others, images=images, point_image=point_image)
-                if res.inside:
-                    return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
-                den, func = res.functional._den, res.functional._func
-                best, best_image, best_num, best_d = None, None, 0, 1
-                for q, image in zip(self.points, self._images):
-                    if image == excluded:
-                        continue
-                    num, d = sum(map(mul, func, image)), image[-1]
-                    # ">=": the points ascend, so the last of equal scores wins
-                    if best is None or num * best_d >= best_num * d:
-                        best, best_image, best_num, best_d = q, image, num, d
-                point_num = sum(map(mul, func, point_image))
-                if best_num * point_image[-1] < point_num * best_d:
-                    # offset - best score = (offset*best_d - best_num) / (D*best_d)
-                    lowered = [c * best_d for c in func]
-                    lowered[-1] -= best_num
-                    return SeparatingFunctional._from_integers(den * best_d, lowered)
-                if best_image in images:  # the LP just separated these points
+        confirmed = self._confirmed
+        while point not in confirmed:
+            if confirmed:
+                witness, best = self._decide(point, point_image, list(confirmed))
+                if witness is not None:
+                    return witness
+                if best in confirmed:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
+            elif self.points:
+                best = self.points[0]  # the least point is a vertex
             else:
-                # the least point other than `exclude` is a vertex of their hull
-                pairs = zip(self.points, self._images)
-                best = next((q for q, image in pairs if image != excluded), None)
-                if best is None:
-                    return None  # there are no other points at all
-            self._confirmed[best] = exclude is None
+                return None
+            confirmed[best] = None
         return None
+
+    def _certify(self, point, working):
+        """
+        Certify `point` in one LP against `working`, points of the set: a
+        combination of `working`, a functional that separates `point`
+        strictly from every other point of the set, or None if the LP's
+        functional, lowered, does not.  Confirms nothing.
+        """
+        point_image = self._image_of_point(point)
+        return self._decide(point, point_image, working, skip=point_image)[0]
+
+    def _decide(self, point, point_image, working, skip=None):
+        """
+        One `_phase_one` of `point` against `working` (if empty, the constant
+        1 separates), on the cached images.  Inside, returns the nonzero
+        (point, weight) pairs and None.  Outside, it scores the set's points
+        whose image is not `skip`, and returns the functional with its offset
+        lowered by the best score (None if that is not > 0 at `point`) and
+        the best-scoring point: the lexicographically largest of equal
+        scores, so a vertex if nothing is skipped.  With the functional
+        times D as integers `func`, image (d*x, d) scores func.image / (D*d).
+        """
+        if working:
+            images = [self._image_of_point(q) for q in working]
+            res = _phase_one(point, working, images=images, point_image=point_image)
+            if res.inside:
+                return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None
+            den, func = res.functional._den, res.functional._func
+        else:
+            den, func = 1, [0] * (len(point_image) - 1) + [1]
+        best, best_num, best_d = None, 0, 1
+        for q, image in zip(self.points, self._images):
+            if image != skip:
+                num, d = sum(map(mul, func, image)), image[-1]
+                # ">=": the points ascend, so the last of equal scores wins
+                if best is None or num * best_d >= best_num * d:
+                    best, best_num, best_d = q, num, d
+        if best_num * point_image[-1] >= sum(map(mul, func, point_image)) * best_d:
+            return None, best
+        # offset - best score = (offset*best_d - best_num) / (D*best_d)
+        lowered = [c * best_d for c in func]
+        lowered[-1] -= best_num
+        return SeparatingFunctional._from_integers(den * best_d, lowered), best
 
     def _image_of_point(self, point) -> list[int]:
         """`point`'s `_image`, cached for the set's own point objects."""
@@ -448,9 +454,9 @@ class IncrementalHull:
         return [p for p in self.points if not isinstance(self._outside(p), tuple)]
 
     def is_extreme_in(self, point) -> bool:
-        """Is `point` outside the hull of every *other* point of the set?"""
-        point = self._query(point)
-        return not isinstance(self._outside(point, exclude=point), tuple)
+        """Is `point` outside the hull of every *other* point of the set?  (A
+        member is when it is a vertex, any other point when it is outside.)"""
+        return not isinstance(self._outside(self._query(point)), tuple)
 
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?"""
@@ -473,8 +479,6 @@ def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
     Just the vertices of conv(points), in lexicographic order, without
     building certificates.  Exact, like everything else here.
     """
-    points = list(points)
-    _require_rational(points)
     return IncrementalHull(points).vertices()
 
 
@@ -487,39 +491,33 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
     distinct point, in lexicographic order: hull vertices come with a
     strictly separating functional (checked against every other point),
     non-vertices with an exact convex reconstruction over the vertices.
-    Both come from one hull walk per point, run after the vertex scan has
-    confirmed every vertex, so each LP runs against the other vertices.
+    After the vertex scan, each point is decided by one certification LP
+    (`IncrementalHull._certify`) against the other vertices in
+    lexicographic order, so each certificate depends on the vertex set
+    alone, not on the scan's path.
 
     `_all_vertices` is for a caller that already holds a vertex list (the
     polytope search): the scan is skipped, and a point that is not a
-    vertex still fails the check that walk and scan agree.
+    vertex fails the check that certification and vertex list agree.
     """
-    points = list(points)
-    _require_rational(points)
     hull = IncrementalHull(points)
     pts = hull.points
-    if not pts:
-        return []
-    n = len(pts[0])
-
-    # certify against the vertices in lexicographic order, so that each
-    # certificate depends on the vertex set alone, not on the scan's path
-    hull._confirmed = dict.fromkeys(pts if _all_vertices else hull.vertices(), True)
+    vertices = pts if _all_vertices else hull.vertices()
     images = hull._images
     certificates = []
     for i, p in enumerate(pts):
-        witness = hull._outside(p, exclude=p)
+        others = [v for v in vertices if v is not p]
+        witness = hull._certify(p, others)
         if isinstance(witness, tuple):
             cert = ExtremalityCertificate(point=p, is_extreme=False, combination=witness)
             verified = cert.verify(())  # a reconstruction needs no other point
         else:
-            if witness is None:  # p is the only point
-                witness = SeparatingFunctional((Fraction(0),) * n, Fraction(1))
             cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
             # cert.verify on the cached images of p and of every other point
-            verified = witness._separates(images[i], images[:i] + images[i + 1:])
-        if cert.is_extreme != (p in hull._confirmed):
-            raise AssertionError("certification walk disagrees with the vertex scan")
+            rest = images[:i] + images[i + 1:]
+            verified = witness is not None and witness._separates(images[i], rest)
+        if cert.is_extreme != (len(others) < len(vertices)):
+            raise AssertionError("certification disagrees with the vertex scan")
         if not verified:
             raise AssertionError("certificate failed direct substitution")
         certificates.append(cert)

@@ -131,8 +131,7 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     """
     rho0 = PopulationVector(rho0)
     candidates = kn_candidate_points(rho0)
-    hull = IncrementalHull(list(candidates))
-    vertices = {p: candidates[p] for p in sorted(candidates) if hull.is_extreme_in(p)}
+    vertices = {p: candidates[p] for p in IncrementalHull(list(candidates)).vertices()}
     if len(set(rho0)) != len(rho0):
         def key(ops):
             return len(ops), [op_sort_key(op) for op in ops]

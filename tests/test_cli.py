@@ -183,6 +183,15 @@ class TestErrors:
                                "--rho", "1/2,1/2")
         assert code == 2
 
+    def test_negative_depth_exit_2(self, capsys):
+        rho = "1/10,2/10,3/10,4/10"
+        for argv in (("enumerate", "--graph", "cycle:4", "--rho", rho, "--depth", "-2"),
+                     ("optimize", "--graph", "cycle:4", "--rho", rho,
+                      "--weights", "1,2,3,4", "--depth", "-1")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "max_depth must be >= 0" in err
+
     def test_mismatched_sizes_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "--graph", "path:4",
                              "--rho", "0,2/7,5/7")

@@ -244,6 +244,20 @@ class TestPolytope:
         with pytest.raises(ValueError):
             polytope(complete(4), rho3)
 
+    def test_negative_depth_rejected(self, rho3):
+        for depth in (-1, -2):
+            with pytest.raises(ValueError, match="max_depth must be >= 0"):
+                PolytopeConfig(max_depth=depth)
+        res = polytope(path(3), rho3, PolytopeConfig(max_depth=0))
+        assert res.points() == [rho3] and res.completeness == "depth-bounded"
+
+    def test_one_vertex_graph(self):
+        # one level: the polytope is the single point, complete and nonlocal
+        res = polytope(DiffusionGraph(1, frozenset()), [1])
+        assert res.points() == [pv(1)] and res.completeness == "proven"
+        assert res.kinds() == {"nonlocal": 1}
+        assert [c.is_extreme for c in res.certificates] == [True]
+
     def test_matches_explore_oracle_on_random_graphs(self):
         # explore to the longest vertex word reaches every vertex, and all
         # it finds lies in the polytope, so its hull has the same vertices

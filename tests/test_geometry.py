@@ -167,16 +167,16 @@ class TestExtremePoints:
         # functional for it and the certificate check must refuse it
         square = [(0, 0), (0, 1), (1, 0), (1, 1)]
         half = Fraction(1, 2)
-        walk = IncrementalHull._outside
+        step = IncrementalHull._certify
         for wrong in (
             # y - 1/2 is > 0 at (1, 1), the last other point; 1/2 - y is < 0 at (0, 1) itself
             SeparatingFunctional((Fraction(0), Fraction(1)), -half),
             SeparatingFunctional((Fraction(0), Fraction(-1)), half),
         ):
-            def outside(hull, point, exclude=None, wrong=wrong):
-                return wrong if exclude == (0, 1) else walk(hull, point, exclude)
+            def certify(hull, point, working, wrong=wrong):
+                return wrong if point == (0, 1) else step(hull, point, working)
 
-            monkeypatch.setattr(IncrementalHull, "_outside", outside)
+            monkeypatch.setattr(IncrementalHull, "_certify", certify)
             with pytest.raises(AssertionError, match="direct substitution"):
                 extreme_points(square)
         monkeypatch.undo()
@@ -258,9 +258,9 @@ class TestIncrementalHull:
         assert hull.contains((Fraction(1, 2), Fraction(1, 2)))
 
     def test_vertices_after_extremality_queries(self):
-        # leaving the query point out lets the walk confirm a point that is
-        # not a vertex of the whole set (here the midpoint); vertices() must
-        # not count it
+        # extremality queries run the same walk as vertices() and leave
+        # their confirmed vertices behind; the midpoint of the line is
+        # never among them, and a later vertex scan reuses them unchanged
         line = [pv("0", "1"), pv("1/2", "1/2"), pv("1", "0")]
         hull = IncrementalHull(line)
         assert hull.is_extreme_in(line[2])
@@ -272,6 +272,31 @@ class TestIncrementalHull:
         for p in rnd.sample(cloud, 8):
             hull.is_extreme_in(p)
         assert hull.vertices() == brute_force_vertices(cloud)
+
+    def test_confirmed_points_are_vertices(self):
+        # every point the walk confirms is a vertex of the whole set, after
+        # any mix of membership, extremality and vertex queries
+        line = [pv("0", "1"), pv("1/2", "1/2"), pv("1", "0")]
+        hull = IncrementalHull(line)
+        assert hull.is_extreme_in(line[2]) and not hull.is_extreme_in(line[1])
+        assert set(hull._confirmed) <= {line[0], line[2]}
+
+        rnd = random.Random(41)
+        clouds = [[random_population(rnd, dim, bound=6) for _ in range(18)] for dim in (3, 4)]
+        clouds += [simplex_lattice(3, 4), [p for p in simplex_lattice(3, 4) if max(p) < 1]]
+        for cloud in clouds:
+            hull = IncrementalHull(cloud)
+            slow = brute_force_vertices(cloud)
+            probes = [random_population(rnd, len(cloud[0])) for _ in range(4)]
+            queries = rnd.sample(cloud, min(8, len(cloud))) + probes
+            for i, q in enumerate(queries):
+                if i % 2:
+                    hull.contains(q)
+                else:
+                    hull.is_extreme_in(q)
+                assert set(hull._confirmed) <= set(slow)
+            assert hull.vertices() == slow
+            assert set(hull._confirmed) == set(slow)
 
 
 def reference_phase_one(point, points, entered=None):
@@ -430,29 +455,44 @@ def reference_separates(func, point, others):
     return reference_value(func, point) > 0 and all(reference_value(func, q) <= 0 for q in others)
 
 
-def reference_outside(hull, point, exclude=None):
+def reference_outside(hull, point):
     """
     `IncrementalHull._outside` with every score a `Fraction`: the reference
     the integer scoring must agree with, witness by witness and in the order
     it confirms points.
     """
-    while exclude is not None or not hull._confirmed.get(point):
-        others = [q for q in hull._confirmed if q != point]
-        if others:
-            res = _phase_one(point, others)
+    while point not in hull._confirmed:
+        working = list(hull._confirmed)
+        if working:
+            res = _phase_one(point, working)
             if res.inside:
-                return tuple((q, w) for q, w in zip(others, res.coefficients) if w)
+                return tuple((q, w) for q, w in zip(working, res.coefficients) if w)
             func = res.functional
-            score, best = max((reference_value(func, q), q) for q in hull.points if q != exclude)
+            score, best = max((reference_value(func, q), q) for q in hull.points)
             if score < reference_value(func, point):
                 return SeparatingFunctional(func.coefficients, func.offset - score)
-            if best in others:
+            if best in working:
                 raise AssertionError("support maximization returned a separated point")
+        elif hull.points:
+            best = hull.points[0]
         else:
-            best = next((q for q in hull.points if q != exclude), None)
-            if best is None:
-                return None
-        hull._confirmed[best] = exclude is None
+            return None
+        hull._confirmed[best] = None
+    return None
+
+
+def reference_certify(hull, point, working):
+    """`IncrementalHull._certify` with every score a `Fraction`."""
+    if working:
+        res = _phase_one(point, working)
+        if res.inside:
+            return tuple((q, w) for q, w in zip(working, res.coefficients) if w)
+        func = res.functional
+    else:  # nothing to run an LP against: the constant 1
+        func = SeparatingFunctional((Fraction(0),) * len(point), Fraction(1))
+    score = max((reference_value(func, q) for q in hull.points if q != point), default=0)
+    if score < reference_value(func, point):
+        return SeparatingFunctional(func.coefficients, func.offset - score)
     return None
 
 
@@ -490,27 +530,40 @@ def test_walk_matches_fraction_reference():
     for cloud in clouds:
         pts = sorted(set(cloud))
         dim = len(pts[0])
-        probes = [tuple(Fraction(rnd.randint(-2, 9), 7) for _ in range(dim)) for _ in range(3)]
+        probes = [tuple(Fraction(rnd.randint(-2, 9), 7) for _ in range(dim)) for _ in range(5)]
         probes += [_combination(rnd, rnd.sample(pts, rnd.randint(1, len(pts))))]
-        # the vertex scan, then probes and extremality queries on the same hull
-        # (as in is_extreme_in), then certification walks against the vertices
+        # extremality queries and probes on a fresh hull, then the vertex
+        # scan and more probes on the same hull, then one certification LP
+        # per point against the other vertices (as in extreme_points)
         fast, slow = IncrementalHull(cloud), IncrementalHull(cloud)
-        queries = [(p, None) for p in pts] + [(q, None) for q in probes]
-        queries += [(p, p) for p in rnd.sample(pts, min(5, len(pts)))]
-        for point, exclude in queries:
-            witness = fast._outside(point, exclude)
-            assert witness == reference_outside(slow, point, exclude)
-            assert list(fast._confirmed.items()) == list(slow._confirmed.items())
+        queries = rnd.sample(pts, min(5, len(pts))) + probes[:3] + pts + probes[3:]
+        for point in queries:
+            witness = fast._outside(point)
+            assert witness == reference_outside(slow, point)
+            assert list(fast._confirmed) == list(slow._confirmed)
             witnesses += 1
             kinds.add(type(witness))
-        vertices = dict.fromkeys(fast.vertices(), True)
-        fast._confirmed, slow._confirmed = dict(vertices), dict(vertices)
+        vertices = fast.vertices()
         for p in pts:
-            assert fast._outside(p, exclude=p) == reference_outside(slow, p, exclude=p)
-            assert list(fast._confirmed.items()) == list(slow._confirmed.items())
+            others = [v for v in vertices if v != p]
+            witness = fast._certify(p, others)
+            assert witness == reference_certify(slow, p, others)
+            assert isinstance(witness, tuple) == (p not in vertices)
             witnesses += 1
+        assert list(fast._confirmed) == list(slow._confirmed)
+        assert sorted(fast._confirmed) == vertices
     assert witnesses > 1000
     assert kinds == {tuple, SeparatingFunctional, type(None)}
+
+
+def test_certify_returns_none_without_strict_separation():
+    # against a working set that misses the vertex (1, 1), the LP separates
+    # (0, 1) from (0, 0) and (1, 0), but no lowering separates it from (1, 1)
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    hull = IncrementalHull(square)
+    working = [(0, 0), (1, 0)]
+    assert hull._certify((0, 1), working) is None is reference_certify(hull, (0, 1), working)
+    assert hull._confirmed == {}  # certification confirms nothing
 
 
 def test_separates_matches_fraction_reference():

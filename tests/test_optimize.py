@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from diffpoly.core import (
+    DiffusionGraph,
     PairOp,
     PopulationVector,
     complete,
@@ -164,6 +165,19 @@ class TestOptimizeOver:
         assert report.completeness == "proven"
         assert not report.lower_bound_only
         assert report.gardner_energy <= report.optimal_energy < report.initial_energy
+
+    def test_one_vertex_graph(self):
+        graph = DiffusionGraph(1, frozenset())
+        for method in ("enumerate", "structured"):
+            report = optimize_over(graph, [1], (1,), method=method)
+            assert [v.point for v in report.optimal_vertices] == [pv(1)]
+            assert report.optimal_energy == report.initial_energy == 1
+            assert report.completeness == "proven"
+        assert report.optimal_vertices[0].kind == "nonlocal"
+
+    def test_structured_path_needs_sorted_populations(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            optimize_over(path(3), pv("1/2", "1/3", "1/6"), (1, 2, 3), method="structured")
 
     def test_structured_needs_known_graph(self, rho3):
         with pytest.raises(ValueError):
