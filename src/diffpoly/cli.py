@@ -2,7 +2,9 @@
 Command-line front end: enumerate polytopes, optimize objectives, and run
 the verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success; 1 verification failure, meaning a check failed,
+overran its time budget or raised; 2 invalid input, including malformed
+input files and a `verify --n` below 3.
 """
 from __future__ import annotations
 
@@ -39,6 +41,12 @@ def parse_graph(spec: str) -> DiffusionGraph:
     """
     if os.path.exists(spec) or spec.endswith(".json"):
         data = json.loads(Path(spec).read_text())
+        edges = data.get("edges") if isinstance(data, dict) else None
+        if not (isinstance(data, dict) and type(data.get("n")) is int
+                and isinstance(edges, list)
+                and all(isinstance(e, list) and len(e) == 2
+                        and all(type(v) is int for v in e) for e in edges)):
+            raise ValueError(f'{spec}: expected {{"n": int, "edges": [[i, j], ...]}}')
         return DiffusionGraph.from_json(data)
     name, _, params = spec.partition(":")
     if name == "complete":
@@ -55,19 +63,22 @@ def parse_graph(spec: str) -> DiffusionGraph:
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
+def _rationals(spec: str) -> list[Fraction]:
+    """Inline comma-separated p/q values, or a JSON file with a list of p/q strings."""
+    if not os.path.exists(spec):
+        return [parse_rational(s) for s in spec.split(",")]
+    data = json.loads(Path(spec).read_text())
+    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
+        raise ValueError(f"{spec}: expected a JSON list of p/q strings")
+    return [parse_rational(s) for s in data]
+
+
 def parse_rho(spec: str) -> PopulationVector:
-    """Inline comma-separated p/q values, or a JSON file with a list of them."""
-    if os.path.exists(spec):
-        data = json.loads(Path(spec).read_text())
-        return PopulationVector.from_json(data)
-    return PopulationVector(parse_rational(s) for s in spec.split(","))
+    return PopulationVector(_rationals(spec))
 
 
 def parse_weights(spec: str) -> tuple[Fraction, ...]:
-    if os.path.exists(spec):
-        data = json.loads(Path(spec).read_text())
-        return tuple(parse_rational(s) for s in data)
-    return tuple(parse_rational(s) for s in spec.split(","))
+    return tuple(_rationals(spec))
 
 
 def canonical_json(data) -> str:
@@ -173,7 +184,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if r.passed else "FAIL"
         if not r.passed:
             failed += 1
-        sys.stdout.write(f"{status}  {r.name:<{width}}  {r.detail}\n")
+        sys.stdout.write(f"{status}  {r.name:<{width}}  {r.seconds:6.2f}s  {r.detail}\n")
     sys.stdout.write(f"{len(results) - failed}/{len(results)} checks passed\n")
     return 1 if failed else 0
 

@@ -17,7 +17,7 @@ from .words import (
     stopping_permutation,
     total_commutation_classes,
 )
-from .complete import kn_candidate_points, kn_extreme_points, is_kn_extreme
+from .complete import kn_candidate_points, kn_extreme_points
 from .ordered_path import (
     StepDecomposition,
     count_commuting_subsets,
@@ -39,7 +39,6 @@ __all__ = [
     "total_commutation_classes",
     "kn_candidate_points",
     "kn_extreme_points",
-    "is_kn_extreme",
     "StepDecomposition",
     "count_commuting_subsets",
     "decompose_step",

@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..core import OperationSequence, PairOp, PopulationVector, op_sort_key
-from ..geometry import IncrementalHull, _require_rational
+from ..geometry import IncrementalHull
 
-__all__ = ["word_sequence", "kn_candidate_points", "kn_extreme_points", "is_kn_extreme"]
+__all__ = ["word_sequence", "kn_candidate_points", "kn_extreme_points"]
 
 
 def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[PopulationVector, OperationSequence]:
@@ -139,18 +139,3 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
             if point in vertices and key(ops) < key(vertices[point]):
                 vertices[point] = OperationSequence(ops)
     return list(vertices.items())
-
-
-def is_kn_extreme(point: Sequence[Fraction], rho0: Sequence[Fraction]) -> bool:
-    """
-    Is `point` an extreme point of the complete-graph polytope of `rho0`?
-
-    Any point of that polytope is a convex combination of the candidate
-    points, so every vertex is a candidate, and a candidate is extreme when
-    it lies outside the hull of the other candidates.  A point that is no
-    candidate is not extreme, inside the polytope or not, and costs no LP.
-    """
-    point = tuple(point)
-    _require_rational((point,))
-    candidates = kn_candidate_points(rho0)
-    return point in candidates and IncrementalHull(list(candidates)).is_extreme_in(point)

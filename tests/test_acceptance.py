@@ -2,9 +2,11 @@
 End-to-end acceptance runs, one test per check, each printing its own
 PASS/FAIL line.  The same checks back `diffpoly verify all`.
 
-Stated time budgets are enforced inside the checks themselves (the
+Each check declares its time budget once, on the decorator that times it
+in `diffpoly.verify`, so these direct calls are held to it too: the
 three-level runs must stay under a second, the hypercube sweep under a
-minute, the four-cycle / witness / energy runs under two minutes each).
+minute, and the four-cycle table and analysis, the witnesses and the energy
+recovery under two minutes each.
 """
 import pytest
 

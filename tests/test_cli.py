@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from diffpoly import cli
+from diffpoly import verify as verify_mod
 from diffpoly.core import DiffusionGraph, PopulationVector, helium_p5
 from diffpoly.optimize import exponential_populations
 from diffpoly.verify import CheckResult
@@ -161,8 +163,6 @@ class TestVerifyCommand:
         assert "k3-vertices" in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        from diffpoly import verify as verify_mod
-
         monkeypatch.setitem(
             verify_mod.SUITES, "k3",
             [lambda n=None: CheckResult("forced", False, "synthetic failure")],
@@ -170,6 +170,33 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "k3")
         assert code == 1
         assert "FAIL" in out
+
+    def test_results_carry_seconds(self):
+        results = verify_mod.run_suite("k3")
+        assert results and all(r.seconds >= 0 for r in results)
+
+    def test_over_budget_check_fails(self, capsys, monkeypatch):
+        ticks = itertools.count(0.0, 1000.0)
+        monkeypatch.setattr(verify_mod.time, "monotonic", lambda: next(ticks))
+        code, out, _ = run_cli(capsys, "verify", "k3")
+        assert code == 1
+        assert "FAIL" in out and "(budget 1s)" in out
+
+    def test_raising_check_fails(self, capsys, monkeypatch):
+        def boom(rho0):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(verify_mod, "kn_extreme_points", boom)
+        code, out, err = run_cli(capsys, "verify", "k3")
+        assert code == 1 and err == ""
+        assert "FAIL" in out and "ValueError: boom" in out
+
+    @pytest.mark.parametrize("suite, n", [("pn", "-3"), ("pn", "2"),
+                                          ("witness", "2"), ("counts", "1")])
+    def test_size_below_three_exit_2(self, capsys, suite, n):
+        code, out, err = run_cli(capsys, "verify", suite, "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "n must be >= 3" in err
 
 
 class TestErrors:
@@ -191,6 +218,24 @@ class TestErrors:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2 and out == ""
             assert "max_depth must be >= 0" in err
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--graph", [1, 2]),
+        ("--graph", {"n": 3}),
+        ("--graph", {"n": "3", "edges": [[1, 2], [2, 3]]}),
+        ("--graph", {"n": 3, "edges": [[1, 2, 3]]}),
+        ("--rho", [0.5, 0.5]),
+        ("--rho", {"rho": ["1/2", "1/2"]}),
+        ("--weights", [1, 2]),
+    ])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, flag, content):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(content))
+        args = {"--graph": "path:2", "--rho": "1/4,3/4", "--weights": "1,2", flag: str(f)}
+        argv = ["optimize"] + [x for item in args.items() for x in item]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(f) in err
 
     def test_mismatched_sizes_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "--graph", "path:4",

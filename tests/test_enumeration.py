@@ -27,7 +27,7 @@ from diffpoly.enumeration import (
 )
 from diffpoly.geometry import IncrementalHull, hull_membership, hull_vertices
 from diffpoly.optimize import exponential_populations
-from diffpoly.structured import is_kn_extreme, kn_candidate_points
+from diffpoly.structured import kn_candidate_points
 
 from conftest import random_population, random_sorted_population
 
@@ -197,8 +197,9 @@ class TestPolytope:
         assert res.completeness == "depth-bounded"
         kinds = res.kinds()
         assert "unclassified" not in kinds and kinds["nonlocal"] > 0
+        kn_vertices = set(hull_vertices(list(kn_candidate_points(rho))))
         for v in res.vertices:
-            assert (v.kind == "nonlocal") == is_kn_extreme(v.point, rho)
+            assert (v.kind == "nonlocal") == (v.point in kn_vertices)
 
     @pytest.mark.parametrize("graph, rho", [
         (cycle(4), PopulationVector([Fraction(k, 10) for k in (1, 2, 3, 4)])),
