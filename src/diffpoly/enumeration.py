@@ -42,7 +42,7 @@ from .geometry import (
     ExtremalityCertificate,
     IncrementalHull,
     extreme_points,
-    hull_vertices,
+    hull_vertices,  # unused here, but perfbench/tracing.py wraps it by this name
 )
 
 __all__ = [
@@ -314,17 +314,15 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     their images: only states outside the current hull are expanded.  If a
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
-    is kept, and conv(kept) is the current hull, so each layer queries a
-    fresh hull of `kept` and the vertices are extracted once, at the end.
-    A fresh hull per layer keeps ex-vertices out of the LPs.
+    joins one hull, grown in place after each layer, whose points span the
+    current hull; its vertices are extracted once, at the end.
     """
-    kept = [rho0]
+    hull = IncrementalHull([rho0])
     seen = {rho0}
     provenance: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
     frontier = [rho0]
     saturated = not ops
     for _depth in range(max_depth):
-        hull = IncrementalHull(kept)
         outside: list[PopulationVector] = []
         for s, op, t in _expand(graph, frontier, ops, triangle_pruning):
             if t in seen:
@@ -337,9 +335,9 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
         if not outside:
             saturated = True
             break
-        kept += outside
+        hull._extend(outside)
         frontier = outside
-    return hull_vertices(kept), provenance, saturated
+    return hull.vertices(), provenance, saturated
 
 
 def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],

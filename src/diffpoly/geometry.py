@@ -14,7 +14,9 @@ certificates:
 Both come from one engine, ``IncrementalHull``: a Clarkson walk that
 confirms only hull vertices and returns the witness that decided each
 answer, and a certification step that decides a point in one LP against
-a working set, such as the other vertices.
+a working set, such as the other vertices.  Its point set can grow in
+place, and its membership queries reuse the functionals that separated
+earlier queries, which decide later ones outside the hull without an LP.
 
 Everything is decided in integers.  A point enters as its image
 (d*x, d), with d the lcm of its denominators, made once per hull; a
@@ -40,6 +42,7 @@ straight from the integer dual vector.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -357,13 +360,18 @@ class ExtremalityCertificate:
 
 class IncrementalHull:
     """
-    Membership and extremality queries against a fixed point set, sharing
-    work across queries (Clarkson's output-sensitive scheme): each LP runs
+    Membership and extremality queries against a point set, sharing work
+    across queries (Clarkson's output-sensitive scheme): each LP runs
     against the vertices confirmed so far, and a failed separation confirms
     one more vertex by exact support maximization over the whole set.
     Answers are identical to testing against the full set, and the walk
     that decides an answer also yields its witness: a separating functional
     or a convex combination.
+
+    The set can grow (`_extend`), which forgets what the old set decided.
+    Until then, `contains` keeps the functional of every query it finds
+    outside: each is <= 0 on the whole set, so a later query that one of
+    them scores > 0 is outside with no LP.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -375,18 +383,40 @@ class IncrementalHull:
         # keyed by identity: hashing a tuple of Fractions costs more than
         # rebuilding its image; points not of the set get theirs built
         self._image_of = {id(q): im for q, im in zip(self.points, self._images)}
-        self._point_set = frozenset(self.points)
+        self._point_set = set(self.points)
         self._confirmed: dict = {}  # the confirmed vertices, as an insertion-ordered set
+        self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
 
-    def _outside(self, point):
+    def _extend(self, points) -> None:
+        """
+        Add `points` to the set, keeping it in lexicographic order.  A new
+        point can hide an old vertex and cross an old cut, so the confirmed
+        vertices and the cuts are dropped.
+        """
+        for p in points:
+            p = self._query(p)
+            if p in self._point_set:
+                continue
+            i = bisect(self.points, p)
+            image = _image(p)
+            self.points.insert(i, p)
+            self._images.insert(i, image)
+            self._image_of[id(p)] = image
+            self._point_set.add(p)
+        self._confirmed.clear()
+        self._cuts.clear()
+
+    def _outside(self, point, point_image=None):
         """
         Walk to the witness that decides `point` against the hull of the
         set: a combination or a strictly separating functional, from
         `_decide` against the confirmed vertices with every point scored.
         Otherwise its best-scoring point is confirmed and the walk goes on,
         until it ends with None: `point` is confirmed, or the set is empty.
+        `point_image`, if given, is `point`'s `_image`.
         """
-        point_image = self._image_of_point(point)
+        if point_image is None:
+            point_image = self._image_of_point(point)
         confirmed = self._confirmed
         while point not in confirmed:
             if confirmed:
@@ -459,9 +489,18 @@ class IncrementalHull:
         return not isinstance(self._outside(self._query(point)), tuple)
 
     def contains(self, point) -> bool:
-        """Is `point` in the hull of the set?"""
+        """Is `point` in the hull of the set?  A walk that ends outside keeps
+        its functional as a cut; a point that a cut scores > 0 needs no walk."""
         point = self._query(point)
-        return point in self._point_set or isinstance(self._outside(point), tuple)
+        if point in self._point_set:
+            return True
+        image = _image(point)
+        if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):
+            return False
+        witness = self._outside(point, image)
+        if isinstance(witness, SeparatingFunctional):
+            self._cuts.append(witness._func)
+        return isinstance(witness, tuple)
 
     def _query(self, point) -> tuple:
         """`point` as a tuple of exact rationals, as many as the set's points have."""

@@ -13,9 +13,9 @@ the vertex set switching on sign conditions in the initial gaps.  The
 
 Each check maps the optional size parameter `n` to ``(passed, detail)``.
 The `_check` decorator on its definition names it, declares its time
-budget and times the whole call; a pass that overran the budget, or an
-exception the check raised, becomes a failure.  Checks called directly, as
-the acceptance tests do, keep their budgets.
+budget and whether it reads `n`, and times the whole call; a pass that
+overran the budget, or an exception the check raised, becomes a failure.
+Checks called directly, as the acceptance tests do, keep their budgets.
 """
 from __future__ import annotations
 
@@ -73,11 +73,12 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _check(name: str, budget: float | None = None):
+def _check(name: str, budget: float | None = None, sized: bool = False):
     """
     Make a check returning ``(passed, detail)`` into one returning a timed
     `CheckResult` called `name`.  A pass that took `budget` seconds or more
-    fails, and so does a check that raises.
+    fails, and so does a check that raises.  `sized` marks a check that
+    reads the size parameter `n`.
     """
     def wrap(check):
         @functools.wraps(check)
@@ -91,6 +92,7 @@ def _check(name: str, budget: float | None = None):
             if passed and budget is not None and seconds >= budget:
                 passed, detail = False, f"took {seconds:.2f}s (budget {budget:g}s)"
             return CheckResult(name, passed, detail, seconds)
+        run.sized = sized
         return run
     return wrap
 
@@ -186,7 +188,7 @@ def check_p3_cases(n: int | None) -> tuple[bool, str]:
 # --- ordered path hypercube -----------------------------------------------
 
 
-@_check("ordered-path-hypercube", budget=60)
+@_check("ordered-path-hypercube", budget=60, sized=True)
 def check_pn(n: int | None) -> tuple[bool, str]:
     n_max = n or 7
     rnd = random.Random(20260808)
@@ -216,9 +218,9 @@ def check_pn(n: int | None) -> tuple[bool, str]:
 # --- counting --------------------------------------------------------------
 
 
-@_check("fibonacci-counts")
+@_check("fibonacci-counts", sized=True)
 def check_counts(n: int | None) -> tuple[bool, str]:
-    n_max = max(n or 12, 8)
+    n_max = n or 12
     rnd = random.Random(4)
     for size in range(3, 9):
         if fibonacci_nonlocal_count(size) != fibonacci(size + 1):
@@ -339,7 +341,7 @@ def check_c4_analysis(n: int | None) -> tuple[bool, str]:
 # --- step decomposition witnesses ------------------------------------------
 
 
-@_check("step-witnesses", budget=120)
+@_check("step-witnesses", budget=120, sized=True)
 def check_step_witnesses(n: int | None) -> tuple[bool, str]:
     n_max = n or 6
     rnd = random.Random(31)
@@ -563,7 +565,8 @@ SUITES = {
 def run_suite(selector: str, n: int | None = None) -> list[CheckResult]:
     """
     Run one named suite (or "all"), one check after another.  A size
-    parameter `n` below 3 is refused before any check runs.
+    parameter `n` below 3, or one that no selected check reads, is refused
+    before any check runs.
     """
     if n is not None and n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -573,4 +576,6 @@ def run_suite(selector: str, n: int | None = None) -> list[CheckResult]:
         checks = list(SUITES[selector])
     else:
         raise ValueError(f"unknown suite {selector!r}")
+    if n is not None and not any(c.sized for c in checks):
+        raise ValueError(f"suite {selector!r} takes no size parameter n")
     return [c(n) for c in checks]

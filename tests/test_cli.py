@@ -198,6 +198,16 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "n must be >= 3" in err
 
+    def test_size_refused_where_unused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "k3", "--n", "9")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "takes no size parameter" in err
+
+    def test_counts_size_is_the_identity_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "counts", "--n", "5")
+        assert code == 0
+        assert "triangular identity to n=5" in out
+
 
 class TestErrors:
     def test_bad_rho_exit_2(self, capsys):

@@ -298,6 +298,58 @@ class TestIncrementalHull:
             assert hull.vertices() == slow
             assert set(hull._confirmed) == set(slow)
 
+    def test_extend_matches_a_fresh_hull(self):
+        # the set grows in three batches (with repeats); after each, every
+        # answer is that of a hull built from scratch on the same points,
+        # although the grown hull carries cuts and walks from earlier batches
+        rnd = random.Random(53)
+        for dim in (3, 3, 4, 4):
+            cloud = [random_population(rnd, dim, bound=6) for _ in range(24)]
+            batches = [cloud[:8], cloud[8:16] + cloud[:2], cloud[16:]]
+            probes = [random_population(rnd, dim) for _ in range(6)]
+            probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(6)] + cloud[8:]
+            hull, seen = IncrementalHull([]), []
+            for batch in batches:
+                hull._extend(batch)
+                seen += batch
+                assert hull._confirmed == {}
+                assert hull.points == sorted(set(seen))
+                fresh = IncrementalHull(seen)
+                assert [hull.contains(q) for q in probes] == [fresh.contains(q) for q in probes]
+                assert ([hull.is_extreme_in(p) for p in hull.points]
+                        == [fresh.is_extreme_in(p) for p in fresh.points])
+                assert hull.vertices() == fresh.vertices()
+
+    def test_extend_drops_cuts(self):
+        # the centroid is outside the hull of two corners, and its cut
+        # scores it > 0; once the third corner joins, it is inside
+        corners = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        centroid = (Fraction(1, 3),) * 3
+        hull = IncrementalHull(corners[:2])
+        assert not hull.contains(centroid)
+        assert hull._cuts
+        hull._extend(corners[2:])
+        assert hull.contains(centroid)
+
+    def test_cut_decides_a_later_query(self, monkeypatch):
+        # the hull is the corner x >= 3/4 of the simplex; `near` is outside,
+        # and lies between the corner (1, 0, 0) and `far`, so the cut that
+        # separates `near` separates `far` too, and no LP runs for it
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return _phase_one(*args, **kwargs)
+
+        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
+        q = Fraction(1, 4)
+        hull = IncrementalHull([(1, 0, 0), (1 - q, q, 0), (1 - q, 0, q)])
+        near, far = (Fraction(1, 2), q, q), (0, Fraction(1, 2), Fraction(1, 2))
+        assert not hull.contains(near) and calls
+        calls.clear()
+        assert not hull.contains(far) and not calls
+        assert not IncrementalHull(hull.points).contains(far) and calls
+
 
 def reference_phase_one(point, points, entered=None):
     """
