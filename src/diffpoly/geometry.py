@@ -15,8 +15,12 @@ Both come from one engine, ``IncrementalHull``: a Clarkson walk that
 confirms only hull vertices and returns the witness that decided each
 answer, and a certification step that decides a point in one LP against
 a working set, such as the other vertices.  Its point set can grow in
-place, and its membership queries reuse the functionals that separated
-earlier queries, which decide later ones outside the hull without an LP.
+place, and its membership queries reuse earlier witnesses to skip the LP.
+The final basis of every LP that ended inside is kept as a cell, which
+proves a later query inside with one integer matrix-vector product; cells
+survive the growth of the set.  The functionals that separated earlier
+queries are kept as cuts, which decide later ones outside; a new point can
+cross a cut, so growth drops them.
 
 Everything is decided in integers.  A point enters as its image
 (d*x, d), with d the lcm of its denominators, made once per hull; a
@@ -181,12 +185,21 @@ def _phase_one(
     *,
     images: Sequence[list[int]] | None = None,
     point_image: list[int] | None = None,
+    cells: list | None = None,
 ) -> HullMembership:
     """
     Decide feasibility of  sum(lam_k * s_k) = p, sum(lam_k) = 1, lam >= 0
     by minimizing the sum of artificial variables (Bland's rule throughout).
     `images` and `point_image`, if given, are the `_image`s of `points` and
     of `point`; a caller that holds them saves rebuilding them on every call.
+    `cells`, if given, is a list that an LP ending inside appends its final
+    basis to, as one cell: det*B^-1 with the row signs folded in, split into
+    the rows whose basic variable is a point column and the rows whose basic
+    variable is artificial.  For any image b', row . b' is det times that
+    basic variable in the solution of the same basis for b'; if it is >= 0
+    on every point row and 0 on every artificial row, b' is a non-negative
+    combination of the basic points' images, and the normalization row
+    makes it a convex combination, so b' is inside the hull of `points`.
 
     The LP is held in integers.  Column j of the constraint matrix is the
     image (d_j*s_j, d_j) of point j, with row r flipped by sign_r so that
@@ -272,6 +285,12 @@ def _phase_one(
         basis[leave] = enter
 
     if reduced[rows] == 0:
+        if cells is not None:
+            inverse = [list(map(mul, row, sign)) for row in tab]
+            cells.append((
+                [row for row, var in zip(inverse, basis) if var < m],
+                [row for row, var in zip(inverse, basis) if var >= m],
+            ))
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
             if var < m:
@@ -368,10 +387,14 @@ class IncrementalHull:
     that decides an answer also yields its witness: a separating functional
     or a convex combination.
 
-    The set can grow (`_extend`), which forgets what the old set decided.
-    Until then, `contains` keeps the functional of every query it finds
-    outside: each is <= 0 on the whole set, so a later query that one of
-    them scores > 0 is outside with no LP.
+    Both kinds of witness are reused.  Every LP that ends inside leaves a
+    cell, the final basis of its LP (see `_phase_one`): a later query that
+    a cell proves inside is inside with one integer matrix-vector product
+    and no LP.  The cells prove combinations of points of the set, which
+    only grows, so they survive `_extend`.  `contains` also keeps the
+    functional of every query it finds outside, as a cut: each is <= 0 on
+    the whole set, so a later query that one of them scores > 0 is outside
+    with no LP.  A new point can cross a cut, so `_extend` drops the cuts.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -386,12 +409,14 @@ class IncrementalHull:
         self._point_set = set(self.points)
         self._confirmed: dict = {}  # the confirmed vertices, as an insertion-ordered set
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
+        self._cells: list = []  # final bases of the LPs that ended inside
 
     def _extend(self, points) -> None:
         """
         Add `points` to the set, keeping it in lexicographic order.  A new
         point can hide an old vertex and cross an old cut, so the confirmed
-        vertices and the cuts are dropped.
+        vertices and the cuts are dropped.  The cells stay: what they prove
+        inside the old set is inside the grown one.
         """
         for p in points:
             p = self._query(p)
@@ -455,7 +480,8 @@ class IncrementalHull:
         """
         if working:
             images = [self._image_of_point(q) for q in working]
-            res = _phase_one(point, working, images=images, point_image=point_image)
+            res = _phase_one(point, working, images=images, point_image=point_image,
+                             cells=self._cells)
             if res.inside:
                 return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None
             den, func = res.functional._den, res.functional._func
@@ -490,13 +516,21 @@ class IncrementalHull:
 
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?  A walk that ends outside keeps
-        its functional as a cut; a point that a cut scores > 0 needs no walk."""
+        its functional as a cut; a point that a cut scores > 0, or that a
+        cell proves inside, the most recent cell first, needs no walk."""
         point = self._query(point)
         if point in self._point_set:
             return True
         image = _image(point)
         if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):
             return False
+        for point_rows, artificial_rows in reversed(self._cells):
+            for row in point_rows:  # a plain loop costs less per cell than all() on a generator
+                if sum(map(mul, row, image)) < 0:
+                    break
+            else:
+                if not any(sum(map(mul, row, image)) for row in artificial_rows):
+                    return True
         witness = self._outside(point, image)
         if isinstance(witness, SeparatingFunctional):
             self._cuts.append(witness._func)

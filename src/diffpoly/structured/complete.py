@@ -25,6 +25,7 @@ letters that average two equal levels, which leave the point unchanged.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -56,7 +57,7 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
     return state, OperationSequence(ops)
 
 
-def _rank_words(rho0: PopulationVector, normal_forms: bool):
+def _rank_words(rho0: PopulationVector, normal_forms: bool, max_ops: float = math.inf):
     """
     Depth-first walk over the reduced rank-words from `rho0`, sharing
     prefixes: yields (permutation, word, point, ops) for every word, the
@@ -65,7 +66,9 @@ def _rank_words(rho0: PopulationVector, normal_forms: bool):
     `normal_forms`, it must also keep the word the least of its commutation
     class: no letter greater than a in the run of letters commuting with a
     (|x - a| > 1) that ends the prefix.  Both rules are prefix-closed, so
-    that walk visits each commutation class once, at its least word.
+    that walk visits each commutation class once, at its least word.  A
+    word whose ops outnumber `max_ops` is skipped with every extension of
+    it, which has at least as many.
     """
     n = len(rho0)
     ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
@@ -83,6 +86,8 @@ def _rank_words(rho0: PopulationVector, normal_forms: bool):
             if state[u - 1] != state[v - 1]:
                 op = PairOp.of(u, v)
                 next_state, next_ops = op.apply(state), ops + (op,)
+                if len(next_ops) > max_ops:
+                    continue
             next_perm, next_ranking = perm[:], ranking[:]
             next_perm[a - 1], next_perm[a] = perm[a], perm[a - 1]
             next_ranking[a - 1], next_ranking[a] = v, u
@@ -127,7 +132,10 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     each with a generating pair sequence, in lexicographic point order.
     On ties each vertex takes its shortest sequence over every reduced
     word, least in the canonical operator order; that minimum does not
-    depend on the order the words are walked in.
+    depend on the order the words are walked in.  The walk skips every
+    word with more ops than the longest vertex sequence: no such word, nor
+    any extension of it, can shorten a vertex's sequence, and sequences
+    only get shorter during the walk.
     """
     rho0 = PopulationVector(rho0)
     candidates = kn_candidate_points(rho0)
@@ -135,7 +143,8 @@ def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, 
     if len(set(rho0)) != len(rho0):
         def key(ops):
             return len(ops), [op_sort_key(op) for op in ops]
-        for _perm, _word, point, ops in _rank_words(rho0, normal_forms=False):
+        longest = max(len(ops) for ops in vertices.values())
+        for _perm, _word, point, ops in _rank_words(rho0, normal_forms=False, max_ops=longest):
             if point in vertices and key(ops) < key(vertices[point]):
                 vertices[point] = OperationSequence(ops)
     return list(vertices.items())

@@ -350,6 +350,67 @@ class TestIncrementalHull:
         assert not hull.contains(far) and not calls
         assert not IncrementalHull(hull.points).contains(far) and calls
 
+    def test_cells_agree_with_membership_while_the_set_grows(self, monkeypatch):
+        # every query is checked against the LP on all points so far; the
+        # clouds are populations (their sum row keeps an artificial basic
+        # at zero in every cell), populations with a last level of 0 (two
+        # such rows) and 40-digit states, grown in three batches; a third
+        # of the queries is shifted off the affine hull of the set, where
+        # a cell's point rows may still be >= 0 but an artificial row is not 0
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return _phase_one(*args, **kwargs)
+
+        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
+        rnd = random.Random(67)
+        rho = exponential_populations(4)
+        pairs = [PairOp.of(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        clouds = [
+            [random_population(rnd, 4, bound=6) for _ in range(24)],
+            [(*random_population(rnd, 3, bound=6), 0) for _ in range(24)],
+            [apply_sequence(rnd.choices(pairs, k=rnd.randrange(6)), rho) for _ in range(24)],
+        ]
+        by_cell = 0
+        for cloud in clouds:
+            hull, seen = IncrementalHull([]), []
+            for batch in (cloud[:8], cloud[8:16], cloud[16:]):
+                hull._extend(batch)
+                seen += batch
+                for _ in range(40):
+                    q = list(_combination(rnd, rnd.sample(seen, 3)))
+                    if rnd.random() < 1 / 3:
+                        q[rnd.randrange(len(q))] += Fraction(1, 97)
+                    lps = len(calls)
+                    inside = hull.contains(q)
+                    by_cell += inside and len(calls) == lps
+                    assert inside == hull_membership(q, seen).inside, q
+        assert by_cell > 0
+
+    def test_cell_decides_a_later_query(self, monkeypatch):
+        # the set is a triangle in the plane z = 0, so the cell of `first`
+        # has an artificial basic at zero on the z row; `second` lies in
+        # the same triangle and needs no LP, before and after the set grows,
+        # while `lifted`, above it, is outside
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return _phase_one(*args, **kwargs)
+
+        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
+        hull = IncrementalHull([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
+        first, second, third = (1, 1, 0), (1, 2, 0), (2, 1, 0)
+        assert hull.contains(first) and calls
+        calls.clear()
+        assert hull.contains(second) and not calls
+        assert not hull.contains((1, 2, 1)) and calls
+        hull._extend([(-4, -4, 0)])
+        calls.clear()
+        assert hull.contains(third) and not calls
+        assert not hull.contains((2, 1, 1))
+
 
 def reference_phase_one(point, points, entered=None):
     """

@@ -16,6 +16,7 @@ from diffpoly.core import (
     PopulationVector,
     apply_sequence,
     complete,
+    op_sort_key,
     path,
     uniform_vector,
 )
@@ -135,6 +136,24 @@ class TestCompleteGraph:
                 enum = polytope(complete(n), rho, PolytopeConfig(use_blocks=False, classify=False))
                 expected = [(v.point, v.sequence) for v in enum.vertices]
                 assert kn_extreme_points(rho) == expected, rho
+
+    @pytest.mark.parametrize("values", [
+        (0, 4, 0, 0, 0), (1, 1, 4, 7, 11), (1, 2, 2, 7, 7), (0, 1, 1, 3, 3), (1, 1, 1, 1, 1), (1, 1, 2, 2),
+    ], ids=lambda v: "-".join(map(str, v)))
+    def test_tie_pass_matches_the_unpruned_walk(self, values):
+        # the tie pass skips words with more ops than the longest vertex
+        # sequence; walking every word must give the same sequences
+        rho = PopulationVector.normalized(list(values))
+        got = kn_extreme_points(rho)
+        candidates = kn_candidate_points(rho)
+        expected = {p: candidates[p] for p, _ in got}
+
+        def key(ops):
+            return len(ops), [op_sort_key(op) for op in ops]
+        for _perm, _word, point, ops in _rank_words(rho, normal_forms=False):
+            if point in expected and key(ops) < key(expected[point]):
+                expected[point] = ops
+        assert [(p, tuple(seq)) for p, seq in got] == [(p, tuple(expected[p])) for p, _ in got]
 
     @pytest.mark.parametrize("values", [
         (1, 5, 9), (1, 2, 3), (2, 3, 7, 11), (1, 2, 3, 4), (1, 3, 5, 8, 14), (1, 2, 3, 4, 5),
