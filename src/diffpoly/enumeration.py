@@ -315,7 +315,10 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
-    current hull; its vertices are extracted once, at the end.
+    current hull; its vertices are extracted once, at the end, where the
+    cells of the search's inside LPs decide most hidden states with no
+    walk.  The hull is returned too: its confirming functionals certify
+    the vertices.
     """
     hull = IncrementalHull([rho0])
     seen = {rho0}
@@ -337,7 +340,7 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
             break
         hull._extend(outside)
         frontier = outside
-    return hull.vertices(), provenance, saturated
+    return hull.vertices(), provenance, saturated, hull
 
 
 def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
@@ -365,7 +368,7 @@ def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
     depth = cfg.resolved_depth(graph.n)
     ops = graph_ops(graph, cfg.use_blocks)
 
-    points, provenance, saturated = _saturating_bfs(
+    points, provenance, saturated, hull = _saturating_bfs(
         graph, rho0, ops, depth, cfg.triangle_pruning
     )
 
@@ -380,7 +383,7 @@ def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
         )
         for p in points
     )
-    certificates = tuple(extreme_points(points, _all_vertices=True))
+    certificates = tuple(extreme_points(points, _hull=hull))
     return PolytopeResult(
         graph=graph,
         rho0=rho0,

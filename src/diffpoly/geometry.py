@@ -17,10 +17,14 @@ answer, and a certification step that decides a point in one LP against
 a working set, such as the other vertices.  Its point set can grow in
 place, and its membership queries reuse earlier witnesses to skip the LP.
 The final basis of every LP that ended inside is kept as a cell, which
-proves a later query inside with one integer matrix-vector product; cells
-survive the growth of the set.  The functionals that separated earlier
-queries are kept as cuts, which decide later ones outside; a new point can
-cross a cut, so growth drops them.
+proves a later query inside with one integer matrix-vector product, and a
+point of the set hidden by other points, which the vertex scan then drops
+with no walk; cells survive the growth of the set.  The functionals that
+separated earlier queries are kept as cuts, which decide later ones
+outside; a new point can cross a cut, so growth drops them.  Each confirmed
+vertex keeps the functional that confirmed it: given the hull of a search,
+``extreme_points`` lowers that functional over the other points to certify
+the vertex, and runs the certification LP only where that fails.
 
 Everything is decided in integers.  A point enters as its image
 (d*x, d), with d the lcm of its denominators, made once per hull; a
@@ -49,6 +53,7 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
@@ -195,11 +200,12 @@ def _phase_one(
     `cells`, if given, is a list that an LP ending inside appends its final
     basis to, as one cell: det*B^-1 with the row signs folded in, split into
     the rows whose basic variable is a point column and the rows whose basic
-    variable is artificial.  For any image b', row . b' is det times that
-    basic variable in the solution of the same basis for b'; if it is >= 0
-    on every point row and 0 on every artificial row, b' is a non-negative
-    combination of the basic points' images, and the normalization row
-    makes it a convex combination, so b' is inside the hull of `points`.
+    variable is artificial, and the basic points.  For any image b', row . b'
+    is det times that basic variable in the solution of the same basis for
+    b'; if it is >= 0 on every point row and 0 on every artificial row, b'
+    is a non-negative combination of the basic points' images, and the
+    normalization row makes it a convex combination, so b' is inside the
+    hull of the basic points.
 
     The LP is held in integers.  Column j of the constraint matrix is the
     image (d_j*s_j, d_j) of point j, with row r flipped by sign_r so that
@@ -290,6 +296,7 @@ def _phase_one(
             cells.append((
                 [row for row, var in zip(inverse, basis) if var < m],
                 [row for row, var in zip(inverse, basis) if var >= m],
+                [points[var] for var in basis if var < m],
             ))
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
@@ -385,16 +392,19 @@ class IncrementalHull:
     one more vertex by exact support maximization over the whole set.
     Answers are identical to testing against the full set, and the walk
     that decides an answer also yields its witness: a separating functional
-    or a convex combination.
+    or a convex combination.  Each confirmed vertex keeps the functional
+    that confirmed it, which it maximizes over the set.
 
     Both kinds of witness are reused.  Every LP that ends inside leaves a
     cell, the final basis of its LP (see `_phase_one`): a later query that
     a cell proves inside is inside with one integer matrix-vector product
-    and no LP.  The cells prove combinations of points of the set, which
-    only grows, so they survive `_extend`.  `contains` also keeps the
-    functional of every query it finds outside, as a cut: each is <= 0 on
-    the whole set, so a later query that one of them scores > 0 is outside
-    with no LP.  A new point can cross a cut, so `_extend` drops the cuts.
+    and no LP, and a point of the set that a cell proves inside the hull of
+    other basic points is hidden by them, so `vertices` drops it with no
+    walk.  The cells prove combinations of points of the set, which only
+    grows, so they survive `_extend`.  `contains` also keeps the functional
+    of every query it finds outside, as a cut: each is <= 0 on the whole
+    set, so a later query that one of them scores > 0 is outside with no
+    LP.  A new point can cross a cut, so `_extend` drops the cuts.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -407,9 +417,12 @@ class IncrementalHull:
         # rebuilding its image; points not of the set get theirs built
         self._image_of = {id(q): im for q, im in zip(self.points, self._images)}
         self._point_set = set(self.points)
-        self._confirmed: dict = {}  # the confirmed vertices, as an insertion-ordered set
+        # the confirmed vertices, in confirmation order, each with its
+        # confirming functional as (D, func), or None for the least point
+        self._confirmed: dict = {}
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
         self._cells: list = []  # final bases of the LPs that ended inside
+        self._since = [0] * len(self.points)  # per point, the cells made before it joined
 
     def _extend(self, points) -> None:
         """
@@ -426,6 +439,7 @@ class IncrementalHull:
             image = _image(p)
             self.points.insert(i, p)
             self._images.insert(i, image)
+            self._since.insert(i, len(self._cells))
             self._image_of[id(p)] = image
             self._point_set.add(p)
         self._confirmed.clear()
@@ -436,25 +450,26 @@ class IncrementalHull:
         Walk to the witness that decides `point` against the hull of the
         set: a combination or a strictly separating functional, from
         `_decide` against the confirmed vertices with every point scored.
-        Otherwise its best-scoring point is confirmed and the walk goes on,
-        until it ends with None: `point` is confirmed, or the set is empty.
-        `point_image`, if given, is `point`'s `_image`.
+        Otherwise its best-scoring point is confirmed, with the LP's
+        functional, and the walk goes on, until it ends with None: `point`
+        is confirmed, or the set is empty.  `point_image`, if given, is
+        `point`'s `_image`.
         """
         if point_image is None:
             point_image = self._image_of_point(point)
         confirmed = self._confirmed
         while point not in confirmed:
             if confirmed:
-                witness, best = self._decide(point, point_image, list(confirmed))
+                witness, best, functional = self._decide(point, point_image, list(confirmed))
                 if witness is not None:
                     return witness
                 if best in confirmed:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
             elif self.points:
-                best = self.points[0]  # the least point is a vertex
+                best, functional = self.points[0], None  # the least point is a vertex
             else:
                 return None
-            confirmed[best] = None
+            confirmed[best] = functional
         return None
 
     def _certify(self, point, working):
@@ -471,22 +486,29 @@ class IncrementalHull:
         """
         One `_phase_one` of `point` against `working` (if empty, the constant
         1 separates), on the cached images.  Inside, returns the nonzero
-        (point, weight) pairs and None.  Outside, it scores the set's points
-        whose image is not `skip`, and returns the functional with its offset
-        lowered by the best score (None if that is not > 0 at `point`) and
-        the best-scoring point: the lexicographically largest of equal
-        scores, so a vertex if nothing is skipped.  With the functional
-        times D as integers `func`, image (d*x, d) scores func.image / (D*d).
+        (point, weight) pairs, None and None.  Outside, returns `_lower`'s
+        pair for the LP's functional, then that functional as (D, func).
         """
         if working:
             images = [self._image_of_point(q) for q in working]
             res = _phase_one(point, working, images=images, point_image=point_image,
                              cells=self._cells)
             if res.inside:
-                return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None
+                return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None, None
             den, func = res.functional._den, res.functional._func
         else:
             den, func = 1, [0] * (len(point_image) - 1) + [1]
+        return (*self._lower(point_image, den, func, skip), (den, func))
+
+    def _lower(self, point_image, den, func, skip=None):
+        """
+        Score the set's points whose image is not `skip` by the functional
+        with coefficients and offset `func` / `den`, and return it with its
+        offset lowered by the best score (None if that is not > 0 at the
+        point of `point_image`) and the best-scoring point: the
+        lexicographically largest of equal scores, so a vertex if nothing is
+        skipped.  Image (d*x, d) scores func.image / (den*d).
+        """
         best, best_num, best_d = None, 0, 1
         for q, image in zip(self.points, self._images):
             if image != skip:
@@ -496,7 +518,7 @@ class IncrementalHull:
                     best, best_num, best_d = q, num, d
         if best_num * point_image[-1] >= sum(map(mul, func, point_image)) * best_d:
             return None, best
-        # offset - best score = (offset*best_d - best_num) / (D*best_d)
+        # offset - best score = (offset*best_d - best_num) / (den*best_d)
         lowered = [c * best_d for c in func]
         lowered[-1] -= best_num
         return SeparatingFunctional._from_integers(den * best_d, lowered), best
@@ -505,9 +527,37 @@ class IncrementalHull:
         """`point`'s `_image`, cached for the set's own point objects."""
         return self._image_of.get(id(point)) or _image(point)
 
+    def _in_a_cell(self, image, since=0, exclude=None) -> bool:
+        """
+        Does a cell, the most recent first and none of the first `since`,
+        prove the point of `image` inside the hull of its basic points?
+        Cells in which `exclude` is basic are passed over: they prove only
+        that `exclude` is itself.
+        """
+        cells = self._cells
+        for point_rows, artificial_rows, basic in islice(reversed(cells), len(cells) - since):
+            for row in point_rows:  # a plain loop costs less per cell than all() on a generator
+                if sum(map(mul, row, image)) < 0:
+                    break
+            else:
+                if exclude not in basic and not any(sum(map(mul, row, image))
+                                                    for row in artificial_rows):
+                    return True
+        return False
+
     def vertices(self) -> list:
-        """The vertices of the hull, in lexicographic order."""
-        return [p for p in self.points if not isinstance(self._outside(p), tuple)]
+        """
+        The vertices of the hull, in lexicographic order.  A point that a
+        cell made since it joined the set proves inside the hull of other
+        points is not a vertex, and needs no walk; a cell made before it
+        joined cannot prove it if it joined from outside the hull.
+        """
+        confirmed = self._confirmed
+        return [
+            p for p, image, since in zip(self.points, self._images, self._since)
+            if p in confirmed or (not self._in_a_cell(image, since, p)
+                                  and not isinstance(self._outside(p, image), tuple))
+        ]
 
     def is_extreme_in(self, point) -> bool:
         """Is `point` outside the hull of every *other* point of the set?  (A
@@ -517,20 +567,15 @@ class IncrementalHull:
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?  A walk that ends outside keeps
         its functional as a cut; a point that a cut scores > 0, or that a
-        cell proves inside, the most recent cell first, needs no walk."""
+        cell proves inside, needs no walk."""
         point = self._query(point)
         if point in self._point_set:
             return True
         image = _image(point)
         if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):
             return False
-        for point_rows, artificial_rows in reversed(self._cells):
-            for row in point_rows:  # a plain loop costs less per cell than all() on a generator
-                if sum(map(mul, row, image)) < 0:
-                    break
-            else:
-                if not any(sum(map(mul, row, image)) for row in artificial_rows):
-                    return True
+        if self._in_a_cell(image):
+            return True
         witness = self._outside(point, image)
         if isinstance(witness, SeparatingFunctional):
             self._cuts.append(witness._func)
@@ -556,7 +601,7 @@ def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
 
 
 def extreme_points(points: Sequence[Sequence[Fraction]], *,
-                   _all_vertices: bool = False) -> list[ExtremalityCertificate]:
+                   _hull: IncrementalHull | None = None) -> list[ExtremalityCertificate]:
     """
     Certified vertices of the convex hull of a finite point set.
 
@@ -569,18 +614,32 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
     lexicographic order, so each certificate depends on the vertex set
     alone, not on the scan's path.
 
-    `_all_vertices` is for a caller that already holds a vertex list (the
-    polytope search): the scan is skipped, and a point that is not a
-    vertex fails the check that certification and vertex list agree.
+    `_hull` is for the polytope search, which hands over its hull after
+    `vertices()` and that vertex list as `points`: the scan is skipped, and
+    the certificates come from the search's own witnesses.  Each vertex's
+    confirming functional, lowered by the best score over every other point
+    of the hull, is its certificate if it is still > 0 at the vertex; the
+    least point, confirmed without an LP, and a vertex that ties take the
+    certification LP.  Each certificate separates its vertex from every
+    other point of the hull, and is checked by substitution against the
+    other vertices; a point that is not a vertex fails the check that
+    certification and vertex list agree.
     """
-    hull = IncrementalHull(points)
-    pts = hull.points
-    vertices = pts if _all_vertices else hull.vertices()
-    images = hull._images
+    if _hull is None:
+        hull = IncrementalHull(points)
+        pts, vertices = hull.points, hull.vertices()
+    else:
+        hull, pts = _hull, list(points)
+        vertices = pts
+    images = [hull._image_of_point(p) for p in pts]
     certificates = []
     for i, p in enumerate(pts):
+        image = images[i]
         others = [v for v in vertices if v is not p]
-        witness = hull._certify(p, others)
+        confirming = hull._confirmed.get(p) if _hull is not None else None
+        witness = None if confirming is None else hull._lower(image, *confirming, skip=image)[0]
+        if witness is None:
+            witness = hull._certify(p, others)
         if isinstance(witness, tuple):
             cert = ExtremalityCertificate(point=p, is_extreme=False, combination=witness)
             verified = cert.verify(())  # a reconstruction needs no other point
@@ -588,7 +647,7 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
             cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
             # cert.verify on the cached images of p and of every other point
             rest = images[:i] + images[i + 1:]
-            verified = witness is not None and witness._separates(images[i], rest)
+            verified = witness is not None and witness._separates(image, rest)
         if cert.is_extreme != (len(others) < len(vertices)):
             raise AssertionError("certification disagrees with the vertex scan")
         if not verified:

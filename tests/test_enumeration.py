@@ -217,6 +217,38 @@ class TestPolytope:
             p for p in res.points() if hull.is_extreme_in(p)
         ]
 
+    @pytest.mark.parametrize("rho", [
+        PopulationVector([Fraction(k, 10) for k in (1, 2, 3, 4)]),
+        PopulationVector.normalized([314159, 265358, 979323, 846264]),
+        PopulationVector.normalized([1, 1, 2, 3]),
+    ], ids=["even", "generic", "tied"])
+    def test_confirming_functionals_certify_most_vertices(self, monkeypatch, rho):
+        # the search certifies most vertices by the functionals that
+        # confirmed them, with no LP; every certificate separates its
+        # vertex from every state the search kept
+        from diffpoly import enumeration
+
+        hulls, certified = [], []
+        search, step = enumeration._saturating_bfs, IncrementalHull._certify
+
+        def keep_hull(*args):
+            found = search(*args)
+            hulls.append(found[-1])
+            return found
+
+        def certify(hull, point, working):
+            certified.append(point)
+            return step(hull, point, working)
+
+        monkeypatch.setattr(enumeration, "_saturating_bfs", keep_hull)
+        monkeypatch.setattr(IncrementalHull, "_certify", certify)
+        res = polytope(cycle(4), rho)
+        (hull,) = hulls
+        assert len(certified) < len(res.vertices)
+        assert [c.point for c in res.certificates] == res.points()
+        for c in res.certificates:
+            assert c.is_extreme and c.verify([q for q in hull.points if q != c.point])
+
     def test_helium_saturates(self):
         from diffpoly.core import helium_p5
 

@@ -112,17 +112,48 @@ class TestExtremePoints:
         assert len(certs) == 1 and certs[0].is_extreme
 
     def test_known_vertex_list_skips_the_scan_with_the_same_certificates(self):
+        # handed the hull that listed them, the vertices are certified from
+        # its witnesses, each against every point of the hull; a hull that
+        # confirmed nothing falls back to the certification LPs, so it gives
+        # the same certificates as the call without a hull
         rnd = random.Random(3)
         for _ in range(10):
             cloud = [random_population(rnd, 4) for _ in range(12)]
-            vertices = hull_vertices(cloud)
-            certs = extreme_points(vertices, _all_vertices=True)
-            assert certs == extreme_points(vertices)
-            assert [c.to_json() for c in certs] == [c.to_json() for c in extreme_points(vertices)]
+            hull = IncrementalHull(cloud)
+            vertices = hull.vertices()
+            certs = extreme_points(vertices, _hull=hull)
+            assert [c.point for c in certs] == vertices == hull_vertices(cloud)
+            for c in certs:
+                assert c.is_extreme and c.verify([q for q in hull.points if q != c.point])
+            fresh = extreme_points(vertices, _hull=IncrementalHull(vertices))
+            assert fresh == extreme_points(vertices)
+            assert [c.to_json() for c in fresh] == [c.to_json() for c in extreme_points(vertices)]
         # a point that is not a vertex still fails the walk-against-scan check
         square = [(0, 0), (0, 1), (1, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
         with pytest.raises(AssertionError, match="disagrees with the vertex scan"):
-            extreme_points(square, _all_vertices=True)
+            extreme_points(square, _hull=IncrementalHull(square))
+
+    def test_confirming_functionals_certify_all_but_the_least_point_and_ties(self, monkeypatch):
+        # (2, 0) is confirmed by x + y, which ties it with (0, 2): lowered
+        # over the other points it is 0 there, so (2, 0) takes the
+        # certification LP, as does the least point (0, 0), confirmed
+        # without one; (0, 2) is certified by its confirming functional
+        certified = []
+        step = IncrementalHull._certify
+
+        def certify(hull, point, working):
+            certified.append(point)
+            return step(hull, point, working)
+
+        monkeypatch.setattr(IncrementalHull, "_certify", certify)
+        triangle = [(0, 0), (0, 2), (2, 0)]
+        hull = IncrementalHull(triangle)
+        assert hull.vertices() == triangle
+        assert hull._confirmed[(2, 0)] == (1, (1, 1, 0))
+        certs = extreme_points(triangle, _hull=hull)
+        assert certified == [(0, 0), (2, 0)]
+        for c in certs:
+            assert c.is_extreme and c.verify([q for q in triangle if q != c.point])
 
     def test_k3_reachable_states_give_seven_vertices(self, rho3):
         from diffpoly.enumeration import explore
@@ -410,6 +441,42 @@ class TestIncrementalHull:
         calls.clear()
         assert hull.contains(third) and not calls
         assert not hull.contains((2, 1, 1))
+
+    def test_cell_drops_a_point_hidden_by_a_later_batch(self, monkeypatch):
+        # (1, 1) joins first and is hidden when the triangle joins; the LP
+        # that proves (1, 2) inside leaves a cell on the triangle's corners,
+        # which proves (1, 1) inside them too, so the vertex scan drops it
+        # with no LP of its own, while a fresh hull needs one
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return _phase_one(*args, **kwargs)
+
+        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
+        corners = [(0, 0), (0, 4), (4, 0)]
+        hull = IncrementalHull([(1, 1)])
+        hull._extend(corners)
+        assert hull.contains((1, 2)) and len(hull._cells) == 1
+        calls.clear()
+        assert hull.vertices() == corners
+        assert (1, 1) not in calls
+        assert IncrementalHull(hull.points).vertices() == corners
+        assert (1, 1) in calls
+
+    def test_cell_does_not_hide_its_own_basic_points(self):
+        # the cell of (1, 1) has all three corners basic, so it proves each
+        # corner inside the hull of the corners; that says nothing about
+        # whether a corner is a vertex, and the scan after the set grows
+        # (which drops the confirmed vertices) keeps all three
+        corners = [(0, 0), (0, 4), (4, 0)]
+        hull = IncrementalHull(corners)
+        assert hull.contains((1, 1))
+        (_, _, basic), = hull._cells
+        assert sorted(basic) == corners
+        hull._extend([(1, 2)])
+        assert hull._confirmed == {}
+        assert hull.vertices() == corners
 
 
 def reference_phase_one(point, points, entered=None):
