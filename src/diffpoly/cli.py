@@ -4,7 +4,8 @@ the verification suites.
 
 Exit codes: 0 success; 1 verification failure, meaning a check failed,
 overran its time budget or raised; 2 invalid input, including malformed
-input files and a `verify --n` below 3.
+input files, a `verify --n` below 3 and search knobs given to
+`optimize --method structured`.
 """
 from __future__ import annotations
 
@@ -158,8 +159,10 @@ def cmd_optimize(args) -> int:
     config = None
     if args.method == "enumerate":
         config = PolytopeConfig(
-            max_depth=args.depth, use_blocks=(args.blocks == "on"), classify=False
+            max_depth=args.depth, use_blocks=(args.blocks != "off"), classify=False
         )
+    elif args.depth is not None or args.blocks is not None:
+        raise ValueError("--depth and --blocks apply to --method enumerate only")
     report = optimize_over(graph, rho0, weights, method=args.method, config=config)
     text = canonical_json(report.to_json())
     summary = (
@@ -211,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--rho", required=True)
     p_opt.add_argument("--weights", required=True, help="comma-separated p/q values or a JSON file")
     p_opt.add_argument("--method", choices=["enumerate", "structured"], default="enumerate")
-    p_opt.add_argument("--depth", type=int, default=None)
-    p_opt.add_argument("--blocks", choices=["on", "off"], default="on")
+    p_opt.add_argument("--depth", type=int, default=None,
+                       help="search depth (default C(n,2)+n); --method enumerate only")
+    p_opt.add_argument("--blocks", choices=["on", "off"], default=None,
+                       help="block operators (default on); --method enumerate only")
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=cmd_optimize)
 

@@ -315,10 +315,11 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
-    current hull; its vertices are extracted once, at the end, where the
-    cells of the search's inside LPs decide most hidden states with no
-    walk.  The hull is returned too: its confirming functionals certify
-    the vertices.
+    current hull.  Returns the provenance of every point of that hull,
+    whether the search saturated, and the hull itself, unscanned: `polytope`
+    extracts its vertices, where the cells of the search's inside LPs
+    decide most hidden states with no walk, and `optimize_over` minimizes
+    over all its points with no vertex list.
     """
     hull = IncrementalHull([rho0])
     seen = {rho0}
@@ -340,7 +341,7 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
             break
         hull._extend(outside)
         frontier = outside
-    return hull.vertices(), provenance, saturated, hull
+    return provenance, saturated, hull
 
 
 def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
@@ -368,9 +369,10 @@ def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
     depth = cfg.resolved_depth(graph.n)
     ops = graph_ops(graph, cfg.use_blocks)
 
-    points, provenance, saturated, hull = _saturating_bfs(
+    provenance, saturated, hull = _saturating_bfs(
         graph, rho0, ops, depth, cfg.triangle_pruning
     )
+    points = hull.vertices()
 
     kinds: dict[PopulationVector, str] = {}
     if cfg.resolved_classify(graph.n):

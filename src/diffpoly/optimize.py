@@ -7,13 +7,19 @@ gives the best population rearrangement the graph's averaging operations
 allow; the Gardner limit -- populations sorted decreasingly against
 increasing weights -- is the unrestricted-rearrangement baseline, and the
 report states which fraction of that limit the graph recovers.
+
+A linear objective's minimum over a polytope is its minimum over any
+point set spanning it, so the enumerate route needs no vertex list: it
+minimizes over every point of the pruned search's hull, on the hull's
+integer point images, and tests extremality only where several points tie.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -23,7 +29,8 @@ from .core import (
     format_rational,
     path,
 )
-from .enumeration import ClassifiedVertex, PolytopeConfig, polytope
+from . import enumeration
+from .enumeration import ClassifiedVertex, PolytopeConfig, graph_ops
 
 __all__ = [
     "Objective",
@@ -60,6 +67,11 @@ def _weights(w: Objective | Sequence) -> tuple[Fraction, ...]:
     return Objective(tuple(w)).weights
 
 
+def _dot(ws: Sequence[Fraction], rho: Sequence[Fraction]) -> Fraction:
+    """sum_i w_i rho_i for weights already validated and of rho's length."""
+    return sum(map(mul, ws, rho))
+
+
 def energy(w: Objective | Sequence, rho: Sequence[Fraction]) -> Fraction:
     """
     Exact objective value  sum_i w_i rho_i.
@@ -70,7 +82,7 @@ def energy(w: Objective | Sequence, rho: Sequence[Fraction]) -> Fraction:
     ws = _weights(w)
     if len(ws) != len(rho):
         raise ValueError("weight/state dimension mismatch")
-    return sum(a * b for a, b in zip(ws, rho))
+    return _dot(ws, rho)
 
 
 def gardner_limit(w: Objective | Sequence, rho0: Sequence[Fraction]) -> Fraction:
@@ -162,46 +174,101 @@ def _structured_vertices(graph: DiffusionGraph, rho0: PopulationVector):
     raise ValueError("no structured solver for this graph; use method='enumerate'")
 
 
+def _least_points(ws: Sequence[Fraction], points, images) -> tuple[Fraction, list]:
+    """
+    The least energy over `points` and the points that attain it, in their
+    order.  `images` are the points' integer images (d*x, d), d > 0, as
+    the hull holds them; with the weights scaled by the lcm L of their
+    denominators, image (d*x, d) scores iw.(d*x) / d = L * energy, and
+    two scores compare by cross-multiplying.  Only the optimum becomes a
+    `Fraction`.
+    """
+    scale = lcm(*(w.denominator for w in ws))
+    iw = [w.numerator * (scale // w.denominator) for w in ws]
+    best_num, best_d, least = 0, 1, []
+    for p, image in zip(points, images):
+        num, d = sum(map(mul, iw, image)), image[-1]  # iw is one shorter: d is not scored
+        if not least or num * best_d < best_num * d:
+            best_num, best_d, least = num, d, [p]
+        elif num * best_d == best_num * d:
+            least.append(p)
+    return Fraction(best_num, best_d * scale), least
+
+
+def _enumerated_optimum(graph: DiffusionGraph, rho0: PopulationVector,
+                        ws: Sequence[Fraction], cfg: PolytopeConfig):
+    """
+    The least energy over the diffusion polytope, its vertices with their
+    words and kinds, and whether the search saturated.  Minimizes over every
+    point of the search's hull: a unique least point is a vertex, and tied
+    points span the optimal face, whose vertices are those that
+    `is_extreme_in` confirms.  Only those vertices are classified, each on
+    its own, as in `polytope`.  The search and the classification are
+    looked up on the `enumeration` module at call time, so that a wrapper
+    installed there sees them.
+    """
+    depth = cfg.resolved_depth(graph.n)
+    provenance, saturated, hull = enumeration._saturating_bfs(
+        graph, rho0, graph_ops(graph, cfg.use_blocks), depth, cfg.triangle_pruning
+    )
+    best, least = _least_points(ws, hull.points, hull._images)
+    if len(least) > 1:
+        least = [p for p in least if hull.is_extreme_in(p)]
+    kinds: dict[PopulationVector, str] = {}
+    if cfg.resolved_classify(graph.n):
+        kinds = enumeration._classify(graph, rho0, least, provenance, depth, cfg)
+    vertices = tuple(
+        ClassifiedVertex(point=p, sequence=provenance[p], kind=kinds.get(p, "unclassified"))
+        for p in least
+    )
+    return best, vertices, saturated
+
+
 def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
                   w: Objective | Sequence, method: str = "enumerate",
                   config: PolytopeConfig | None = None) -> EnergyReport:
     """
     Minimize the objective over the diffusion polytope of (graph, rho0).
 
-    method "enumerate" runs the generic vertex search; "structured" uses
-    the closed-form vertex lists (complete graph via commutation classes,
-    ordered path via subset points).  If the enumeration was truncated the
-    optimum is only a bound, and the report says so.
+    method "enumerate" runs the hull-pruned polytope search of `polytope`,
+    with `config` (default: no classification, since kinds are not part of
+    the report's value), and minimizes over every point of its hull with
+    no vertex list and no certificates; only tied least points take an
+    extremality test.  "structured" uses the closed-form vertex lists
+    (complete graph via commutation classes, ordered path via subset
+    points) and takes no `config`.  If the search was truncated the
+    optimum is only a bound, and the report says so.  The sizes of rho0
+    and of the weights are checked before any search.
     """
     rho0 = PopulationVector(rho0)
-    ws = _weights(w)
+    objective = w if isinstance(w, Objective) else Objective(tuple(w))
+    ws = objective.weights
+    if len(rho0) != graph.n:
+        raise ValueError("population vector does not match the graph size")
     if len(ws) != graph.n:
         raise ValueError("weight vector does not match the graph size")
 
     if method == "structured":
+        if config is not None:
+            raise ValueError("method 'structured' runs no search and takes no config")
         vertices = _structured_vertices(graph, rho0)
-        completeness = "proven"
-        truncated = False
+        values = [_dot(ws, v.point) for v in vertices]
+        best = min(values)
+        optimal = tuple(
+            sorted(
+                (v for v, val in zip(vertices, values) if val == best),
+                key=lambda v: v.point,
+            )
+        )
+        saturated = True
     elif method == "enumerate":
-        if config is None:
-            config = PolytopeConfig(classify=False)  # kinds are not part of the report
-        result = polytope(graph, rho0, config)
-        vertices = list(result.vertices)
-        completeness = result.completeness
-        truncated = result.truncated
+        cfg = PolytopeConfig(classify=False) if config is None else config
+        best, optimal, saturated = _enumerated_optimum(graph, rho0, ws, cfg)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    values = [energy(ws, v.point) for v in vertices]
-    best = min(values)
-    argmin = tuple(
-        sorted(
-            (v for v, val in zip(vertices, values) if val == best),
-            key=lambda v: v.point,
-        )
-    )
-    e0 = energy(ws, rho0)
-    gardner = gardner_limit(ws, rho0)
+    e0 = _dot(ws, rho0)
+    gardner = gardner_limit(objective, rho0)
     fraction = Fraction(0) if e0 == gardner else (e0 - best) / (e0 - gardner)
     return EnergyReport(
         graph=graph,
@@ -211,10 +278,10 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
         optimal_energy=best,
         gardner_energy=gardner,
         recovered_fraction=fraction,
-        optimal_vertices=argmin,
+        optimal_vertices=optimal,
         method=method,
-        completeness=completeness,
-        lower_bound_only=truncated,
+        completeness="proven" if saturated else "depth-bounded",
+        lower_bound_only=not saturated,
     )
 
 
@@ -226,10 +293,12 @@ def monotone_extremal_check(sequence: Iterable, w: Objective | Sequence,
     """
     ws = _weights(w)
     state = PopulationVector(rho0)
-    previous = energy(ws, state)
+    if len(ws) != len(state):
+        raise ValueError("weight/state dimension mismatch")
+    previous = _dot(ws, state)
     for op in sequence:
         state = op.apply(state)
-        current = energy(ws, state)
+        current = _dot(ws, state)
         if current > previous:
             return False
         previous = current

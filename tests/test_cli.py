@@ -247,6 +247,22 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(f) in err
 
+    @pytest.mark.parametrize("method", ["enumerate", "structured"])
+    def test_optimize_population_size_exit_2(self, capsys, method):
+        code, out, err = run_cli(capsys, "optimize", "--graph", "complete:4",
+                                 "--rho", "0,2/7,5/7", "--weights", "1,2,3,4",
+                                 "--method", method)
+        assert code == 2 and out == ""
+        assert "population vector does not match the graph size" in err
+
+    @pytest.mark.parametrize("knob", [("--depth", "2"), ("--blocks", "off")])
+    def test_structured_refuses_search_knobs_exit_2(self, capsys, knob):
+        code, out, err = run_cli(capsys, "optimize", "--graph", "complete:3",
+                                 "--rho", "0,2/7,5/7", "--weights", "1,2,3",
+                                 "--method", "structured", *knob)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--method enumerate only" in err
+
     def test_mismatched_sizes_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "--graph", "path:4",
                              "--rho", "0,2/7,5/7")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,11 +10,14 @@ from diffpoly.core import (
     PopulationVector,
     complete,
     cycle,
+    format_rational,
     helium_p5,
     path,
     uniform_vector,
 )
-from diffpoly.enumeration import PolytopeConfig
+from diffpoly import enumeration
+from diffpoly.enumeration import PolytopeConfig, polytope
+from diffpoly.geometry import IncrementalHull
 from diffpoly.optimize import (
     Objective,
     energy,
@@ -190,8 +193,6 @@ class TestOptimizeOver:
         w = (1, 2, 3, 4)
         report = optimize_over(cycle(4), rho, w)
         points = [v.point for v in report.optimal_vertices]
-        from diffpoly.enumeration import polytope
-
         verts = polytope(cycle(4), rho, PolytopeConfig(classify=False)).points()
         for _ in range(100):
             weights = [rnd.randrange(0, 10) for _ in verts]
@@ -203,6 +204,87 @@ class TestOptimizeOver:
                 for t in range(4)
             )
             assert energy(w, mix) >= report.optimal_energy
+
+    @pytest.mark.parametrize("method", ["enumerate", "structured"])
+    def test_population_size_checked_before_any_search(self, monkeypatch, method):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(enumeration, "_saturating_bfs", no_search)
+        with pytest.raises(ValueError, match="population vector does not match the graph size"):
+            optimize_over(complete(4), pv("1/3", "1/3", "1/3"), (1, 2, 3, 4), method=method)
+
+    def test_structured_takes_no_config(self, rho3):
+        with pytest.raises(ValueError, match="takes no config"):
+            optimize_over(complete(3), rho3, (1, 2, 3), method="structured",
+                          config=PolytopeConfig(max_depth=2))
+
+    def test_tied_least_points_keep_only_the_vertices(self, monkeypatch):
+        # three points of the search's hull attain the optimum 2; the
+        # midpoint of the other two is hidden and must not be reported
+        tested = []
+        is_extreme_in = IncrementalHull.is_extreme_in
+
+        def counting(hull, point):
+            tested.append(point)
+            return is_extreme_in(hull, point)
+
+        monkeypatch.setattr(IncrementalHull, "is_extreme_in", counting)
+        report = optimize_over(path(3), PopulationVector.normalized([0, 5, 4]), (1, 3, 2))
+        assert report.optimal_energy == 2
+        assert [v.point for v in report.optimal_vertices] == [
+            pv("1/4", "1/4", "1/2"), pv("1/3", "1/3", "1/3"),
+        ]
+        assert sorted(tested) == sorted([pv("1/4", "1/4", "1/2"), pv("5/18", "5/18", "4/9"),
+                                         pv("1/3", "1/3", "1/3")])
+
+    def test_search_is_looked_up_on_the_enumeration_module(self, monkeypatch):
+        # per-layer instrumentation wraps these module attributes: a name
+        # bound at import time would bypass the wrapper
+        calls = []
+        search, classify = enumeration._saturating_bfs, enumeration._classify
+
+        def counting_search(*args):
+            calls.append("search")
+            return search(*args)
+
+        def counting_classify(*args):
+            calls.append("classify")
+            return classify(*args)
+
+        monkeypatch.setattr(enumeration, "_saturating_bfs", counting_search)
+        monkeypatch.setattr(enumeration, "_classify", counting_classify)
+        optimize_over(cycle(4), pv("1/10", "2/10", "3/10", "4/10"), (1, 2, 3, 4),
+                      config=PolytopeConfig(classify=True))
+        assert calls == ["search", "classify"]
+
+    def test_matches_the_argmin_of_the_polytope_vertex_list(self):
+        # minimizing over the search's hull reports what the certified
+        # vertex list gives: the same optimum, points, words and kinds
+        rnd = random.Random(46)
+        fractions = sorted({Fraction(a, b) for a in range(1, 8) for b in (1, 2, 3)})
+        for i in range(40):
+            n = rnd.choice((3, 4))
+            while True:
+                edges = [e for e in combinations(range(1, n + 1), 2) if rnd.random() < 0.6]
+                try:
+                    graph = DiffusionGraph.from_edges(n, edges)
+                    break
+                except ValueError:  # disconnected: draw again
+                    pass
+            bound = 4 if i % 3 else 50  # small bounds tie populations
+            rho = random_population(rnd, n, bound)
+            w = tuple(rnd.sample(fractions, n))
+            cfg = PolytopeConfig(max_depth=rnd.choice((None, None, 2)), classify=i % 2 == 0)
+            report = optimize_over(graph, rho, w, config=cfg).to_json()
+            result = polytope(graph, rho, cfg)
+            values = [energy(w, v.point) for v in result.vertices]
+            best = min(values)
+            assert report["optimal_energy"] == format_rational(best)
+            assert report["optimal_vertices"] == [
+                v.to_json() for v, val in zip(result.vertices, values) if val == best
+            ]
+            assert report["completeness"] == result.completeness
 
     def test_json_fields(self, rho3):
         report = optimize_over(complete(3), rho3, (1, 2, 3))
@@ -229,6 +311,21 @@ class TestMonotoneCheck:
 
     def test_empty_sequence(self, rho3):
         assert monotone_extremal_check([], (1, 2, 3), rho3)
+
+    def test_weights_validated_once(self, monkeypatch, rho3):
+        built = []
+        post_init = Objective.__post_init__
+
+        def counting(obj):
+            built.append(obj)
+            post_init(obj)
+
+        monkeypatch.setattr(Objective, "__post_init__", counting)
+        seq = [PairOp.of(2, 3), PairOp.of(1, 3), PairOp.of(1, 2)]
+        assert monotone_extremal_check(seq, (1, 2, 3), rho3)
+        assert len(built) == 1
+        optimize_over(complete(3), rho3, (1, 2, 3), method="structured")
+        assert len(built) == 2
 
     def test_energy_raising_op_detected(self):
         rho = pv("6/10", "3/10", "1/10")  # anti-sorted: averaging raises f
