@@ -96,14 +96,18 @@ def render_csv(result: PolytopeResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_three_levels(graph: DiffusionGraph) -> None:
+    if graph.n != 3:
+        raise ValueError("SVG projection is only defined for n = 3")
+
+
 def render_svg(result: PolytopeResult, size: int = 400) -> str:
     """
     Cosmetic 2-D hull figure for three-level problems: the normalization
     makes the third coordinate ignorable, so vertices are drawn at
     (rho1, rho2).  Display only; nothing downstream depends on it.
     """
-    if result.graph.n != 3:
-        raise ValueError("SVG projection is only defined for n = 3")
+    _require_three_levels(result.graph)
     pts = [(float(v.point[0]), float(v.point[1])) for v in result.vertices]
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
@@ -142,6 +146,8 @@ def cmd_enumerate(args) -> int:
         use_blocks=(args.blocks == "on"),
         classify=None if args.classify == "auto" else (args.classify == "on"),
     )
+    if args.format == "svg":  # before the search, which can take long
+        _require_three_levels(graph)
     result = polytope(graph, rho0, config)
     if args.format == "json":
         _write(canonical_json(result.to_json()), args.out)

@@ -2,8 +2,10 @@
 Enumeration of attainable states and diffusion-polytope vertices on an
 arbitrary graph.
 
-``explore`` is the literal breadth-first search over operator words with
-exact state deduplication; it is the slow, trustworthy oracle.
+Every search here is one layered breadth-first search over operator
+words with exact state deduplication (``_layers``); each caller decides
+which new states to keep and expand.  ``explore`` is its keep-everything
+run, the slow, trustworthy oracle.
 
 ``polytope`` finds the vertices of the diffusion polytope with a pruned
 search that exploits linearity: every averaging operator is a linear map,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, gcd
 from typing import Sequence
 
@@ -97,18 +99,42 @@ class ReachableSet:
         )
 
 
-def _expand(graph: DiffusionGraph, frontier: Sequence[PopulationVector],
-            ops: Sequence[AveragingOp], triangle_pruning: bool):
+def _population(graph: DiffusionGraph, rho0: Sequence[Fraction]) -> PopulationVector:
+    rho0 = PopulationVector(rho0)
+    if len(rho0) != graph.n:
+        raise ValueError("population vector does not match the graph size")
+    return rho0
+
+
+def _layers(graph: DiffusionGraph, rho0: PopulationVector, ops: Sequence[AveragingOp],
+            triangle_pruning: bool, keep, words=None):
     """
-    One BFS layer: every (state, op, image) in canonical order, states in
-    frontier order and operators in `ops` order.  With triangle pruning,
-    pairs that `triangle_prune` rules out are skipped.
+    The breadth-first layers from `rho0`, one list per layer: every frontier
+    state under every operator, states in frontier order and operators in
+    `ops` order (with triangle pruning, pairs that `triangle_prune` rules
+    out are skipped).  Each new state is tested once with `keep`; the kept
+    ones form the next frontier and, given the dict `words` holding rho0's
+    word, get their parent's word plus the operator.  The last layer is
+    empty; the caller resumes the generator for the next layer, or stops.
     """
-    for s in frontier:
-        for op in ops:
-            if triangle_pruning and isinstance(op, PairOp) and triangle_prune(graph, s, op):
-                continue
-            yield s, op, op.apply(s)
+    seen = {rho0}
+    frontier = [rho0]
+    while frontier:
+        layer: list[PopulationVector] = []
+        for s in frontier:
+            for op in ops:
+                if triangle_pruning and isinstance(op, PairOp) and triangle_prune(graph, s, op):
+                    continue
+                t = op.apply(s)
+                if t in seen:
+                    continue
+                seen.add(t)
+                if keep(t):
+                    if words is not None:
+                        words[t] = OperationSequence(tuple(words[s]) + (op,))
+                    layer.append(t)
+        yield layer
+        frontier = layer
 
 
 def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
@@ -123,23 +149,16 @@ def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    rho0 = PopulationVector(rho0)
+    rho0 = _population(graph, rho0)
     ops = graph_ops(graph, use_blocks)
     states: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
-    frontier = [rho0]
     depth_reached = 0
     exhausted = not ops
-    for depth in range(1, max_depth + 1):
-        new: list[PopulationVector] = []
-        for s, op, t in _expand(graph, frontier, ops, False):
-            if t not in states:
-                states[t] = OperationSequence(tuple(states[s]) + (op,))
-                new.append(t)
-        if not new:
+    for layer in islice(_layers(graph, rho0, ops, False, lambda t: True, states), max_depth):
+        if not layer:
             exhausted = True
             break
-        depth_reached = depth
-        frontier = new
+        depth_reached += 1
     return ReachableSet(
         graph=graph,
         rho0=rho0,
@@ -316,32 +335,47 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
     current hull.  Returns the provenance of every point of that hull,
-    whether the search saturated, and the hull itself, unscanned: `polytope`
-    extracts its vertices, where the cells of the search's inside LPs
-    decide most hidden states with no walk, and `optimize_over` minimizes
-    over all its points with no vertex list.
+    whether the search saturated, and the hull itself, unscanned.
     """
     hull = IncrementalHull([rho0])
-    seen = {rho0}
     provenance: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
-    frontier = [rho0]
     saturated = not ops
-    for _depth in range(max_depth):
-        outside: list[PopulationVector] = []
-        for s, op, t in _expand(graph, frontier, ops, triangle_pruning):
-            if t in seen:
-                continue
-            seen.add(t)
-            if hull.contains(t):
-                continue
-            provenance[t] = OperationSequence(tuple(provenance[s]) + (op,))
-            outside.append(t)
-        if not outside:
+    layers = _layers(graph, rho0, ops, triangle_pruning, lambda t: not hull.contains(t), provenance)
+    for layer in islice(layers, max_depth):
+        if not layer:
             saturated = True
             break
-        hull._extend(outside)
-        frontier = outside
+        hull._extend(layer)
     return provenance, saturated, hull
+
+
+def _search(graph: DiffusionGraph, rho0: PopulationVector, cfg: PolytopeConfig):
+    """
+    The hull-pruned search of `cfg`, at its resolved depth and operators.
+    Returns the search's hull, unscanned, whether the search saturated, and
+    a function that labels chosen points of the hull as `ClassifiedVertex`
+    with their words and, if `cfg` classifies, their kinds: `polytope`
+    labels the hull's vertices, where the cells of the search's inside LPs
+    decide most hidden states with no walk, and `optimize_over` labels its
+    least vertices, found with no vertex list.  The search and the
+    classification are looked up as module globals at call time, so that a
+    wrapper installed on this module sees them.
+    """
+    depth = cfg.resolved_depth(graph.n)
+    provenance, saturated, hull = _saturating_bfs(
+        graph, rho0, graph_ops(graph, cfg.use_blocks), depth, cfg.triangle_pruning
+    )
+
+    def label(points: Sequence[PopulationVector]) -> tuple[ClassifiedVertex, ...]:
+        kinds: dict[PopulationVector, str] = {}
+        if cfg.resolved_classify(graph.n):
+            kinds = _classify(graph, rho0, points, provenance, depth, cfg)
+        return tuple(
+            ClassifiedVertex(point=p, sequence=provenance[p], kind=kinds.get(p, "unclassified"))
+            for p in points
+        )
+
+    return hull, saturated, label
 
 
 def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
@@ -363,37 +397,17 @@ def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
     for n <= 5; beyond that it is skipped unless forced by the config.
     """
     cfg = config or PolytopeConfig()
-    rho0 = PopulationVector(rho0)
-    if len(rho0) != graph.n:
-        raise ValueError("population vector does not match the graph size")
-    depth = cfg.resolved_depth(graph.n)
-    ops = graph_ops(graph, cfg.use_blocks)
-
-    provenance, saturated, hull = _saturating_bfs(
-        graph, rho0, ops, depth, cfg.triangle_pruning
-    )
+    rho0 = _population(graph, rho0)
+    hull, saturated, label = _search(graph, rho0, cfg)
     points = hull.vertices()
-
-    kinds: dict[PopulationVector, str] = {}
-    if cfg.resolved_classify(graph.n):
-        kinds = _classify(graph, rho0, points, provenance, depth, cfg)
-    vertices = tuple(
-        ClassifiedVertex(
-            point=p,
-            sequence=provenance[p],
-            kind=kinds.get(p, "unclassified"),
-        )
-        for p in points
-    )
-    certificates = tuple(extreme_points(points, _hull=hull))
     return PolytopeResult(
         graph=graph,
         rho0=rho0,
-        vertices=vertices,
-        certificates=certificates,
+        vertices=label(points),
+        certificates=tuple(extreme_points(points, _hull=hull)),
         completeness="proven" if saturated else "depth-bounded",
         truncated=not saturated,
-        max_depth=depth,
+        max_depth=cfg.resolved_depth(graph.n),
         use_blocks=cfg.use_blocks,
     )
 
@@ -480,31 +494,21 @@ def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
     Which of `targets` does some pair word of length <= max_depth hit
     exactly?  States that majorize no remaining target are pruned; that is
     lossless because every averaging image is majorized by its source.
-    Each vector's `_prefix_sums` are built once.
+    Each vector's `_prefix_sums` are built once.  The search stops after
+    the layer that hits the last target.
     """
-    ops = graph_ops(graph, False)
     remaining = {t: _prefix_sums(t) for t in targets}
     found: set[PopulationVector] = set()
-    if rho0 in remaining:
-        del remaining[rho0]
-        found.add(rho0)
-    frontier = [rho0]
-    seen = {rho0}
-    for _depth in range(max_depth):
-        if not remaining or not frontier:
-            break
-        new: list[PopulationVector] = []
-        for _s, _op, t in _expand(graph, frontier, ops, triangle_pruning):
-            if t in seen:
-                continue
-            seen.add(t)
-            if t in remaining:
-                del remaining[t]
-                found.add(t)
-                if not remaining:
-                    return found
-            sums = _prefix_sums(t)
-            if any(_majorizes(sums, goal) for goal in remaining.values()):
-                new.append(t)
-        frontier = new
+
+    def hit_or_majorizes(t: PopulationVector) -> bool:
+        if remaining.pop(t, None) is not None:
+            found.add(t)
+        sums = _prefix_sums(t)
+        return any(_majorizes(sums, goal) for goal in remaining.values())
+
+    hit_or_majorizes(rho0)  # rho0 may be a target itself
+    layers = islice(_layers(graph, rho0, graph_ops(graph, False), triangle_pruning,
+                            hit_or_majorizes), max_depth)
+    while remaining and next(layers, None) is not None:
+        pass  # each layer records its hits in `found`
     return found

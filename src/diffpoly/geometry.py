@@ -413,10 +413,7 @@ class IncrementalHull:
             self._query(q)
         self.points.sort()
         self._images = [_image(q) for q in self.points]
-        # keyed by identity: hashing a tuple of Fractions costs more than
-        # rebuilding its image; points not of the set get theirs built
-        self._image_of = {id(q): im for q, im in zip(self.points, self._images)}
-        self._point_set = set(self.points)
+        self._image_of = dict(zip(self.points, self._images))  # point -> image
         # the confirmed vertices, in confirmation order, each with its
         # confirming functional as (D, func), or None for the least point
         self._confirmed: dict = {}
@@ -433,15 +430,14 @@ class IncrementalHull:
         """
         for p in points:
             p = self._query(p)
-            if p in self._point_set:
+            if p in self._image_of:
                 continue
             i = bisect(self.points, p)
             image = _image(p)
             self.points.insert(i, p)
             self._images.insert(i, image)
             self._since.insert(i, len(self._cells))
-            self._image_of[id(p)] = image
-            self._point_set.add(p)
+            self._image_of[p] = image
         self._confirmed.clear()
         self._cuts.clear()
 
@@ -524,8 +520,8 @@ class IncrementalHull:
         return SeparatingFunctional._from_integers(den * best_d, lowered), best
 
     def _image_of_point(self, point) -> list[int]:
-        """`point`'s `_image`, cached for the set's own point objects."""
-        return self._image_of.get(id(point)) or _image(point)
+        """`point`'s `_image`, cached for the set's points."""
+        return self._image_of.get(point) or _image(point)
 
     def _in_a_cell(self, image, since=0, exclude=None) -> bool:
         """
@@ -569,7 +565,7 @@ class IncrementalHull:
         its functional as a cut; a point that a cut scores > 0, or that a
         cell proves inside, needs no walk."""
         point = self._query(point)
-        if point in self._point_set:
+        if point in self._image_of:
             return True
         image = _image(point)
         if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):

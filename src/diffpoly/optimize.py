@@ -30,7 +30,7 @@ from .core import (
     path,
 )
 from . import enumeration
-from .enumeration import ClassifiedVertex, PolytopeConfig, graph_ops
+from .enumeration import ClassifiedVertex, PolytopeConfig
 
 __all__ = [
     "Objective",
@@ -195,35 +195,6 @@ def _least_points(ws: Sequence[Fraction], points, images) -> tuple[Fraction, lis
     return Fraction(best_num, best_d * scale), least
 
 
-def _enumerated_optimum(graph: DiffusionGraph, rho0: PopulationVector,
-                        ws: Sequence[Fraction], cfg: PolytopeConfig):
-    """
-    The least energy over the diffusion polytope, its vertices with their
-    words and kinds, and whether the search saturated.  Minimizes over every
-    point of the search's hull: a unique least point is a vertex, and tied
-    points span the optimal face, whose vertices are those that
-    `is_extreme_in` confirms.  Only those vertices are classified, each on
-    its own, as in `polytope`.  The search and the classification are
-    looked up on the `enumeration` module at call time, so that a wrapper
-    installed there sees them.
-    """
-    depth = cfg.resolved_depth(graph.n)
-    provenance, saturated, hull = enumeration._saturating_bfs(
-        graph, rho0, graph_ops(graph, cfg.use_blocks), depth, cfg.triangle_pruning
-    )
-    best, least = _least_points(ws, hull.points, hull._images)
-    if len(least) > 1:
-        least = [p for p in least if hull.is_extreme_in(p)]
-    kinds: dict[PopulationVector, str] = {}
-    if cfg.resolved_classify(graph.n):
-        kinds = enumeration._classify(graph, rho0, least, provenance, depth, cfg)
-    vertices = tuple(
-        ClassifiedVertex(point=p, sequence=provenance[p], kind=kinds.get(p, "unclassified"))
-        for p in least
-    )
-    return best, vertices, saturated
-
-
 def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
                   w: Objective | Sequence, method: str = "enumerate",
                   config: PolytopeConfig | None = None) -> EnergyReport:
@@ -240,11 +211,9 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     optimum is only a bound, and the report says so.  The sizes of rho0
     and of the weights are checked before any search.
     """
-    rho0 = PopulationVector(rho0)
+    rho0 = enumeration._population(graph, rho0)
     objective = w if isinstance(w, Objective) else Objective(tuple(w))
     ws = objective.weights
-    if len(rho0) != graph.n:
-        raise ValueError("population vector does not match the graph size")
     if len(ws) != graph.n:
         raise ValueError("weight vector does not match the graph size")
 
@@ -263,7 +232,11 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
         saturated = True
     elif method == "enumerate":
         cfg = PolytopeConfig(classify=False) if config is None else config
-        best, optimal, saturated = _enumerated_optimum(graph, rho0, ws, cfg)
+        hull, saturated, label = enumeration._search(graph, rho0, cfg)
+        best, least = _least_points(ws, hull.points, hull._images)
+        if len(least) > 1:  # tied points span the optimal face: keep its vertices
+            least = [p for p in least if hull.is_extreme_in(p)]
+        optimal = label(least)
     else:
         raise ValueError(f"unknown method {method!r}")
 

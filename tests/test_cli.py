@@ -96,6 +96,16 @@ class TestEnumerate:
         assert code == 2
         assert "error" in err
 
+    def test_svg_refused_before_any_search(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli, "polytope", no_search)
+        code, _, err = run_cli(capsys, "enumerate", "--graph", "cycle:5",
+                               "--rho", "1/15,2/15,3/15,4/15,5/15", "--format", "svg")
+        assert code == 2
+        assert "only defined for n = 3" in err
+
     def test_round_trip_via_files(self, capsys, tmp_path):
         out_file = tmp_path / "res.json"
         run_cli(capsys, "enumerate", "--graph", "cycle:4",

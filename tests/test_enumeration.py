@@ -37,8 +37,11 @@ def pv(*comps):
 
 
 def brute_force_states(rho0, ops, depth):
-    """Oracle: all distinct states over words up to `depth`, by raw loops."""
-    seen = {tuple(rho0)}
+    """
+    Oracle: all distinct states over words up to `depth`, by raw loops,
+    each with its first word by length, then in `product` order over `ops`.
+    """
+    seen = {tuple(rho0): ()}
     for length in range(1, depth + 1):
         for word in product(ops, repeat=length):
             state = list(rho0)
@@ -52,8 +55,29 @@ def brute_force_states(rho0, ops, depth):
                     m = sum(state[v - 1] for v in payload) / len(payload)
                     for v in payload:
                         state[v - 1] = m
-            seen.add(tuple(state))
+            seen.setdefault(tuple(state), word)
     return seen
+
+
+def oracle_ops(n, edges, use_blocks):
+    """The operators of explore's canonical order, as `brute_force_states`
+    takes them: pairs, then blocks on connected subsets by size."""
+    ops = [("p", e) for e in sorted(edges)]
+    if use_blocks:
+        for size in range(3, n + 1):
+            for sub in combinations(range(1, n + 1), size):
+                reached = {sub[0]}
+                for _ in sub:
+                    reached |= {b for a, b in edges if a in reached and b in sub}
+                    reached |= {a for a, b in edges if b in reached and a in sub}
+                if reached == set(sub):
+                    ops.append(("b", sub))
+    return ops
+
+
+def oracle_word(seq):
+    return tuple(("p", (op.i, op.j)) if isinstance(op, PairOp) else ("b", op.vertices)
+                 for op in seq)
 
 
 class TestExplore:
@@ -65,7 +89,7 @@ class TestExplore:
     def test_k3_depth3_matches_brute_force(self, rho3):
         reach = explore(complete(3), rho3, max_depth=3)
         oracle = brute_force_states(rho3, [("p", e) for e in [(1, 2), (1, 3), (2, 3)]], 3)
-        assert {tuple(p) for p in reach.points()} == oracle
+        assert {tuple(p) for p in reach.points()} == oracle.keys()
         assert len(reach) == 19
         from test_structured import K3_EXPECTED
 
@@ -87,6 +111,29 @@ class TestExplore:
         # rho0 B12 B23 is also reachable in two ops starting with B12 only
         target = apply_sequence([PairOp.of(1, 2), PairOp.of(2, 3)], rho3)
         assert list(reach.states[target]) == [PairOp.of(1, 2), PairOp.of(2, 3)]
+
+    @pytest.mark.parametrize("use_blocks", [False, True])
+    def test_words_match_brute_force(self, use_blocks):
+        # the first word of each state, by length and then in canonical
+        # operator order, from raw loops that share no code with the search
+        rnd = random.Random(17)
+        for _ in range(10):
+            n = rnd.choice((3, 4))
+            while True:
+                edges = [e for e in combinations(range(1, n + 1), 2) if rnd.random() < 0.6]
+                try:
+                    graph = DiffusionGraph.from_edges(n, edges)
+                    break
+                except ValueError:  # disconnected: draw again
+                    pass
+            rho = random_population(rnd, n, bound=8)
+            reach = explore(graph, rho, 3, use_blocks=use_blocks)
+            oracle = brute_force_states(rho, oracle_ops(n, edges, use_blocks), 3)
+            assert {tuple(p): oracle_word(seq) for p, seq in reach.states.items()} == oracle
+
+    def test_population_size_must_match_the_graph(self):
+        with pytest.raises(ValueError, match="population vector does not match the graph size"):
+            explore(path(2), pv("1/2", "1/3", "1/6"), 3)
 
     def test_exhaustion_clears_truncated(self):
         rho = uniform_vector(3)
