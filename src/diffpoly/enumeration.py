@@ -443,14 +443,13 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
     if len(graph.edges) == comb(n, 2):
         return {p: "nonlocal" for p in points}
 
-    # complete-graph reference: candidate points whose hull is DP(K_n),
+    # complete-graph reference: the hull of the candidate points, DP(K_n),
     # ties included (a tied rho0 is the limit of distinct ones ranked alike);
     # every vertex of that hull is a candidate, so only candidates need an LP
-    from .structured.complete import kn_candidate_points
+    from .structured import complete
 
-    candidates = kn_candidate_points(rho0)
-    kn_hull = IncrementalHull(list(candidates))
-    kn_extreme = {p for p in points if p in candidates and kn_hull.is_extreme_in(p)}
+    kn_hull, _ = complete._kn_hull(rho0)
+    kn_extreme = {p for p in points if p in kn_hull._image_of and kn_hull.is_extreme_in(p)}
 
     out = {}
     unresolved = []

@@ -9,9 +9,10 @@ increasing weights -- is the unrestricted-rearrangement baseline, and the
 report states which fraction of that limit the graph recovers.
 
 A linear objective's minimum over a polytope is its minimum over any
-point set spanning it, so the enumerate route needs no vertex list: it
-minimizes over every point of the pruned search's hull, on the hull's
-integer point images, and tests extremality only where several points tie.
+point set spanning it, so neither route builds a vertex list: each
+minimizes over the points of the pruned search's hull or of a closed-form
+spanning set, on the hull's integer point images, and tests extremality
+only where several points tie.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from .core import (
 )
 from . import enumeration
 from .enumeration import ClassifiedVertex, PolytopeConfig
+from .geometry import IncrementalHull
+from .structured import complete, ordered_path
 
 __all__ = [
     "Objective",
@@ -154,23 +157,19 @@ class EnergyReport:
         }
 
 
-def _structured_vertices(graph: DiffusionGraph, rho0: PopulationVector):
-    """Closed-form vertex lists for the graphs that have one."""
+def _structured_hull(graph: DiffusionGraph, rho0: PopulationVector):
+    """The unscanned hull of a closed-form spanning set of the polytope, and a
+    function that labels chosen vertices of it as `ClassifiedVertex`."""
     n = graph.n
-    if len(graph.edges) == comb(n, 2):
-        from .structured.complete import kn_extreme_points
-
-        return [
-            ClassifiedVertex(point=p, sequence=seq, kind="nonlocal")
-            for p, seq in kn_extreme_points(rho0)
-        ]
-    if n >= 2 and graph.edges == path(n).edges:
-        from .structured.ordered_path import pn_polytope
-
-        return [
+    if len(graph.edges) == comb(n, 2):  # one candidate per commutation class
+        hull, sequences = complete._kn_hull(rho0)
+        return hull, lambda points: tuple(
+            ClassifiedVertex(point=p, sequence=seq, kind="nonlocal") for p, seq in sequences(points))
+    if n >= 2 and graph.edges == path(n).edges:  # the ordered path's subset points
+        subsets = ordered_path._subset_points(rho0)
+        return IncrementalHull(list(subsets)), lambda points: tuple(
             ClassifiedVertex(point=v.point, sequence=v.sequence, kind=v.kind)
-            for v in pn_polytope(rho0).vertices
-        ]
+            for v in (ordered_path._pn_vertex(p, subsets[p]) for p in points))
     raise ValueError("no structured solver for this graph; use method='enumerate'")
 
 
@@ -201,15 +200,16 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     """
     Minimize the objective over the diffusion polytope of (graph, rho0).
 
-    method "enumerate" runs the hull-pruned polytope search of `polytope`,
+    Both methods minimize over every point of a hull spanning the polytope,
+    with no vertex list and no certificates; only tied least points take an
+    extremality test.  "enumerate" runs the hull-pruned search of `polytope`
     with `config` (default: no classification, since kinds are not part of
-    the report's value), and minimizes over every point of its hull with
-    no vertex list and no certificates; only tied least points take an
-    extremality test.  "structured" uses the closed-form vertex lists
-    (complete graph via commutation classes, ordered path via subset
-    points) and takes no `config`.  If the search was truncated the
-    optimum is only a bound, and the report says so.  The sizes of rho0
-    and of the weights are checked before any search.
+    the report's value).  "structured" spans the polytope in closed form,
+    not by a vertex list: one candidate per commutation class on the
+    complete graph, the subset points on the ordered path; it takes no
+    `config`.  If the search was truncated the optimum is only a bound, and
+    the report says so.  The sizes of rho0 and of the weights are checked
+    before any search.
     """
     rho0 = enumeration._population(graph, rho0)
     objective = w if isinstance(w, Objective) else Objective(tuple(w))
@@ -220,25 +220,16 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     if method == "structured":
         if config is not None:
             raise ValueError("method 'structured' runs no search and takes no config")
-        vertices = _structured_vertices(graph, rho0)
-        values = [_dot(ws, v.point) for v in vertices]
-        best = min(values)
-        optimal = tuple(
-            sorted(
-                (v for v, val in zip(vertices, values) if val == best),
-                key=lambda v: v.point,
-            )
-        )
-        saturated = True
+        (hull, label), saturated = _structured_hull(graph, rho0), True
     elif method == "enumerate":
         cfg = PolytopeConfig(classify=False) if config is None else config
         hull, saturated, label = enumeration._search(graph, rho0, cfg)
-        best, least = _least_points(ws, hull.points, hull._images)
-        if len(least) > 1:  # tied points span the optimal face: keep its vertices
-            least = [p for p in least if hull.is_extreme_in(p)]
-        optimal = label(least)
     else:
         raise ValueError(f"unknown method {method!r}")
+    best, least = _least_points(ws, hull.points, hull._images)
+    if len(least) > 1:  # tied points span the optimal face: keep its vertices
+        least = [p for p in least if hull.is_extreme_in(p)]
+    optimal = label(least)
 
     e0 = _dot(ws, rho0)
     gardner = gardner_limit(objective, rho0)

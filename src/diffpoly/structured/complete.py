@@ -126,25 +126,34 @@ def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, Oper
     return {point: OperationSequence(ops) for point, (_key, ops) in ordered}
 
 
-def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, OperationSequence]]:
+def _kn_hull(rho0: Sequence[Fraction]):
     """
-    The certified extreme points of the complete-graph polytope of `rho0`,
-    each with a generating pair sequence, in lexicographic point order.
-    On ties each vertex takes its shortest sequence over every reduced
-    word, least in the canonical operator order; that minimum does not
-    depend on the order the words are walked in.  The walk skips every
-    word with more ops than the longest vertex sequence: no such word, nor
-    any extension of it, can shorten a vertex's sequence, and sequences
-    only get shorter during the walk.
+    The unscanned hull of the candidates of `rho0`, which is the
+    complete-graph polytope, and a function that pairs chosen vertices, in
+    their order, with sequences.  On ties each takes its shortest sequence
+    over every reduced word, least in the canonical operator order.  The
+    walk skips every word with more ops than the longest chosen sequence:
+    no such word, nor any extension of it, can shorten one.
     """
     rho0 = PopulationVector(rho0)
     candidates = kn_candidate_points(rho0)
-    vertices = {p: candidates[p] for p in IncrementalHull(list(candidates)).vertices()}
-    if len(set(rho0)) != len(rho0):
-        def key(ops):
-            return len(ops), [op_sort_key(op) for op in ops]
-        longest = max(len(ops) for ops in vertices.values())
-        for _perm, _word, point, ops in _rank_words(rho0, normal_forms=False, max_ops=longest):
-            if point in vertices and key(ops) < key(vertices[point]):
-                vertices[point] = OperationSequence(ops)
-    return list(vertices.items())
+
+    def label(points) -> list[tuple[PopulationVector, OperationSequence]]:
+        sequences = {p: candidates[p] for p in points}
+        if len(set(rho0)) != len(rho0):
+            def key(ops):
+                return len(ops), [op_sort_key(op) for op in ops]
+            longest = max(len(ops) for ops in sequences.values())
+            for _perm, _word, point, ops in _rank_words(rho0, normal_forms=False, max_ops=longest):
+                if point in sequences and key(ops) < key(sequences[point]):
+                    sequences[point] = OperationSequence(ops)
+        return list(sequences.items())
+
+    return IncrementalHull(list(candidates)), label
+
+
+def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, OperationSequence]]:
+    """The certified extreme points of the complete-graph polytope of `rho0`,
+    with their `_kn_hull` sequences, in lexicographic point order."""
+    hull, label = _kn_hull(rho0)
+    return label(hull.vertices())

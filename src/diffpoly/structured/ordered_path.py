@@ -168,6 +168,23 @@ class PnPolytope:
         }
 
 
+def _subset_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, frozenset[int]]:
+    """The distinct subset points of sorted `rho0`, each with its smallest subset."""
+    rho0 = _require_sorted(rho0)
+    chosen: dict[PopulationVector, frozenset[int]] = {}
+    for size in range(len(rho0)):
+        for sub in combinations(range(1, len(rho0)), size):
+            point = subset_point(sub, rho0)
+            if point not in chosen:
+                chosen[point] = frozenset(sub)
+    return chosen
+
+
+def _pn_vertex(point: PopulationVector, sub: frozenset[int]) -> PnVertex:
+    kind = "asymptotic" if any(a + 1 in sub for a in sub) else "nonlocal"
+    return PnVertex(subset=sub, point=point, sequence=subset_sequence(sub), kind=kind)
+
+
 def pn_polytope(rho0: Sequence[Fraction]) -> PnPolytope:
     """
     All 2^(n-1) subset vertices of the ordered path-graph polytope,
@@ -180,33 +197,17 @@ def pn_polytope(rho0: Sequence[Fraction]) -> PnPolytope:
     other; the smallest subset is kept as the label.
     """
     rho0 = _require_sorted(rho0)
-    n = len(rho0)
-    chosen: dict[PopulationVector, frozenset[int]] = {}
-    universe = range(1, n)
-    for size in range(0, n):
-        for sub in combinations(universe, size):
-            point = subset_point(sub, rho0)
-            if point not in chosen:
-                chosen[point] = frozenset(sub)
-
+    chosen = _subset_points(rho0)
     certs = extreme_points(list(chosen))
     non_extreme = [c for c in certs if not c.is_extreme]
     if non_extreme:  # impossible for sorted populations; fail loudly if ever hit
         raise AssertionError(
             f"subset points failed extremality: {[c.point for c in non_extreme]}"
         )
-
-    vertices = []
-    for point in sorted(chosen):
-        sub = chosen[point]
-        kind = "asymptotic" if any(a + 1 in sub for a in sub) else "nonlocal"
-        vertices.append(
-            PnVertex(subset=sub, point=point, sequence=subset_sequence(sub), kind=kind)
-        )
     return PnPolytope(
         rho0=rho0,
-        vertices=tuple(vertices),
-        generic_count=2 ** (n - 1),
+        vertices=tuple(_pn_vertex(p, chosen[p]) for p in sorted(chosen)),
+        generic_count=2 ** (len(rho0) - 1),
         certificates=tuple(certs),
     )
 

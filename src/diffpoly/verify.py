@@ -13,7 +13,7 @@ the vertex set switching on sign conditions in the initial gaps.  The
 
 Each check maps the optional size parameter `n` to ``(passed, detail)``.
 The `_check` decorator on its definition names it, declares its time
-budget and whether it reads `n`, and times the whole call; a pass that
+budget and the largest `n` it reads, and times the whole call; a pass that
 overran the budget, or an exception the check raised, becomes a failure.
 Checks called directly, as the acceptance tests do, keep their budgets.
 """
@@ -73,12 +73,12 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _check(name: str, budget: float | None = None, sized: bool = False):
+def _check(name: str, budget: float | None = None, max_n: int | None = None):
     """
     Make a check returning ``(passed, detail)`` into one returning a timed
     `CheckResult` called `name`.  A pass that took `budget` seconds or more
-    fails, and so does a check that raises.  `sized` marks a check that
-    reads the size parameter `n`.
+    fails, and so does a check that raises.  A check that reads the size
+    parameter `n` takes it up to `max_n`, measured within half of `budget`.
     """
     def wrap(check):
         @functools.wraps(check)
@@ -92,7 +92,7 @@ def _check(name: str, budget: float | None = None, sized: bool = False):
             if passed and budget is not None and seconds >= budget:
                 passed, detail = False, f"took {seconds:.2f}s (budget {budget:g}s)"
             return CheckResult(name, passed, detail, seconds)
-        run.sized = sized
+        run.max_n = max_n
         return run
     return wrap
 
@@ -188,7 +188,7 @@ def check_p3_cases(n: int | None) -> tuple[bool, str]:
 # --- ordered path hypercube -----------------------------------------------
 
 
-@_check("ordered-path-hypercube", budget=60, sized=True)
+@_check("ordered-path-hypercube", budget=60, max_n=10)  # n = 10: 15 s; n = 11: 105 s
 def check_pn(n: int | None) -> tuple[bool, str]:
     n_max = n or 7
     rnd = random.Random(20260808)
@@ -218,7 +218,7 @@ def check_pn(n: int | None) -> tuple[bool, str]:
 # --- counting --------------------------------------------------------------
 
 
-@_check("fibonacci-counts", sized=True)
+@_check("fibonacci-counts", budget=10, max_n=10**6)  # n = 10**6: 0.5 s; 10**7: 4.4 s
 def check_counts(n: int | None) -> tuple[bool, str]:
     n_max = n or 12
     rnd = random.Random(4)
@@ -341,7 +341,7 @@ def check_c4_analysis(n: int | None) -> tuple[bool, str]:
 # --- step decomposition witnesses ------------------------------------------
 
 
-@_check("step-witnesses", budget=120, sized=True)
+@_check("step-witnesses", budget=120, max_n=8)  # n = 8: 41-45 s; n = 9: 102 s
 def check_step_witnesses(n: int | None) -> tuple[bool, str]:
     n_max = n or 6
     rnd = random.Random(31)
@@ -565,17 +565,21 @@ SUITES = {
 def run_suite(selector: str, n: int | None = None) -> list[CheckResult]:
     """
     Run one named suite (or "all"), one check after another.  A size
-    parameter `n` below 3, or one that no selected check reads, is refused
-    before any check runs.
+    parameter `n` below 3, one that no selected check reads, or one above
+    a selected check's `max_n` is refused before any check runs.
     """
-    if n is not None and n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
     if selector == "all":
         checks = [c for suite in SUITES.values() for c in suite]
     elif selector in SUITES:
         checks = list(SUITES[selector])
     else:
         raise ValueError(f"unknown suite {selector!r}")
-    if n is not None and not any(c.sized for c in checks):
-        raise ValueError(f"suite {selector!r} takes no size parameter n")
+    if n is not None:
+        limit = min((c.max_n for c in checks if c.max_n), default=None)
+        if n < 3:
+            raise ValueError(f"n must be >= 3, got {n}")
+        if limit is None:
+            raise ValueError(f"suite {selector!r} takes no size parameter n")
+        if n > limit:
+            raise ValueError(f"suite {selector!r} runs within its time budget up to n = {limit}, got {n}")
     return [c(n) for c in checks]

@@ -213,6 +213,17 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "takes no size parameter" in err
 
+    @pytest.mark.parametrize("suite, n, limit", [("pn", "11", 10), ("pn", "30", 10),
+                                                 ("witness", "9", 8), ("all", "9", 8),
+                                                 ("counts", "1000001", 1000000)])
+    def test_size_above_the_limit_exit_2_before_any_check(self, capsys, monkeypatch,
+                                                          suite, n, limit):
+        started = []  # every check reads the clock first
+        monkeypatch.setattr(verify_mod.time, "monotonic", lambda: started.append(1) or 0.0)
+        code, out, err = run_cli(capsys, "verify", suite, "--n", n)
+        assert code == 2 and out == "" and started == []
+        assert err.startswith("error:") and f"up to n = {limit}, got {n}" in err
+
     def test_counts_size_is_the_identity_bound(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "counts", "--n", "5")
         assert code == 0

@@ -1,6 +1,7 @@
+import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,10 +16,11 @@ from diffpoly.core import (
     path,
     uniform_vector,
 )
-from diffpoly import enumeration
-from diffpoly.enumeration import PolytopeConfig, polytope
+from diffpoly import enumeration, geometry
+from diffpoly.enumeration import ClassifiedVertex, PolytopeConfig, polytope
 from diffpoly.geometry import IncrementalHull
 from diffpoly.optimize import (
+    EnergyReport,
     Objective,
     energy,
     exponential_populations,
@@ -26,6 +28,8 @@ from diffpoly.optimize import (
     monotone_extremal_check,
     optimize_over,
 )
+
+from diffpoly.structured import kn_extreme_points, pn_polytope
 
 from conftest import random_population, random_sorted_population
 
@@ -285,6 +289,69 @@ class TestOptimizeOver:
                 v.to_json() for v, val in zip(result.vertices, values) if val == best
             ]
             assert report["completeness"] == result.completeness
+
+    def test_structured_matches_the_argmin_of_the_certified_vertex_lists(self):
+        # the structured route minimizes over a spanning set; the reference
+        # report takes the argmin over the certified vertex list instead
+        cases = [
+            (graph, PopulationVector.normalized(pops), w)
+            for pops in product(range(3), repeat=3) if any(pops)
+            for w in permutations((1, 2, 3))
+            for graph in [complete(3)] + ([path(3)] if list(pops) == sorted(pops) else [])
+        ]
+        rnd = random.Random(48)
+        for i in range(40):
+            pops = [rnd.randrange(0, 3) for _ in range(4)]
+            pops[i % 4] += 1
+            graph = complete(4) if i % 2 else path(4)
+            pops = pops if i % 2 else sorted(pops)
+            cases.append((graph, PopulationVector.normalized(pops), tuple(rnd.sample((1, 2, 3, 4), 4))))
+        tied = 0
+        for graph, rho, w in cases:
+            if graph == complete(graph.n):
+                vertices = [ClassifiedVertex(point=p, sequence=seq, kind="nonlocal")
+                            for p, seq in kn_extreme_points(rho)]
+            else:
+                vertices = [ClassifiedVertex(point=v.point, sequence=v.sequence, kind=v.kind)
+                            for v in pn_polytope(rho).vertices]
+            values = [energy(w, v.point) for v in vertices]
+            best = min(values)
+            optimal = tuple(v for v, val in zip(vertices, values) if val == best)
+            tied += len(optimal) > 1
+            e0, gardner = energy(w, rho), gardner_limit(w, rho)
+            expected = EnergyReport(
+                graph=graph, rho0=rho, weights=tuple(map(Fraction, w)), initial_energy=e0,
+                optimal_energy=best, gardner_energy=gardner,
+                recovered_fraction=Fraction(0) if e0 == gardner else (e0 - best) / (e0 - gardner),
+                optimal_vertices=optimal, method="structured", completeness="proven",
+                lower_bound_only=False,
+            )
+            report = optimize_over(graph, rho, w, method="structured")
+            assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+        assert tied >= 20
+
+    @pytest.mark.parametrize("graph, pops, w", [
+        (complete(5), (1, 3, 5, 8, 14), (1, 2, 3, 4, 5)),
+        (path(8), (1, 2, 3, 5, 8, 13, 21, 34), (3, 1, 4, 8, 5, 7, 2, 6)),
+    ])
+    def test_structured_route_builds_no_vertex_list(self, monkeypatch, graph, pops, w):
+        # a unique least point of a spanning set is a vertex: no scan, no LP
+        calls = []
+        vertices, phase_one = IncrementalHull.vertices, geometry._phase_one
+
+        def counting_vertices(hull):
+            calls.append("vertices")
+            return vertices(hull)
+
+        def counting_phase_one(*args, **kwargs):
+            calls.append("lp")
+            return phase_one(*args, **kwargs)
+
+        monkeypatch.setattr(IncrementalHull, "vertices", counting_vertices)
+        monkeypatch.setattr(geometry, "_phase_one", counting_phase_one)
+        report = optimize_over(graph, PopulationVector.normalized(pops), w, method="structured")
+        assert len(report.optimal_vertices) == 1
+        assert calls == []
 
     def test_json_fields(self, rho3):
         report = optimize_over(complete(3), rho3, (1, 2, 3))
