@@ -22,10 +22,17 @@ tied rho0 is the limit of distinct vectors ranked the same way, for which
 the candidates' hull is the polytope; the hull of finitely many points is
 closed, so the limit carries that over to the tie.  Sequences omit the
 letters that average two equal levels, which leave the point unchanged.
+On ties a vertex takes its shortest sequence over every reduced word,
+least in the canonical operator order.  Commuting letters touch disjoint
+rank slots, so all words of a class average the same pairs, skip the same
+equal levels and reach the same point; only the order of the ops varies.
+The words of a class are the linear extensions of its heap (s precedes t
+when s < t and |w_s - w_t| <= 1), so the least order is greedy: a free
+silent letter goes at once, as it only frees others, else the least free
+op goes; the ops are distinct, as a reduced word swaps each pair once.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,6 +55,8 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
     state = PopulationVector(rho0)
     ops = []
     for letter in word:
+        if not 0 < letter < n:
+            raise ValueError(f"letter {letter} is outside 1..{n - 1}")
         u, v = ranking[letter - 1], ranking[letter]
         if state[u - 1] != state[v - 1]:
             op = PairOp.of(u, v)
@@ -57,41 +66,33 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
     return state, OperationSequence(ops)
 
 
-def _rank_words(rho0: PopulationVector, normal_forms: bool, max_ops: float = math.inf):
+def _rank_words(rho0: PopulationVector):
     """
-    Depth-first walk over the reduced rank-words from `rho0`, sharing
-    prefixes: yields (permutation, word, point, ops) for every word, the
-    empty one first, as `word_sequence` and `apply_word` would give them.
-    Letter a may follow a prefix when it lengthens the permutation.  With
-    `normal_forms`, it must also keep the word the least of its commutation
-    class: no letter greater than a in the run of letters commuting with a
-    (|x - a| > 1) that ends the prefix.  Both rules are prefix-closed, so
-    that walk visits each commutation class once, at its least word.  A
-    word whose ops outnumber `max_ops` is skipped with every extension of
-    it, which has at least as many.
+    Depth-first walk over the lexicographic normal forms of the reduced
+    rank-words from `rho0`, sharing prefixes: yields (permutation, word,
+    point, steps) per commutation class, the empty word first; the point
+    is `word_sequence`'s and steps hold a pair op per letter, None where
+    the levels were equal.  Letter a may follow a prefix when it lengthens
+    the permutation and keeps the word the least of its class: no letter
+    greater than a in the run of letters commuting with a (|x - a| > 1)
+    that ends the prefix.  Both rules are prefix-closed, so the walk visits
+    each class once, at its least word.
     """
     n = len(rho0)
     ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
     stack = [((), list(range(1, n + 1)), ranking, rho0, ())]
     while stack:
-        word, perm, ranking, state, ops = stack.pop()
-        yield tuple(perm), word, state, ops
+        word, perm, ranking, state, steps = stack.pop()
+        yield tuple(perm), word, state, steps
         for a in range(n - 1, 0, -1):  # pushed high to low: the least letter comes out first
-            if perm[a - 1] > perm[a]:
-                continue
-            if normal_forms and not _least_in_class(word, a):
+            if perm[a - 1] > perm[a] or not _least_in_class(word, a):
                 continue
             u, v = ranking[a - 1], ranking[a]
-            next_state, next_ops = state, ops
-            if state[u - 1] != state[v - 1]:
-                op = PairOp.of(u, v)
-                next_state, next_ops = op.apply(state), ops + (op,)
-                if len(next_ops) > max_ops:
-                    continue
+            op = PairOp.of(u, v) if state[u - 1] != state[v - 1] else None
             next_perm, next_ranking = perm[:], ranking[:]
             next_perm[a - 1], next_perm[a] = perm[a], perm[a - 1]
             next_ranking[a - 1], next_ranking[a] = v, u
-            stack.append((word + (a,), next_perm, next_ranking, next_state, next_ops))
+            stack.append((word + (a,), next_perm, next_ranking, op.apply(state) if op else state, steps + (op,)))
 
 
 def _least_in_class(word: tuple[int, ...], a: int) -> bool:
@@ -102,6 +103,19 @@ def _least_in_class(word: tuple[int, ...], a: int) -> bool:
         if x > a:
             return False
     return True
+
+
+def _least_order(word: tuple[int, ...], steps: tuple) -> list[PairOp]:
+    """The least op order over the class of `word`, by the module docstring's greedy."""
+    rest, order = list(zip(word, steps)), []
+    while rest:
+        seen, free = set(), []
+        for t, (a, op) in enumerate(rest):
+            if seen.isdisjoint((a - 1, a, a + 1)):  # a waits for no letter left before it
+                free.append((op_sort_key(op) if op else (), t))  # silent letters sort first
+            seen.add(a)
+        order.append(rest.pop(min(free)[1])[1])
+    return [op for op in order if op]
 
 
 def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, OperationSequence]:
@@ -118,12 +132,12 @@ def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, Oper
     """
     rho0 = PopulationVector(rho0)
     best: dict[PopulationVector, tuple] = {}
-    for perm, word, point, ops in _rank_words(rho0, normal_forms=True):
+    for perm, word, point, steps in _rank_words(rho0):
         key = (perm, word)
         if point not in best or key < best[point][0]:
-            best[point] = (key, ops)
+            best[point] = (key, steps)
     ordered = sorted(best.items(), key=lambda item: item[1][0])
-    return {point: OperationSequence(ops) for point, (_key, ops) in ordered}
+    return {point: OperationSequence(op for op in steps if op) for point, (_key, steps) in ordered}
 
 
 def _kn_hull(rho0: Sequence[Fraction]):
@@ -131,9 +145,8 @@ def _kn_hull(rho0: Sequence[Fraction]):
     The unscanned hull of the candidates of `rho0`, which is the
     complete-graph polytope, and a function that pairs chosen vertices, in
     their order, with sequences.  On ties each takes its shortest sequence
-    over every reduced word, least in the canonical operator order.  The
-    walk skips every word with more ops than the longest chosen sequence:
-    no such word, nor any extension of it, can shorten one.
+    over every reduced word, least in the canonical operator order: the
+    least over the classes of each class's `_least_order` (module docstring).
     """
     rho0 = PopulationVector(rho0)
     candidates = kn_candidate_points(rho0)
@@ -143,9 +156,8 @@ def _kn_hull(rho0: Sequence[Fraction]):
         if len(set(rho0)) != len(rho0):
             def key(ops):
                 return len(ops), [op_sort_key(op) for op in ops]
-            longest = max(len(ops) for ops in sequences.values())
-            for _perm, _word, point, ops in _rank_words(rho0, normal_forms=False, max_ops=longest):
-                if point in sequences and key(ops) < key(sequences[point]):
+            for _perm, word, point, steps in _rank_words(rho0):
+                if point in sequences and key(ops := _least_order(word, steps)) < key(sequences[point]):
                     sequences[point] = OperationSequence(ops)
         return list(sequences.items())
 

@@ -12,7 +12,8 @@ the other by repeatedly swapping neighboring letters i, j with |i-j| > 1.
 `reduced_words` and `commutation_classes` list every word and partition
 them, which grows fast (the longest element of S_6 alone has 292,864
 reduced words).  They are the test oracle for `complete.kn_candidate_points`,
-which generates the least word of each class directly.
+which generates the least word of each class directly, and for the K_n tie
+pass, which reorders that word's operators instead of walking the class.
 """
 from __future__ import annotations
 
@@ -62,6 +63,8 @@ def apply_word(word: Iterable[int], n: int) -> Permutation:
     """
     arr = list(range(1, n + 1))
     for i in word:
+        if not 0 < i < n:
+            raise ValueError(f"letter {i} is outside 1..{n - 1}")
         arr[i - 1], arr[i] = arr[i], arr[i - 1]
     return tuple(arr)
 

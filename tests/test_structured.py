@@ -12,6 +12,7 @@ import pytest
 
 from diffpoly.core import (
     BlockOp,
+    OperationSequence,
     PairOp,
     PopulationVector,
     apply_sequence,
@@ -34,7 +35,7 @@ from diffpoly.structured import (
     subset_point,
     subset_sequence,
 )
-from diffpoly.structured.complete import _rank_words, word_sequence
+from diffpoly.structured.complete import _least_order, _rank_words, word_sequence
 from diffpoly.structured.ordered_path import triangular
 from diffpoly.structured.words import (
     all_permutations,
@@ -91,6 +92,11 @@ class TestCompleteGraph:
         assert list(seq) == [PairOp.of(1, 2), PairOp.of(1, 3)]
         assert point == pv("3/7", "1/7", "3/7")
 
+    @pytest.mark.parametrize("letter", [0, 3])
+    def test_word_sequence_rejects_letters_outside_1_to_n_minus_1(self, rho3, letter):
+        with pytest.raises(ValueError, match=f"letter {letter} is outside 1..2"):
+            word_sequence((1, letter), rho3)
+
     def test_k4_matches_enumeration(self):
         rnd = random.Random(14)
         rho = random_sorted_population(rnd, 4)
@@ -141,8 +147,8 @@ class TestCompleteGraph:
         (0, 4, 0, 0, 0), (1, 1, 4, 7, 11), (1, 2, 2, 7, 7), (0, 1, 1, 3, 3), (1, 1, 1, 1, 1), (1, 1, 2, 2),
     ], ids=lambda v: "-".join(map(str, v)))
     def test_tie_pass_matches_the_unpruned_walk(self, values):
-        # the tie pass skips words with more ops than the longest vertex
-        # sequence; walking every word must give the same sequences
+        # the tie pass reorders one word per class; replaying every reduced
+        # word of every permutation must give the same sequences
         rho = PopulationVector.normalized(list(values))
         got = kn_extreme_points(rho)
         candidates = kn_candidate_points(rho)
@@ -150,10 +156,32 @@ class TestCompleteGraph:
 
         def key(ops):
             return len(ops), [op_sort_key(op) for op in ops]
-        for _perm, _word, point, ops in _rank_words(rho, normal_forms=False):
-            if point in expected and key(ops) < key(expected[point]):
-                expected[point] = ops
+        for perm in all_permutations(len(rho)):
+            for word in reduced_words(perm):
+                point, ops = word_sequence(word, rho)
+                if point in expected and key(ops) < key(expected[point]):
+                    expected[point] = ops
         assert [(p, tuple(seq)) for p, seq in got] == [(p, tuple(expected[p])) for p, _ in got]
+
+    @pytest.mark.parametrize("vectors", [
+        pytest.param(list(product(range(4), repeat=3))[1:], id="n3-levels-0-to-3"),
+        pytest.param(list(product(range(3), repeat=4))[1:], id="n4-levels-0-to-2"),
+        pytest.param([(0, 4, 0, 0, 0), (1, 2, 2, 7, 7), (2, 2, 2, 5, 5)], id="n5-ties"),
+    ])
+    def test_class_reorder_is_least_over_the_class(self, vectors):
+        # every word of a class replays to the class's point, and the
+        # greedy reorder of the least word's steps is the least op order
+        # over the class's words
+        def key(ops):
+            return len(ops), [op_sort_key(op) for op in ops]
+        classes = all_classes(len(vectors[0]))
+        for rho in sorted({PopulationVector.normalized(list(v)) for v in vectors}):
+            walked = {word: (point, steps) for _perm, word, point, steps in _rank_words(rho)}
+            for cls in classes:
+                point, steps = walked[cls[0]]
+                replays = [word_sequence(word, rho) for word in cls]
+                assert {p for p, _ in replays} == {point}, (rho, cls)
+                assert _least_order(cls[0], steps) == list(min((ops for _, ops in replays), key=key)), (rho, cls)
 
     @pytest.mark.parametrize("values", [
         (1, 5, 9), (1, 2, 3), (2, 3, 7, 11), (1, 2, 3, 4), (1, 3, 5, 8, 14), (1, 2, 3, 4, 5),
@@ -204,16 +232,22 @@ class TestNormalFormCandidates:
     def test_walk_visits_each_class_at_its_least_word(self, n):
         rho = PopulationVector.normalized(range(1, n + 1))
         least = sorted((perm, cls[0]) for perm in all_permutations(n) for cls in commutation_classes(perm))
-        visited = [(perm, word) for perm, word, _, _ in _rank_words(rho, normal_forms=True)]
+        visited = [(perm, word) for perm, word, _, _ in _rank_words(rho)]
         assert sorted(visited) == least
         assert all(apply_word(word, n) == perm for perm, word in visited)
-        everything = sorted((perm, w) for perm in all_permutations(n) for w in reduced_words(perm))
-        assert sorted((perm, word) for perm, word, _, _ in _rank_words(rho, normal_forms=False)) == everything
 
     def test_walk_replays_each_word(self):
+        # one step per letter, None where it meets equal levels; the steps
+        # replay to the point and are the ops `word_sequence` keeps
         rho = PopulationVector.normalized([2, 0, 2, 1])
-        for _perm, word, point, ops in _rank_words(rho, normal_forms=False):
+        silent = 0
+        for _perm, word, point, steps in _rank_words(rho):
+            ops = OperationSequence(op for op in steps if op is not None)
+            assert len(steps) == len(word), word
+            assert apply_sequence(ops, rho) == point, word
             assert (point, ops) == word_sequence(word, rho), word
+            silent += steps.count(None)
+        assert silent > 0
 
     def test_n6_candidates_in_seconds(self):
         # the all-words route took about 45 s here; the longest element of

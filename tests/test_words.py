@@ -46,6 +46,11 @@ class TestReducedWords:
         assert total_commutation_classes(3) == 7
         assert total_commutation_classes(4) == 43
 
+    @pytest.mark.parametrize("letter", [0, 3])
+    def test_apply_word_rejects_letters_outside_1_to_n_minus_1(self, letter):
+        with pytest.raises(ValueError, match=f"letter {letter} is outside 1..2"):
+            apply_word((1, letter), 3)
+
     def test_class_members_share_length_and_target(self):
         for perm in all_permutations(4):
             for cls in commutation_classes(perm):
