@@ -57,7 +57,7 @@ def parse_rational(text: str) -> Fraction:
     >>> parse_rational("0.25")
     Fraction(1, 4)
     """
-    return Fraction(text.strip())
+    return _exact(text.strip(), "rational")
 
 
 def format_rational(x: Fraction) -> str:
@@ -71,12 +71,16 @@ def format_rational(x: Fraction) -> str:
 
 
 def _exact(c, what: str = "population") -> Fraction:
-    """`c` as a Fraction; a float is refused rather than expanded in binary."""
+    """`c` as a Fraction; a float is refused rather than expanded in binary,
+    and a zero denominator is a ValueError."""
     if isinstance(c, float):
         raise TypeError(
             f"{what} {c!r} is a float; give it exactly, as an int, Fraction or 'p/q' string"
         )
-    return Fraction(c)
+    try:
+        return Fraction(c)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {c!r} has a zero denominator") from None
 
 
 class PopulationVector(tuple):

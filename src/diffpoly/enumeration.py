@@ -43,6 +43,8 @@ from .core import (
 from .geometry import (
     ExtremalityCertificate,
     IncrementalHull,
+    _image,
+    _is_convex_combination,
     extreme_points,
     hull_vertices,  # unused here, but perfbench/tracing.py wraps it by this name
 )
@@ -211,13 +213,8 @@ class TriangleDecomposition:
     uniform: PopulationVector
 
     def verify(self) -> bool:
-        if not (0 <= self.lam <= 1):
-            return False
-        return all(
-            self.outer_average[t]
-            == self.lam * self.uniform[t] + (1 - self.lam) * self.two_step[t]
-            for t in range(3)
-        )
+        return _is_convex_combination(
+            self.outer_average, ((self.uniform, self.lam), (self.two_step, 1 - self.lam)))
 
 
 def triangle_decomposition(a: Fraction, b: Fraction, c: Fraction) -> TriangleDecomposition:
@@ -418,18 +415,14 @@ def _pair_word_possible(point: PopulationVector, rho0: PopulationVector) -> bool
     words apply doubly-stochastic matrices with dyadic entries, so every
     component of the result lies in the lattice (g/q) * Z scaled by a
     power of two, where q is the common denominator of rho0 and g the gcd
-    of its numerators.  A component violating this (e.g. a three-way block
-    mean, denominator divisible by 3) is unreachable at *any* depth.
+    of q * rho0, both read off rho0's `_image`.  A component violating this
+    (e.g. a three-way block mean, denominator divisible by 3) is
+    unreachable at *any* depth.
     """
-    q = 1
-    for c in rho0:
-        q = q * c.denominator // gcd(q, c.denominator)
-    g = 0
-    for c in rho0:
-        g = gcd(g, c.numerator * (q // c.denominator))
+    *numerators, q = _image(rho0)
+    g = gcd(*numerators)
     for v in point:
-        scaled = Fraction(v) * q / g
-        d = scaled.denominator
+        d = (Fraction(v) * q / g).denominator
         if d & (d - 1):  # not a power of two
             return False
     return True

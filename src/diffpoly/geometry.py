@@ -28,12 +28,12 @@ the vertex, and runs the certification LP only where that fails.
 
 Everything is decided in integers.  A point enters as its image
 (d*x, d), with d the lcm of its denominators, made once per hull; a
-functional is held as its coefficients and offset times the lcm D of
-theirs, with D beside them, and builds its `Fraction` coefficients and
-offset only when a caller first reads them.  Every sign and every
-comparison of two values is then an integer dot product or a
-cross-multiplication, with the same ties as in rationals, and two points
-are equal exactly when their images are.
+functional holds only its coefficients and offset times the lcm D of
+theirs, with D beside them.  Every sign and every comparison of two
+values is then an integer dot product or a cross-multiplication, with the
+same ties as in rationals, and two points are equal exactly when their
+images are.  A convex combination is checked in `Fraction`s, by
+`_is_convex_combination` alone.
 
 The LP solver is a phase-one simplex with Bland's rule, which cannot
 cycle, in revised form: the LPs are short and wide (dimension + 1 <= 11
@@ -56,7 +56,7 @@ from fractions import Fraction
 from itertools import islice
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import PopulationVector, format_rational
 
@@ -78,65 +78,38 @@ def _image(values: Sequence[Fraction]) -> list[int]:
     return image
 
 
+@dataclass(frozen=True, init=False)
 class SeparatingFunctional:
     """
     Affine functional with value(x) <= 0 on the hull and > 0 at the point.
 
-    Held in integers: D, the coefficients and the offset times D, with D > 0
-    the lcm of their denominators.  That form is unique, so it decides
-    equality; the `Fraction` coefficients and offset are built when first read.
+    Held only in integers: D, and the coefficients and offset times D, with
+    D > 0 the lcm of their denominators.  That form is unique, so it decides
+    equality; `coefficients` and `offset` are built as `Fraction`s.
     """
 
-    __slots__ = ("_den", "_func", "_rationals")
+    _den: int
+    _func: tuple[int, ...]
 
     def __init__(self, coefficients: Sequence[Fraction], offset: Fraction):
-        values = (*coefficients, offset)
-        func = _image(values)
-        self._set(func.pop(), func, (tuple(values[:-1]), offset))
+        *func, den = _image((*coefficients, offset))
+        self.__dict__.update(_den=den, _func=tuple(func))  # frozen: no __setattr__
 
     @classmethod
     def _from_integers(cls, den: int, func: list[int]) -> "SeparatingFunctional":
         """The functional with coefficients and offset `func` / `den`, `den` > 0."""
         g = math.gcd(den, *func)
         self = cls.__new__(cls)
-        self._set(den // g, (v // g for v in func), None)
+        self.__dict__.update(_den=den // g, _func=tuple(v // g for v in func))
         return self
-
-    def _set(self, den: int, func: Iterable[int], rationals) -> None:
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_func", tuple(func))
-        object.__setattr__(self, "_rationals", rationals)
-
-    def __reduce__(self):
-        return type(self)._from_integers, (self._den, list(self._func))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: SeparatingFunctional is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: SeparatingFunctional is immutable")
-
-    def _fractions(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        if self._rationals is None:
-            values = [Fraction(v, self._den) for v in self._func]
-            object.__setattr__(self, "_rationals", (tuple(values[:-1]), values[-1]))
-        return self._rationals
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._fractions()[0]
+        return tuple(Fraction(v, self._den) for v in self._func[:-1])
 
     @property
     def offset(self) -> Fraction:
-        return self._fractions()[1]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._den == other._den and self._func == other._func
-
-    def __hash__(self) -> int:
-        return hash((self._den, self._func))
+        return Fraction(self._func[-1], self._den)
 
     def __repr__(self) -> str:
         return f"SeparatingFunctional(coefficients={self.coefficients!r}, offset={self.offset!r})"
@@ -160,6 +133,15 @@ class SeparatingFunctional:
         }
 
 
+def _is_convex_combination(point: Sequence[Fraction], pairs) -> bool:
+    """Do the (q, w) `pairs`, each q as long as `point`, combine to `point` with
+    weights w >= 0 that sum to 1?  Checked in `Fraction`s, by direct substitution."""
+    pairs = list(pairs)
+    if any(w < 0 or len(q) != len(point) for q, w in pairs) or sum(w for _, w in pairs) != 1:
+        return False
+    return all(sum(w * q[r] for q, w in pairs) == x for r, x in enumerate(point))
+
+
 @dataclass(frozen=True)
 class HullMembership:
     """Outcome of an exact hull-membership query."""
@@ -171,14 +153,8 @@ class HullMembership:
     def verify(self, point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> bool:
         if self.inside:
             lam = self.coefficients
-            if lam is None or len(lam) != len(points):
-                return False
-            if any(l < 0 for l in lam) or sum(lam) != 1:
-                return False
-            n = len(point)
-            return all(
-                sum(l * q[r] for l, q in zip(lam, points)) == point[r] for r in range(n)
-            )
+            return (lam is not None and len(lam) == len(points)
+                    and _is_convex_combination(point, zip(points, lam)))
         if self.functional is None:
             return not points
         return self.functional.separates(point, points)
@@ -359,15 +335,8 @@ class ExtremalityCertificate:
     def verify(self, others: Sequence[Sequence[Fraction]]) -> bool:
         if self.is_extreme:
             return self.functional is not None and self.functional.separates(self.point, others)
-        if self.combination is None:
-            return False
-        weights = [w for _, w in self.combination]
-        if sum(weights) != 1 or any(w < 0 for w in weights):
-            return False
-        n = len(self.point)
-        return all(
-            sum(w * q[r] for q, w in self.combination) == self.point[r] for r in range(n)
-        )
+        return (self.combination is not None
+                and _is_convex_combination(self.point, self.combination))
 
     def to_json(self) -> dict:
         data: dict = {
@@ -498,26 +467,49 @@ class IncrementalHull:
 
     def _lower(self, point_image, den, func, skip=None):
         """
-        Score the set's points whose image is not `skip` by the functional
-        with coefficients and offset `func` / `den`, and return it with its
-        offset lowered by the best score (None if that is not > 0 at the
-        point of `point_image`) and the best-scoring point: the
-        lexicographically largest of equal scores, so a vertex if nothing is
-        skipped.  Image (d*x, d) scores func.image / (den*d).
+        The functional with coefficients and offset `func` / `den`, its
+        offset lowered by its `_support` over the set less `skip` (None if
+        that is not > 0 at the point of `point_image`), and the last point
+        of that support, a vertex if nothing is skipped.
         """
-        best, best_num, best_d = None, 0, 1
-        for q, image in zip(self.points, self._images):
-            if image != skip:
-                num, d = sum(map(mul, func, image)), image[-1]
-                # ">=": the points ascend, so the last of equal scores wins
-                if best is None or num * best_d >= best_num * d:
-                    best, best_num, best_d = q, num, d
+        best_num, best_d, support = self._support(func, skip)
+        best = support[-1] if support else None
         if best_num * point_image[-1] >= sum(map(mul, func, point_image)) * best_d:
             return None, best
         # offset - best score = (offset*best_d - best_num) / (den*best_d)
         lowered = [c * best_d for c in func]
         lowered[-1] -= best_num
         return SeparatingFunctional._from_integers(den * best_d, lowered), best
+
+    def _support(self, func, skip=None):
+        """
+        The best score num / d of the integer functional `func` over the
+        set's points whose image is not `skip`, as num, d and the points that
+        attain it, in lexicographic order.  Image (d*x, d) scores func.image
+        / d; a `func` without an offset is one shorter than the images.
+        """
+        best_num, best_d, best = 0, 1, []
+        for q, image in zip(self.points, self._images):
+            if image != skip:
+                num, d = sum(map(mul, func, image)), image[-1]
+                gap = num * best_d - best_num * d
+                if gap > 0 or not best:
+                    best_num, best_d, best = num, d, [q]
+                elif gap == 0:
+                    best.append(q)
+        return best_num, best_d, best
+
+    def least(self, weights: Sequence[Fraction]) -> tuple[Fraction, list]:
+        """
+        The least value of sum_i weights_i * x_i over the set, which is its
+        least over the hull, and the vertices that attain it, in
+        lexicographic order.
+        """
+        *scaled, scale = _image(weights)
+        num, d, tied = self._support([-w for w in scaled])
+        if len(tied) > 1:  # together they span the optimal face: keep its vertices
+            tied = [p for p in tied if self.is_extreme_in(p)]
+        return Fraction(-num, d * scale), tied
 
     def _image_of_point(self, point) -> list[int]:
         """`point`'s `_image`, cached for the set's points."""

@@ -9,17 +9,18 @@ increasing weights -- is the unrestricted-rearrangement baseline, and the
 report states which fraction of that limit the graph recovers.
 
 A linear objective's minimum over a polytope is its minimum over any
-point set spanning it, so neither route builds a vertex list: each
-minimizes over the points of the pruned search's hull or of a closed-form
-spanning set, on the hull's integer point images, and tests extremality
-only where several points tie.
+point set spanning it, so neither route builds a vertex list: each builds
+a hull spanning the polytope, from the pruned search or from a
+closed-form spanning set, and asks it for its least points
+(`IncrementalHull.least`), which tests extremality only where several
+points tie.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -173,27 +174,6 @@ def _structured_hull(graph: DiffusionGraph, rho0: PopulationVector):
     raise ValueError("no structured solver for this graph; use method='enumerate'")
 
 
-def _least_points(ws: Sequence[Fraction], points, images) -> tuple[Fraction, list]:
-    """
-    The least energy over `points` and the points that attain it, in their
-    order.  `images` are the points' integer images (d*x, d), d > 0, as
-    the hull holds them; with the weights scaled by the lcm L of their
-    denominators, image (d*x, d) scores iw.(d*x) / d = L * energy, and
-    two scores compare by cross-multiplying.  Only the optimum becomes a
-    `Fraction`.
-    """
-    scale = lcm(*(w.denominator for w in ws))
-    iw = [w.numerator * (scale // w.denominator) for w in ws]
-    best_num, best_d, least = 0, 1, []
-    for p, image in zip(points, images):
-        num, d = sum(map(mul, iw, image)), image[-1]  # iw is one shorter: d is not scored
-        if not least or num * best_d < best_num * d:
-            best_num, best_d, least = num, d, [p]
-        elif num * best_d == best_num * d:
-            least.append(p)
-    return Fraction(best_num, best_d * scale), least
-
-
 def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
                   w: Objective | Sequence, method: str = "enumerate",
                   config: PolytopeConfig | None = None) -> EnergyReport:
@@ -226,10 +206,7 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
         hull, saturated, label = enumeration._search(graph, rho0, cfg)
     else:
         raise ValueError(f"unknown method {method!r}")
-    best, least = _least_points(ws, hull.points, hull._images)
-    if len(least) > 1:  # tied points span the optimal face: keep its vertices
-        least = [p for p in least if hull.is_extreme_in(p)]
-    optimal = label(least)
+    best, least = hull.least(ws)
 
     e0 = _dot(ws, rho0)
     gardner = gardner_limit(objective, rho0)
@@ -242,7 +219,7 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
         optimal_energy=best,
         gardner_energy=gardner,
         recovered_fraction=fraction,
-        optimal_vertices=optimal,
+        optimal_vertices=label(least),
         method=method,
         completeness="proven" if saturated else "depth-bounded",
         lower_bound_only=not saturated,

@@ -32,9 +32,10 @@ from ..core import (
     OperationSequence,
     PairOp,
     PopulationVector,
+    apply_sequence,
     format_rational,
 )
-from ..geometry import ExtremalityCertificate, extreme_points, hull_membership
+from ..geometry import ExtremalityCertificate, _is_convex_combination, extreme_points, hull_membership
 
 __all__ = [
     "subset_point",
@@ -85,12 +86,7 @@ def subset_point(subset: Iterable[int], rho0: Sequence[Fraction]) -> PopulationV
     subset = set(subset)
     if any(not (1 <= a <= n - 1) for a in subset):
         raise ValueError(f"subset {sorted(subset)} out of range for n={n}")
-    comps = list(rho0)
-    for first, last in _maximal_runs(subset):
-        mean = sum(rho0[t] for t in range(first - 1, last + 1)) / (last - first + 2)
-        for t in range(first - 1, last + 1):
-            comps[t] = mean
-    return PopulationVector(comps)
+    return apply_sequence(subset_sequence(subset), rho0)
 
 
 def subset_sequence(subset: Iterable[int]) -> OperationSequence:
@@ -174,9 +170,7 @@ def _subset_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, frozenset
     chosen: dict[PopulationVector, frozenset[int]] = {}
     for size in range(len(rho0)):
         for sub in combinations(range(1, len(rho0)), size):
-            point = subset_point(sub, rho0)
-            if point not in chosen:
-                chosen[point] = frozenset(sub)
+            chosen.setdefault(apply_sequence(subset_sequence(sub), rho0), frozenset(sub))
     return chosen
 
 
@@ -252,14 +246,7 @@ class StepDecomposition:
     ratios: tuple[Fraction, Fraction, Fraction] | None = None  # (-D1/C1, -D2/C2, -D3/C3)
 
     def verify(self) -> bool:
-        lams = self.lambdas
-        if any(l < 0 or l > 1 for l in lams) or sum(lams) != 1:
-            return False
-        n = len(self.target)
-        return all(
-            sum(l * s[t] for l, s in zip(lams, self.points)) == self.target[t]
-            for t in range(n)
-        )
+        return _is_convex_combination(self.target, zip(self.points, self.lambdas))
 
     def to_json(self) -> dict:
         opt = lambda v: None if v is None else format_rational(v)

@@ -268,6 +268,22 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(f) in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "1/0,1"),
+        ("--weights", "1/0,2"),
+        ("--rho", ["1/2", "1/0"]),
+    ])
+    def test_zero_denominator_exit_2(self, capsys, tmp_path, flag, value):
+        if isinstance(value, list):
+            f = tmp_path / "input.json"
+            f.write_text(json.dumps(value))
+            value = str(f)
+        args = {"--graph": "path:2", "--rho": "1/4,3/4", "--weights": "1,2", flag: value}
+        argv = ["optimize"] + [x for item in args.items() for x in item]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "'1/0' has a zero denominator" in err
+
     @pytest.mark.parametrize("method", ["enumerate", "structured"])
     def test_optimize_population_size_exit_2(self, capsys, method):
         code, out, err = run_cli(capsys, "optimize", "--graph", "complete:4",

@@ -103,6 +103,16 @@ class TestPopulationVector:
         assert parse_rational("0.25") == Fraction(1, 4)
         assert format_rational(Fraction(3)) == "3/1"
 
+    def test_zero_denominator_is_a_value_error(self):
+        from diffpoly.optimize import Objective
+
+        with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+            PopulationVector(["1/0", "1"])
+        with pytest.raises(ValueError, match="weight '1/0' has a zero denominator"):
+            Objective(("1/0", 2))
+        with pytest.raises(ValueError, match="'3/0' has a zero denominator"):
+            parse_rational("3/0")
+
 
 class TestGraph:
     def test_complete_edge_count(self):

@@ -1,12 +1,15 @@
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from diffpoly.core import PairOp, PopulationVector, apply_sequence, uniform_vector
+from diffpoly.enumeration import triangle_decomposition
 from diffpoly.geometry import (
+    ExtremalityCertificate,
     HullMembership,
     IncrementalHull,
     SeparatingFunctional,
@@ -18,7 +21,7 @@ from diffpoly.geometry import (
 )
 from diffpoly.optimize import exponential_populations
 from diffpoly.structured.complete import kn_candidate_points
-from diffpoly.structured.ordered_path import subset_point
+from diffpoly.structured.ordered_path import decompose_step, subset_point
 
 from conftest import random_population
 
@@ -874,3 +877,87 @@ def test_functional_is_immutable():
         del func.offset
     assert func == SeparatingFunctional((Fraction(1, 2), Fraction(-1, 3)), Fraction(1))
     assert pickle.loads(pickle.dumps(func)) == func
+
+
+# The unit square.  Its centre is (q1 + q2) / 2; q0 is the origin and
+# q0 - q1 - q2 + q3 = 0, so weight moved along (1, -1, -1, 1) breaks only
+# the signs, and weight put on q0 breaks only the sum.
+SQUARE = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+          (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))]
+HALF = Fraction(1, 2)
+SQUARE_WEIGHTS = {
+    None: (0, HALF, HALF, 0),
+    "negative_weight": (-HALF, 1, 1, -HALF),
+    "weight_sum": (HALF, HALF, HALF, 0),
+    "target": (0, HALF, HALF, 0),
+}
+
+
+def _square_target(tamper):
+    return (HALF, Fraction(1, 4)) if tamper == "target" else (HALF, HALF)
+
+
+def _hull_membership(tamper):
+    membership = HullMembership(inside=True, coefficients=SQUARE_WEIGHTS[tamper])
+    return membership.verify(_square_target(tamper), SQUARE)
+
+
+def _reconstruction(tamper):
+    cert = ExtremalityCertificate(point=_square_target(tamper), is_extreme=False,
+                                  combination=tuple(zip(SQUARE, SQUARE_WEIGHTS[tamper])))
+    return cert.verify(SQUARE)
+
+
+def _step(tamper):
+    # the short-left case: S3 == S1, so weight moved from S3 to S1 keeps the point
+    dec = decompose_step({2}, 1, pv("1/10", "2/10", "3/10", "4/10"))
+    assert dec.case == "short_left" and dec.points[0] == dec.points[2]
+    l1, l2, l3, l4 = dec.lambdas
+    return replace(dec, **{
+        None: {},
+        "negative_weight": {"lambdas": (l1 + 1, l2, l3 - 1, l4)},
+        "weight_sum": {"lambdas": (2 * l1, 2 * l2, 2 * l3, 2 * l4)},
+        "target": {"target": dec.rho0},
+    }[tamper]).verify()
+
+
+def _triangle(tamper):
+    # the weights are lam and 1 - lam: they cannot sum to anything but 1
+    dec = triangle_decomposition(Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
+    return replace(dec, **{
+        None: {},
+        "negative_weight": {"lam": dec.lam - 1},
+        "target": {"outer_average": dec.two_step},
+    }[tamper]).verify()
+
+
+WITNESS_CHECKS = {"hull_membership": _hull_membership, "reconstruction": _reconstruction,
+                  "step": _step, "triangle": _triangle}
+
+
+@pytest.mark.parametrize("check, tamper", [
+    (check, tamper)
+    for check in WITNESS_CHECKS
+    for tamper in (None, "negative_weight", "weight_sum", "target")
+    if (check, tamper) != ("triangle", "weight_sum")
+])
+def test_witness_check_rejects_a_tampered_combination(check, tamper):
+    assert WITNESS_CHECKS[check](tamper) is (tamper is None)
+
+
+def test_hull_membership_rejects_a_wrong_coefficient_count():
+    weights = SQUARE_WEIGHTS[None]
+    assert HullMembership(inside=True, coefficients=weights).verify((HALF, HALF), SQUARE)
+    # the first three weights alone still combine to the centre
+    assert not HullMembership(inside=True, coefficients=weights[:3]).verify((HALF, HALF), SQUARE)
+    assert not HullMembership(inside=True, coefficients=weights + (0,)).verify((HALF, HALF), SQUARE)
+
+
+def test_combination_check_rejects_points_of_another_dimension():
+    one = (Fraction(1),)
+    for point, points in (((Fraction(0),), [(Fraction(0), Fraction(5))]),
+                          ((Fraction(0), Fraction(0)), [(Fraction(0),)])):
+        assert not HullMembership(inside=True, coefficients=one).verify(point, points)
+        cert = ExtremalityCertificate(point=point, is_extreme=False,
+                                      combination=((points[0], Fraction(1)),))
+        assert not cert.verify(())
