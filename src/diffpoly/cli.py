@@ -42,13 +42,10 @@ def parse_graph(spec: str) -> DiffusionGraph:
     """
     if os.path.exists(spec) or spec.endswith(".json"):
         data = json.loads(Path(spec).read_text())
-        edges = data.get("edges") if isinstance(data, dict) else None
-        if not (isinstance(data, dict) and type(data.get("n")) is int
-                and isinstance(edges, list)
-                and all(isinstance(e, list) and len(e) == 2
-                        and all(type(v) is int for v in e) for e in edges)):
-            raise ValueError(f'{spec}: expected {{"n": int, "edges": [[i, j], ...]}}')
-        return DiffusionGraph.from_json(data)
+        try:
+            return DiffusionGraph.from_json(data)
+        except ValueError as exc:
+            raise ValueError(f"{spec}: {exc}") from None
     name, _, params = spec.partition(":")
     if name == "complete":
         return complete(int(params))

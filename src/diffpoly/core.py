@@ -12,10 +12,11 @@ the subset, which is why they are first-class here.
 Everything in this module is an immutable value and every function is
 pure; no floating point is used anywhere.
 
-A search builds and hashes states by the thousand, so two costs are paid
-once: an operator's image of a ``PopulationVector`` skips re-validation
-(averaging keeps components non-negative and their sum at one), and each
-state computes its tuple hash on first use and keeps it.
+A search builds and hashes states by the thousand, so a state is checked
+once, when it is built: an operator checks its input and trusts its image
+(averaging keeps components non-negative and their sum at one), building
+a ``PopulationVector`` from one returns it unchanged, and each state
+computes its tuple hash on first use and keeps it.
 """
 from __future__ import annotations
 
@@ -83,6 +84,11 @@ def _exact(c, what: str = "population") -> Fraction:
         raise ValueError(f"{what} {c!r} has a zero denominator") from None
 
 
+def _ints(values: Iterable) -> bool:
+    """Are all `values` ints (JSON integers; bools and floats are not)?"""
+    return all(type(v) is int for v in values)
+
+
 class PopulationVector(tuple):
     """
     A normalized population state: non-negative rationals summing to one.
@@ -94,6 +100,8 @@ class PopulationVector(tuple):
     """
 
     def __new__(cls, components: Iterable[Fraction | int | str]) -> "PopulationVector":
+        if type(components) is PopulationVector:
+            return components
         comps = tuple(map(_exact, components))
         if not comps:
             raise ValueError("population vector needs at least one component")
@@ -106,7 +114,7 @@ class PopulationVector(tuple):
 
     @classmethod
     def _trusted(cls, comps: list[Fraction]) -> "PopulationVector":
-        """`comps` unchecked: non-negative Fractions already known to sum to one."""
+        """`comps` unchecked: an operator's averaged image of a checked state."""
         return super().__new__(cls, comps)
 
     def __hash__(self) -> int:
@@ -129,7 +137,9 @@ class PopulationVector(tuple):
         return [format_rational(c) for c in self]
 
     @classmethod
-    def from_json(cls, data: Sequence[str]) -> "PopulationVector":
+    def from_json(cls, data: list[str]) -> "PopulationVector":
+        if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
+            raise ValueError(f"expected a list of p/q strings, got {data!r}")
         return cls(parse_rational(s) for s in data)
 
 
@@ -201,7 +211,11 @@ class DiffusionGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "DiffusionGraph":
-        return cls.from_edges(int(data["n"]), data["edges"])
+        edges = data.get("edges") if isinstance(data, dict) else None
+        if not (isinstance(edges, list) and type(data.get("n")) is int
+                and all(isinstance(e, list) and len(e) == 2 and _ints(e) for e in edges)):
+            raise ValueError('expected {"n": int, "edges": [[i, j], ...]}')
+        return cls.from_edges(data["n"], edges)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -231,13 +245,13 @@ class PairOp:
             raise ValueError(f"({self.i},{self.j}) is not an edge of the graph")
 
     def apply(self, rho: Sequence[Fraction]) -> PopulationVector:
-        comps = list(rho)
+        comps = list(PopulationVector(rho))
         if self.j > len(comps):
             raise ValueError(f"{self} needs level {self.j}, the state has length {len(comps)}")
         m = (comps[self.i - 1] + comps[self.j - 1]) / 2
         comps[self.i - 1] = m
         comps[self.j - 1] = m
-        return _averaged(rho, comps)
+        return PopulationVector._trusted(comps)
 
     def to_json(self) -> list:
         return ["pair", self.i, self.j]
@@ -271,7 +285,7 @@ class BlockOp:
             raise ValueError(f"block {self.vertices} is not connected in the graph")
 
     def apply(self, rho: Sequence[Fraction]) -> PopulationVector:
-        comps = list(rho)
+        comps = list(PopulationVector(rho))
         if self.vertices[-1] > len(comps):
             raise ValueError(
                 f"{self} needs level {self.vertices[-1]}, the state has length {len(comps)}"
@@ -279,7 +293,7 @@ class BlockOp:
         m = sum(comps[v - 1] for v in self.vertices) / len(self.vertices)
         for v in self.vertices:
             comps[v - 1] = m
-        return _averaged(rho, comps)
+        return PopulationVector._trusted(comps)
 
     def to_json(self) -> list:
         return ["block", list(self.vertices)]
@@ -293,24 +307,14 @@ class BlockOp:
 AveragingOp = PairOp | BlockOp
 
 
-def _averaged(rho: Sequence[Fraction], comps: list[Fraction]) -> PopulationVector:
-    """
-    The averaged components `comps` of `rho` as a state.  Averaging keeps
-    components non-negative and their sum, so the image of a
-    `PopulationVector` needs no check; any other input is validated.
-    """
-    if isinstance(rho, PopulationVector):
-        return PopulationVector._trusted(comps)
-    return PopulationVector(comps)
-
-
-def op_from_json(data: Sequence) -> AveragingOp:
-    kind = data[0]
-    if kind == "pair":
-        return PairOp.of(int(data[1]), int(data[2]))
-    if kind == "block":
-        return BlockOp(tuple(int(v) for v in data[1]))
-    raise ValueError(f"unknown op kind {kind!r}")
+def op_from_json(data: list) -> AveragingOp:
+    """The operator that ``to_json`` wrote as ``["pair", i, j]`` or ``["block", [v, ...]]``."""
+    kind = data[0] if isinstance(data, list) and data else None
+    if kind == "pair" and len(data) == 3 and _ints(data[1:]):
+        return PairOp.of(data[1], data[2])
+    if kind == "block" and len(data) == 2 and isinstance(data[1], list) and _ints(data[1]):
+        return BlockOp(tuple(data[1]))
+    raise ValueError(f'expected ["pair", i, j] or ["block", [v, ...]], got {data!r}')
 
 
 def op_sort_key(op: AveragingOp) -> tuple:
@@ -336,7 +340,9 @@ class OperationSequence(tuple):
         return [op.to_json() for op in self]
 
     @classmethod
-    def from_json(cls, data: Sequence) -> "OperationSequence":
+    def from_json(cls, data: list) -> "OperationSequence":
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of operators, got {data!r}")
         return cls(op_from_json(item) for item in data)
 
     def __str__(self) -> str:
@@ -351,20 +357,26 @@ def apply_op(op: AveragingOp, rho: Sequence[Fraction],
     >>> apply_op(PairOp.of(1, 2), PopulationVector(["0", "2/7", "5/7"]))
     (Fraction(1, 7), Fraction(1, 7), Fraction(5, 7))
     """
-    if graph is not None:
-        op.validate(graph)
-    return op.apply(rho)
+    return apply_sequence((op,), rho, graph)
 
 
 def apply_sequence(seq: Iterable[AveragingOp], rho: Sequence[Fraction],
                    graph: DiffusionGraph | None = None) -> PopulationVector:
-    """Left-to-right composition of apply_op; the empty word is the identity."""
-    out = rho if isinstance(rho, PopulationVector) else PopulationVector(rho)
+    """Left-to-right composition; the empty word is the identity.  Given
+    `graph`, the state's size and every operator are checked against it."""
+    out = PopulationVector(rho) if graph is None else _population(graph, rho)
     for op in seq:
         if graph is not None:
             op.validate(graph)
         out = op.apply(out)
     return out
+
+
+def _population(graph: DiffusionGraph, rho0: Sequence[Fraction]) -> PopulationVector:
+    rho0 = PopulationVector(rho0)
+    if len(rho0) != graph.n:
+        raise ValueError("population vector does not match the graph size")
+    return rho0
 
 
 def spread(rho: Sequence[Fraction]) -> Fraction:

@@ -36,6 +36,7 @@ from .core import (
     OperationSequence,
     PairOp,
     PopulationVector,
+    _population,
     connected_blocks,
     op_sort_key,
     uniform_vector,
@@ -99,13 +100,6 @@ class ReachableSet:
             apply_sequence(seq, self.rho0) == point
             for point, seq in self.states.items()
         )
-
-
-def _population(graph: DiffusionGraph, rho0: Sequence[Fraction]) -> PopulationVector:
-    rho0 = PopulationVector(rho0)
-    if len(rho0) != graph.n:
-        raise ValueError("population vector does not match the graph size")
-    return rho0
 
 
 def _layers(graph: DiffusionGraph, rho0: PopulationVector, ops: Sequence[AveragingOp],

@@ -28,6 +28,7 @@ from .core import (
     DiffusionGraph,
     PopulationVector,
     _exact,
+    _population,
     format_rational,
     path,
 )
@@ -191,7 +192,7 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     the report says so.  The sizes of rho0 and of the weights are checked
     before any search.
     """
-    rho0 = enumeration._population(graph, rho0)
+    rho0 = _population(graph, rho0)
     objective = w if isinstance(w, Objective) else Objective(tuple(w))
     ws = objective.weights
     if len(ws) != graph.n:

@@ -266,16 +266,6 @@ class StepDecomposition:
         }
 
 
-def _checked(dec: StepDecomposition) -> StepDecomposition:
-    """`dec`, after its exact verification; a failed one raises."""
-    if not dec.verify():
-        raise AssertionError(
-            f"{dec.case} step decomposition failed exact verification "
-            f"for A={sorted(dec.subset)}, i={dec.position}"
-        )
-    return dec
-
-
 def _mean(rho: Sequence[Fraction], first: int, last: int) -> Fraction | None:
     """Mean of 1-based positions first..last; None when the range is empty."""
     if last < first:
@@ -313,137 +303,104 @@ def decompose_step(subset: Iterable[int], position: int,
     if any(not (1 <= a <= n - 1) for a in A):
         raise ValueError(f"subset {sorted(A)} out of range for n={n}")
 
-    s_a = subset_point(A, rho0)
+    def point(sub: Iterable[int]) -> PopulationVector:
+        return apply_sequence(subset_sequence(sub), rho0)
+
+    zero = Fraction(0)
+    s_a = point(A)
     target = PairOp.of(i, i + 1).apply(s_a)
-
+    r2, r3 = rho0[i - 1], rho0[i]
     if i in A:
-        point = subset_point(A, rho0)
-        if target != point:
+        if target != s_a:
             raise AssertionError(f"pair {i},{i + 1} moved the subset point of {sorted(A)}")
-        dec = StepDecomposition(
-            subset=A, position=i, rho0=rho0, case="identity", k=0, l=0,
-            target=target, points=(point,) * 4,
-            lambdas=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            r_values=(None, rho0[i - 1], rho0[i], None),
-            p_values=(None, rho0[i] - rho0[i - 1], None),
-            x=s_a[i - 1], y=s_a[i], segment_values={},
-        )
-        return _checked(dec)
+        k = l = 0
+        r1 = r4 = None
+        x, y = s_a[i - 1], s_a[i]
+        points = (s_a,) * 4
+        segment_values = {}
+    else:
+        k = 1
+        while (i - k) in A:
+            k += 1
+        l = 1
+        while (i + l) in A:
+            l += 1
+        r1 = _mean(rho0, i - k + 1, i - 1)
+        r4 = _mean(rho0, i + 2, i + l)
+        x = _mean(rho0, i - k + 1, i)
+        y = _mean(rho0, i + 1, i + l)
+        B = A | {i}
+        points = (point(B), point(B - {i + 1}), point(B - {i - 1}), point(B - {i - 1, i + 1}))
+        segment_values = {
+            "X": _mean(rho0, i - k + 1, i + l),
+            "X1": _mean(rho0, i - k + 1, i + 1),
+            "Y1": r4,
+            "X2": r1,
+            "Y2": _mean(rho0, i, i + l),
+            "Z": (r2 + r3) / 2,
+        }
+    p_values = (None if r1 is None else r2 - r1, r3 - r2, None if r4 is None else r4 - r3)
+    s1, s2, s3, _ = points
+    closed_form = {}
 
-    k = 1
-    while (i - k) in A:
-        k += 1
-    l = 1
-    while (i + l) in A:
-        l += 1
-
-    r1 = _mean(rho0, i - k + 1, i - 1)
-    r2 = rho0[i - 1]
-    r3 = rho0[i]
-    r4 = _mean(rho0, i + 2, i + l)
-
-    x = _mean(rho0, i - k + 1, i)
-    y = _mean(rho0, i + 1, i + l)
-
-    s1 = subset_point(A | {i}, rho0)
-    s2 = subset_point((A - {i + 1}) | {i}, rho0)
-    s3 = subset_point((A - {i - 1}) | {i}, rho0)
-    s4 = subset_point((A - {i - 1, i + 1}) | {i}, rho0)
-    points = (s1, s2, s3, s4)
-
-    segment_values = {
-        "X": _mean(rho0, i - k + 1, i + l),
-        "X1": _mean(rho0, i - k + 1, i + 1),
-        "Y1": r4,
-        "X2": r1,
-        "Y2": _mean(rho0, i, i + l),
-        "Z": (r2 + r3) / 2,
-    }
-
-    common = dict(
-        subset=A, position=i, rho0=rho0, k=k, l=l, target=target, points=points,
-        r_values=(r1, r2, r3, r4), x=x, y=y, segment_values=segment_values,
-    )
-
-    if k == 1 and l == 1:
-        dec = StepDecomposition(
-            case="all_coincide",
-            lambdas=(Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-            p_values=(None, r3 - r2, None), **common)
-        return _checked(dec)
-
-    if k == 1:  # S3 == S1 and S4 == S2: a two-point decomposition
+    if i in A or (k == 1 and l == 1):
+        case = "identity" if i in A else "all_coincide"
+        lambdas = (Fraction(1), zero, zero, zero)
+    elif k == 1:  # S3 == S1 and S4 == S2: a two-point decomposition
+        case = "short_left"
         w = _two_point_weight(target, s1, s2)
-        dec = StepDecomposition(
-            case="short_left",
-            lambdas=(w, 1 - w, Fraction(0), Fraction(0)),
-            p_values=(None, r3 - r2, r4 - r3), **common)
-        return _checked(dec)
-
-    if l == 1:  # S2 == S1 and S4 == S3
+        lambdas = (w, 1 - w, zero, zero)
+    elif l == 1:  # S2 == S1 and S4 == S3
+        case = "short_right"
         w = _two_point_weight(target, s1, s3)
-        dec = StepDecomposition(
-            case="short_right",
-            lambdas=(w, Fraction(0), 1 - w, Fraction(0)),
-            p_values=(r2 - r1, r3 - r2, None), **common)
-        return _checked(dec)
+        lambdas = (w, zero, 1 - w, zero)
+    else:
+        p1, p2, p3 = p_values
+        den_k = (k - 1) * p1 + k * p2 + (k + 1) * p3
+        den_l = (l + 1) * p1 + l * p2 + (l - 1) * p3
+        if den_k == 0 or den_l == 0 or (p2 + 2 * p3) == 0 or (p2 + 2 * p1) == 0:
+            # ties in rho0 collapsed the frame; fall back to an LP witness
+            distinct = sorted(set(points))
+            res = hull_membership(target, distinct)
+            if not res.inside:
+                raise AssertionError("degenerate step escaped the vertex hull")
+            weights = dict(zip(distinct, res.coefficients))
+            case = "flat"
+            lambdas = tuple(weights.pop(s, zero) for s in points)  # repeats weigh 0
+        else:
+            c1 = (p2 + 2 * p3) * (p2 + 2 * p1) * (k + l) / (2 * den_k * den_l)
+            c2 = -(p2 + 2 * p3) * (k + 1) / (2 * den_k)
+            c3 = -(p2 + 2 * p1) * (l + 1) / (2 * den_l)
 
-    p1 = r2 - r1
-    p2 = r3 - r2
-    p3 = r4 - r3
+            num_shared = (k - 1) * l * p1 + k * l * p2 + k * (l - 1) * p3
+            ratio1 = ((k - 1) * l * p1 * p2 + k * l * p2 * p2 + k * (l - 1) * p2 * p3
+                      - 2 * (k + l) * p1 * p3) / ((p2 + 2 * p3) * (p2 + 2 * p1) * k * l)
+            ratio2 = num_shared / ((p2 + 2 * p3) * k * l)
+            ratio3 = num_shared / ((p2 + 2 * p1) * k * l)
 
-    den_k = (k - 1) * p1 + k * p2 + (k + 1) * p3
-    den_l = (l + 1) * p1 + l * p2 + (l - 1) * p3
-    if den_k == 0 or den_l == 0 or (p2 + 2 * p3) == 0 or (p2 + 2 * p1) == 0:
-        # ties in rho0 collapsed the frame; fall back to an LP witness
-        distinct = sorted(set(points))
-        res = hull_membership(target, distinct)
-        if not res.inside:
-            raise AssertionError("degenerate step escaped the vertex hull")
-        by_point = dict(zip(distinct, res.coefficients))
-        lams = []
-        remaining = dict(by_point)
-        for s in points:
-            w = remaining.pop(s, Fraction(0))
-            lams.append(w)
-        dec = StepDecomposition(
-            case="flat", lambdas=tuple(lams), p_values=(p1, p2, p3), **common)
-        return _checked(dec)
+            d1 = -c1 * ratio1
+            d2 = -c2 * ratio2
+            d3 = -c3 * ratio3
 
-    c1 = (p2 + 2 * p3) * (p2 + 2 * p1) * (k + l) / (2 * den_k * den_l)
-    c2 = -(p2 + 2 * p3) * (k + 1) / (2 * den_k)
-    c3 = -(p2 + 2 * p1) * (l + 1) / (2 * den_l)
+            lo = max(zero, ratio1)
+            hi = min(ratio2, ratio3)
+            if lo > hi:  # contradicts the feasibility-window theorem
+                raise AssertionError(f"empty feasibility window for A={sorted(A)}, i={i}")
 
-    num_shared = (k - 1) * l * p1 + k * l * p2 + k * (l - 1) * p3
-    ratio1 = ((k - 1) * l * p1 * p2 + k * l * p2 * p2 + k * (l - 1) * p2 * p3
-              - 2 * (k + l) * p1 * p3) / ((p2 + 2 * p3) * (p2 + 2 * p1) * k * l)
-    ratio2 = num_shared / ((p2 + 2 * p3) * k * l)
-    ratio3 = num_shared / ((p2 + 2 * p1) * k * l)
-
-    d1 = -c1 * ratio1
-    d2 = -c2 * ratio2
-    d3 = -c3 * ratio3
-
-    lo = max(Fraction(0), ratio1)
-    hi = min(ratio2, ratio3)
-    if lo > hi:  # contradicts the feasibility-window theorem
-        raise AssertionError(f"empty feasibility window for A={sorted(A)}, i={i}")
-
-    lam4 = lo
-    lam1 = c1 * lam4 + d1
-    lam2 = c2 * lam4 + d2
-    lam3 = c3 * lam4 + d3
+            case = "generic"
+            lambdas = (c1 * lo + d1, c2 * lo + d2, c3 * lo + d3, lo)
+            closed_form = dict(coeff_c=(c1, c2, c3), coeff_d=(d1, d2, d3), window=(lo, hi),
+                               ratios=(ratio1, ratio2, ratio3))
 
     dec = StepDecomposition(
-        case="generic",
-        lambdas=(lam1, lam2, lam3, lam4),
-        p_values=(p1, p2, p3),
-        coeff_c=(c1, c2, c3),
-        coeff_d=(d1, d2, d3),
-        window=(lo, hi),
-        ratios=(ratio1, ratio2, ratio3),
-        **common)
-    return _checked(dec)
+        subset=A, position=i, rho0=rho0, case=case, k=k, l=l, target=target, points=points,
+        lambdas=lambdas, r_values=(r1, r2, r3, r4), p_values=p_values, x=x, y=y,
+        segment_values=segment_values, **closed_form)
+    if not dec.verify():
+        raise AssertionError(
+            f"{case} step decomposition failed exact verification for A={sorted(A)}, i={i}"
+        )
+    return dec
 
 
 # ---------------------------------------------------------------------------

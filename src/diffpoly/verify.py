@@ -211,7 +211,8 @@ def check_pn(n: int | None) -> tuple[bool, str]:
                 return False, f"n={size}: enumeration oracle disagrees"
             if enum.completeness != "proven":
                 return False, f"n={size}: enumeration not certified complete"
-    return True, (f"2^(n-1) certified vertices with flip adjacency for n=3..{n_max}, "
+    return True, (f"2^(n-1) certified vertices for n=3..{n_max}, each one-element flip "
+                  "of a label is another label (polytope edges not checked), "
                   "oracle match for n<=5")
 
 
@@ -341,7 +342,7 @@ def check_c4_analysis(n: int | None) -> tuple[bool, str]:
 # --- step decomposition witnesses ------------------------------------------
 
 
-@_check("step-witnesses", budget=120, max_n=8)  # n = 8: 41-45 s; n = 9: 102 s
+@_check("step-witnesses", budget=120, max_n=8)  # n = 8: 21 s; n = 9: 49-66 s
 def check_step_witnesses(n: int | None) -> tuple[bool, str]:
     n_max = n or 6
     rnd = random.Random(31)

@@ -55,6 +55,9 @@ class TestPopulationVector:
         with pytest.raises(ValueError):
             PopulationVector([])
 
+    def test_a_state_is_checked_once(self, rho3):
+        assert PopulationVector(rho3) is rho3
+
     def test_normalized_constructor(self):
         assert PopulationVector.normalized([2, 2, 4]) == pv("1/4", "1/4", "1/2")
 
@@ -202,6 +205,25 @@ class TestApply:
         with pytest.raises(ValueError, match=f"{op} needs level .*length 3"):
             apply_op(op, uniform_vector(3))
 
+    @pytest.mark.parametrize("apply", [
+        lambda rho: apply_op(PairOp.of(1, 2), rho),
+        PairOp.of(1, 2).apply,
+        BlockOp((1, 2)).apply,
+    ], ids=["apply_op", "PairOp.apply", "BlockOp.apply"])
+    def test_input_checked_not_image(self, apply):
+        # the image (1/2, 1/2) is a valid state; the input is not
+        with pytest.raises(ValueError, match="negative population"):
+            apply((Fraction(-1, 2), Fraction(3, 2)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: apply_sequence([PairOp.of(1, 2)], uniform_vector(3), path(2)),
+        lambda: apply_sequence([], uniform_vector(2), path(3)),
+        lambda: apply_op(PairOp.of(1, 2), uniform_vector(3), graph=path(2)),
+    ], ids=["sequence", "empty-sequence", "apply_op"])
+    def test_state_size_checked_against_graph(self, call):
+        with pytest.raises(ValueError, match="population vector does not match the graph size"):
+            call()
+
     def test_sequence_composition(self, rho3):
         seq = [PairOp.of(1, 2), PairOp.of(1, 3)]
         assert apply_sequence(seq, rho3) == pv("3/7", "1/7", "3/7")
@@ -333,6 +355,35 @@ class TestOps:
         seq = OperationSequence([PairOp.of(1, 2), BlockOp((1, 2, 3))])
         assert OperationSequence.from_json(seq.to_json()) == seq
         assert op_from_json(["pair", 2, 1]) == PairOp.of(1, 2)
+
+    @pytest.mark.parametrize("kind, data", [
+        ("op", ["pair", 1.5, 2]),
+        ("op", ["pair", True, 2]),
+        ("op", ["pair", 1, 2, 3]),
+        ("op", ["pair", 1]),
+        ("op", ("pair", 1, 2)),
+        ("op", []),
+        ("op", ["block", 5]),
+        ("op", ["block", [1, 2.0]]),
+        ("op", ["swap", 1, 2]),
+        ("op", None),
+        ("graph", {"n": 4.7, "edges": [[1, 2], [2, 3], [3, 4]]}),
+        ("graph", {"n": 3, "edges": [[1, 2, 3]]}),
+        ("graph", {"n": 2, "edges": [(1, 2)]}),
+        ("graph", {"n": 2}),
+        ("graph", [2, [[1, 2]]]),
+        ("rho", "12"),
+        ("rho", [1, 1]),
+        ("rho", ("1/2", "1/2")),
+        ("word", "B12"),
+        ("word", None),
+        ("word", [["pair", 1, 2], ["pair", 2]]),
+    ])
+    def test_json_decoders_reject_malformed_input(self, kind, data):
+        decode = {"op": op_from_json, "graph": DiffusionGraph.from_json,
+                  "rho": PopulationVector.from_json, "word": OperationSequence.from_json}[kind]
+        with pytest.raises(ValueError, match="expected"):
+            decode(data)
 
     def test_str_forms(self):
         assert str(PairOp.of(1, 2)) == "B12"

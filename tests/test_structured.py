@@ -384,18 +384,29 @@ class TestStepDecomposition:
         assert lo == max(Fraction(0), r1) and hi == min(r2, r3) and lo <= hi
         assert dec.lambdas[3] == lo
 
-    def test_points_are_neighboring_subset_points(self):
-        rnd = random.Random(25)
-        rho = random_sorted_population(rnd, 7)
-        A = {2, 3, 5, 6}
-        i = 4
+    @pytest.mark.parametrize("case", [
+        "identity", "all_coincide", "short_left", "short_right", "generic", "flat",
+    ])
+    def test_points_are_neighboring_subset_points(self, case):
+        A, i = {"identity": ({2}, 2), "all_coincide": (set(), 2), "short_left": ({3}, 2),
+                "short_right": ({2}, 3), "generic": ({2, 3, 5, 6}, 4), "flat": ({1, 3}, 2)}[case]
+        if case == "flat":  # the tie r2 = r3 = r4 collapses the closed form
+            rho = PopulationVector.normalized([1, 3, 3, 3])
+        else:
+            rho = random_sorted_population(random.Random(25), 7)
         dec = decompose_step(A, i, rho)
+        assert dec.case == case
         assert dec.points == (
             subset_point(A | {i}, rho),
             subset_point((A - {i + 1}) | {i}, rho),
             subset_point((A - {i - 1}) | {i}, rho),
             subset_point((A - {i - 1, i + 1}) | {i}, rho),
         )
+        if case == "flat":
+            # the LP weighs distinct points; a repeated point carries weight
+            # only at its first position
+            assert dec.points[2] == dec.points[3]
+            assert dec.lambdas == (0, Fraction(3, 4), Fraction(1, 4), 0)
 
     def test_segment_values_match_direct_means(self):
         rnd = random.Random(26)
@@ -454,8 +465,9 @@ class TestStepDecomposition:
             op.StepDecomposition.verify = lambda self: False
             rho = PopulationVector.normalized([1, 2, 4, 7, 11, 16])
             flat = PopulationVector([Fraction(1, 6)] * 3 + [Fraction(1, 2)])
+            tied = PopulationVector.normalized([1, 3, 3, 3])
             cases = [({2}, 2, rho), (set(), 2, rho), ({3}, 2, rho), ({2}, 3, rho),
-                     ({2, 4}, 3, rho), (set(), 1, flat)]
+                     ({2, 4}, 3, rho), (set(), 1, flat), ({1, 3}, 2, tied)]
             unchecked = []
             for subset, i, r in cases:
                 try:
