@@ -41,11 +41,7 @@ def parse_graph(spec: str) -> DiffusionGraph:
     ({"n": ..., "edges": [[i, j], ...]}).
     """
     if os.path.exists(spec) or spec.endswith(".json"):
-        data = json.loads(Path(spec).read_text())
-        try:
-            return DiffusionGraph.from_json(data)
-        except ValueError as exc:
-            raise ValueError(f"{spec}: {exc}") from None
+        return _load(spec, DiffusionGraph.from_json)
     name, _, params = spec.partition(":")
     if name == "complete":
         return complete(int(params))
@@ -61,22 +57,30 @@ def parse_graph(spec: str) -> DiffusionGraph:
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
-def _rationals(spec: str) -> list[Fraction]:
-    """Inline comma-separated p/q values, or a JSON file with a list of p/q strings."""
-    if not os.path.exists(spec):
-        return [parse_rational(s) for s in spec.split(",")]
+def _load(spec: str, from_json):
+    """`from_json` of the JSON file `spec`, naming the file in any error."""
     data = json.loads(Path(spec).read_text())
-    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
-        raise ValueError(f"{spec}: expected a JSON list of p/q strings")
-    return [parse_rational(s) for s in data]
+    try:
+        return from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc}") from None
 
 
 def parse_rho(spec: str) -> PopulationVector:
-    return PopulationVector(_rationals(spec))
+    """Inline comma-separated p/q values, or a JSON file holding a state."""
+    if os.path.exists(spec):
+        return _load(spec, PopulationVector.from_json)
+    return PopulationVector(map(parse_rational, spec.split(",")))
 
 
 def parse_weights(spec: str) -> tuple[Fraction, ...]:
-    return tuple(_rationals(spec))
+    """Inline comma-separated p/q values, or a JSON file with a list of p/q strings."""
+    if not os.path.exists(spec):
+        return tuple(map(parse_rational, spec.split(",")))
+    data = json.loads(Path(spec).read_text())
+    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
+        raise ValueError(f"{spec}: expected a JSON list of p/q strings")
+    return tuple(map(parse_rational, data))
 
 
 def canonical_json(data) -> str:

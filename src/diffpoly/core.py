@@ -160,6 +160,8 @@ class DiffusionGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if not _ints((self.n, *(v for e in self.edges for v in e))):
+            raise ValueError(f"graph labels must be ints, got n={self.n!r}, edges {set(self.edges)}")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         for e in self.edges:
@@ -229,6 +231,8 @@ class PairOp:
     j: int
 
     def __post_init__(self) -> None:
+        if not _ints((self.i, self.j)):
+            raise ValueError(f"pair op labels must be ints, got ({self.i!r}, {self.j!r})")
         if not (1 <= self.i < self.j):
             raise ValueError(f"pair op needs 1 <= i < j, got ({self.i}, {self.j})")
 
@@ -267,6 +271,8 @@ class BlockOp:
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not _ints(self.vertices):
+            raise ValueError(f"block op labels must be ints, got {self.vertices!r}")
         verts = tuple(sorted(set(self.vertices)))
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:

@@ -15,25 +15,27 @@ Both come from one engine, ``IncrementalHull``: a Clarkson walk that
 confirms only hull vertices and returns the witness that decided each
 answer, and a certification step that decides a point in one LP against
 a working set, such as the other vertices.  Its point set can grow in
-place, and its membership queries reuse earlier witnesses to skip the LP.
-The final basis of every LP that ended inside is kept as a cell, which
-proves a later query inside with one integer matrix-vector product, and a
-point of the set hidden by other points, which the vertex scan then drops
-with no walk; cells survive the growth of the set.  The functionals that
-separated earlier queries are kept as cuts, which decide later ones
-outside; a new point can cross a cut, so growth drops them.  Each confirmed
-vertex keeps the functional that confirmed it: given the hull of a search,
-``extreme_points`` lowers that functional over the other points to certify
-the vertex, and runs the certification LP only where that fails.
+place, by points from outside its hull, and its membership queries reuse
+earlier witnesses to skip the LP.  The final basis of every LP that ended
+inside is kept as a cell, which proves a later query inside with one
+integer matrix-vector product, and a point of the set hidden by other
+points, which the vertex scan then drops with no walk; cells survive the
+growth of the set.  The functionals that separated earlier queries are
+kept as cuts, which decide later ones outside; a new point can cross a
+cut, so growth drops them.  Each confirmed vertex keeps the functional
+that confirmed it: given the hull of a search, ``extreme_points`` lowers
+that functional over the other points to certify the vertex, and runs
+the certification LP only where that fails.
 
-Everything is decided in integers.  A point enters as its image
-(d*x, d), with d the lcm of its denominators, made once per hull; a
-functional holds only its coefficients and offset times the lcm D of
-theirs, with D beside them.  Every sign and every comparison of two
-values is then an integer dot product or a cross-multiplication, with the
-same ties as in rationals, and two points are equal exactly when their
-images are.  A convex combination is checked in `Fraction`s, by
-`_is_convex_combination` alone.
+Everything is decided in integers.  A point is checked once, where it
+enters (ints and Fractions, as many as the set's points have), and
+enters as its image (d*x, d), with d the lcm of its denominators, made
+once per hull; a functional holds only its coefficients and offset times
+the lcm D of theirs, with D beside them.  Every sign and every comparison
+of two values is then an integer dot product or a cross-multiplication,
+with the same ties as in rationals, and two points are equal exactly
+when their images are.  A convex combination is checked in `Fraction`s,
+by `_is_convex_combination` alone.
 
 The LP solver is a phase-one simplex with Bland's rule, which cannot
 cycle, in revised form: the LPs are short and wide (dimension + 1 <= 11
@@ -53,7 +55,6 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from numbers import Rational
 from operator import mul
 from typing import Sequence
@@ -294,12 +295,17 @@ def _eliminate(row: list[int], pivot_row: list[int], enter: int, piv: int, det: 
     return [a * piv // det for a in row]
 
 
-def _require_rational(points) -> None:
-    """Reject any coordinate that is not an exact rational (int or Fraction)."""
-    for q in points:
-        for x in q:
+def _exact_point(point, dim: int | None = None) -> tuple:
+    """`point` as a tuple of ints and Fractions, `dim` long if given.  A tuple is kept
+    as it is; a `PopulationVector`, built from Fractions, has only its length checked."""
+    point = point if isinstance(point, tuple) else tuple(point)
+    if not isinstance(point, PopulationVector):
+        for x in point:
             if not isinstance(x, Rational):
                 raise TypeError(f"coordinate {x!r} is not an exact rational (int or Fraction)")
+    if dim is not None and len(point) != dim:
+        raise ValueError(f"dimension mismatch: {len(point)} coordinates against {dim}")
+    return point
 
 
 def hull_membership(point: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> HullMembership:
@@ -310,13 +316,10 @@ def hull_membership(point: Sequence[Fraction], points: Sequence[Sequence[Fractio
     checks by direct substitution.  The hull of the empty set is empty.
     Coordinates must be ints or Fractions; anything else is a TypeError.
     """
-    pts = list(points)
-    _require_rational([point, *pts])
+    point = _exact_point(point)
+    pts = [_exact_point(q, len(point)) for q in points]
     if not pts:
         return HullMembership(inside=False)
-    n = len(point)
-    if any(len(q) != n for q in pts):
-        raise ValueError("dimension mismatch in hull membership query")
     result = _phase_one(point, pts)
     if not result.verify(point, pts):
         raise AssertionError("LP produced an invalid certificate")
@@ -365,22 +368,24 @@ class IncrementalHull:
     that confirmed it, which it maximizes over the set.
 
     Both kinds of witness are reused.  Every LP that ends inside leaves a
-    cell, the final basis of its LP (see `_phase_one`): a later query that
-    a cell proves inside is inside with one integer matrix-vector product
-    and no LP, and a point of the set that a cell proves inside the hull of
+    cell, the final basis of its LP (see `_phase_one`): a later query that a
+    cell proves inside is inside with one integer matrix-vector product and
+    no LP, and a point of the set that a cell proves inside the hull of
     other basic points is hidden by them, so `vertices` drops it with no
     walk.  The cells prove combinations of points of the set, which only
-    grows, so they survive `_extend`.  `contains` also keeps the functional
-    of every query it finds outside, as a cut: each is <= 0 on the whole
-    set, so a later query that one of them scores > 0 is outside with no
-    LP.  A new point can cross a cut, so `_extend` drops the cuts.
+    grows, so they survive `_extend`.  A point is checked once, when it
+    joins; the search adds only points from outside the hull, which no older
+    cell proves hidden.  `contains` also keeps the functional of every query
+    it finds outside, as a cut: each is <= 0 on the whole set, so a later
+    query that one of them scores > 0 is outside with no LP.  A new point
+    can cross a cut, so `_extend` drops the cuts.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
-        self.points = list({tuple(p) if not isinstance(p, tuple) else p for p in points})
-        for q in self.points:  # before sorting, which mixed types would fail first
-            self._query(q)
-        self.points.sort()
+        points = list(points)
+        dim = len(points[0]) if points else None
+        # checked before sorting, which mixed types would fail first
+        self.points = sorted({_exact_point(p, dim) for p in points})
         self._images = [_image(q) for q in self.points]
         self._image_of = dict(zip(self.points, self._images))  # point -> image
         # the confirmed vertices, in confirmation order, each with its
@@ -388,7 +393,6 @@ class IncrementalHull:
         self._confirmed: dict = {}
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
         self._cells: list = []  # final bases of the LPs that ended inside
-        self._since = [0] * len(self.points)  # per point, the cells made before it joined
 
     def _extend(self, points) -> None:
         """
@@ -405,7 +409,6 @@ class IncrementalHull:
             image = _image(p)
             self.points.insert(i, p)
             self._images.insert(i, image)
-            self._since.insert(i, len(self._cells))
             self._image_of[p] = image
         self._confirmed.clear()
         self._cuts.clear()
@@ -515,15 +518,13 @@ class IncrementalHull:
         """`point`'s `_image`, cached for the set's points."""
         return self._image_of.get(point) or _image(point)
 
-    def _in_a_cell(self, image, since=0, exclude=None) -> bool:
+    def _in_a_cell(self, image, exclude=None) -> bool:
         """
-        Does a cell, the most recent first and none of the first `since`,
-        prove the point of `image` inside the hull of its basic points?
-        Cells in which `exclude` is basic are passed over: they prove only
-        that `exclude` is itself.
+        Does a cell, the most recent first, prove the point of `image` inside
+        the hull of its basic points?  Cells in which `exclude` is basic are
+        passed over: they prove only that `exclude` is itself.
         """
-        cells = self._cells
-        for point_rows, artificial_rows, basic in islice(reversed(cells), len(cells) - since):
+        for point_rows, artificial_rows, basic in reversed(self._cells):
             for row in point_rows:  # a plain loop costs less per cell than all() on a generator
                 if sum(map(mul, row, image)) < 0:
                     break
@@ -534,16 +535,12 @@ class IncrementalHull:
         return False
 
     def vertices(self) -> list:
-        """
-        The vertices of the hull, in lexicographic order.  A point that a
-        cell made since it joined the set proves inside the hull of other
-        points is not a vertex, and needs no walk; a cell made before it
-        joined cannot prove it if it joined from outside the hull.
-        """
+        """The vertices of the hull, in lexicographic order.  A point that a cell
+        proves inside the hull of other points is not a vertex, and needs no walk."""
         confirmed = self._confirmed
         return [
-            p for p, image, since in zip(self.points, self._images, self._since)
-            if p in confirmed or (not self._in_a_cell(image, since, p)
+            p for p, image in zip(self.points, self._images)
+            if p in confirmed or (not self._in_a_cell(image, p)
                                   and not isinstance(self._outside(p, image), tuple))
         ]
 
@@ -571,13 +568,7 @@ class IncrementalHull:
 
     def _query(self, point) -> tuple:
         """`point` as a tuple of exact rationals, as many as the set's points have."""
-        point = tuple(point) if not isinstance(point, tuple) else point
-        _require_rational((point,))
-        if self.points and len(point) != len(self.points[0]):
-            raise ValueError(
-                f"dimension mismatch: {len(point)} coordinates against {len(self.points[0])}"
-            )
-        return point
+        return _exact_point(point, len(self.points[0]) if self.points else None)
 
 
 def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:

@@ -66,10 +66,13 @@ class Objective:
         return len(self.weights)
 
 
-def _weights(w: Objective | Sequence) -> tuple[Fraction, ...]:
-    if isinstance(w, Objective):
-        return w.weights
-    return Objective(tuple(w)).weights
+def _checked(w: Objective | Sequence, rho: Sequence[Fraction]) -> tuple[Objective, PopulationVector]:
+    """`w` as an `Objective` and `rho` as a `PopulationVector`, of one size."""
+    objective = w if isinstance(w, Objective) else Objective(tuple(w))
+    rho = PopulationVector(rho)
+    if len(objective) != len(rho):
+        raise ValueError("weight/state dimension mismatch")
+    return objective, rho
 
 
 def _dot(ws: Sequence[Fraction], rho: Sequence[Fraction]) -> Fraction:
@@ -79,15 +82,13 @@ def _dot(ws: Sequence[Fraction], rho: Sequence[Fraction]) -> Fraction:
 
 def energy(w: Objective | Sequence, rho: Sequence[Fraction]) -> Fraction:
     """
-    Exact objective value  sum_i w_i rho_i.
+    Exact objective value  sum_i w_i rho_i  of the state rho.
 
     >>> energy((1, 2, 3), PopulationVector(["1/3", "1/3", "1/3"]))
     Fraction(2, 1)
     """
-    ws = _weights(w)
-    if len(ws) != len(rho):
-        raise ValueError("weight/state dimension mismatch")
-    return _dot(ws, rho)
+    objective, rho = _checked(w, rho)
+    return _dot(objective.weights, rho)
 
 
 def gardner_limit(w: Objective | Sequence, rho0: Sequence[Fraction]) -> Fraction:
@@ -97,10 +98,8 @@ def gardner_limit(w: Objective | Sequence, rho0: Sequence[Fraction]) -> Fraction
     averaging process can do better, since every attainable state is a
     doubly-stochastic image of the start.
     """
-    ws = _weights(w)
-    if len(ws) != len(rho0):
-        raise ValueError("weight/state dimension mismatch")
-    return sum(a * b for a, b in zip(sorted(ws), sorted(rho0, reverse=True)))
+    objective, rho0 = _checked(w, rho0)
+    return sum(a * b for a, b in zip(sorted(objective.weights), sorted(rho0, reverse=True)))
 
 
 def _decimal_str(x: Fraction, digits: int = 15) -> str:
@@ -192,11 +191,8 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     the report says so.  The sizes of rho0 and of the weights are checked
     before any search.
     """
-    rho0 = _population(graph, rho0)
-    objective = w if isinstance(w, Objective) else Objective(tuple(w))
+    objective, rho0 = _checked(w, _population(graph, rho0))
     ws = objective.weights
-    if len(ws) != graph.n:
-        raise ValueError("weight vector does not match the graph size")
 
     if method == "structured":
         if config is not None:
@@ -233,10 +229,8 @@ def monotone_extremal_check(sequence: Iterable, w: Objective | Sequence,
     Does the objective decrease (weakly) after every prefix of the word?
     Extremal sequences never absorb energy back from the waves.
     """
-    ws = _weights(w)
-    state = PopulationVector(rho0)
-    if len(ws) != len(state):
-        raise ValueError("weight/state dimension mismatch")
+    objective, state = _checked(w, rho0)
+    ws = objective.weights
     previous = _dot(ws, state)
     for op in sequence:
         state = op.apply(state)

@@ -190,8 +190,8 @@ def pn_polytope(rho0: Sequence[Fraction]) -> PnPolytope:
     ("asymptotic").  With ties in `rho0` some subsets collapse onto each
     other; the smallest subset is kept as the label.
     """
-    rho0 = _require_sorted(rho0)
     chosen = _subset_points(rho0)
+    rho0 = next(iter(chosen))  # the empty subset's point: rho0, checked
     certs = extreme_points(list(chosen))
     non_extreme = [c for c in certs if not c.is_extreme]
     if non_extreme:  # impossible for sorted populations; fail loudly if ever hit

@@ -268,6 +268,15 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(f) in err
 
+    def test_invalid_state_file_is_named(self, capsys, tmp_path):
+        # a rho file is read as a state: a negative population names the file
+        f = tmp_path / "rho.json"
+        f.write_text(json.dumps(["3/2", "-1/2"]))
+        code, out, err = run_cli(capsys, "optimize", "--graph", "path:2", "--rho", str(f),
+                                 "--weights", "1,2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}: ") and "negative population" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--rho", "1/0,1"),
         ("--weights", "1/0,2"),

@@ -385,6 +385,20 @@ class TestOps:
         with pytest.raises(ValueError, match="expected"):
             decode(data)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PairOp.of(True, 2),
+        lambda: PairOp(1.5, 2.5),
+        lambda: BlockOp((1, 2.5)),
+        lambda: BlockOp((True, 2)),
+        lambda: DiffusionGraph.from_edges(3, [(1.0, 2.0), (2, 3)]),
+        lambda: DiffusionGraph.from_edges(2.0, [(1, 2)]),
+    ], ids=["pair-bool", "pair-float", "block-float", "block-bool", "graph-edge-float",
+            "graph-n-float"])
+    def test_labels_must_be_ints(self, build):
+        # each would build, and then write JSON that its own decoder refuses
+        with pytest.raises(ValueError, match="must be ints"):
+            build()
+
     def test_str_forms(self):
         assert str(PairOp.of(1, 2)) == "B12"
         assert str(BlockOp((1, 2, 3))) == "B123"

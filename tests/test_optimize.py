@@ -79,6 +79,16 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy((1, 2), rho3)
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: energy((1, 2), [0.5, 0.5]), TypeError, "0.5"),
+        (lambda: energy((1, 2), [Fraction(3), Fraction(-2)]), ValueError, "negative population"),
+        (lambda: gardner_limit((1, 2), [5, -3]), ValueError, "negative population"),
+    ], ids=["energy-float", "energy-negative", "gardner-negative"])
+    def test_state_is_checked(self, call, error, match):
+        # a state is what PopulationVector accepts: no float, nothing negative
+        with pytest.raises(error, match=match):
+            call()
+
     def test_gardner_is_rearrangement_minimum(self):
         rnd = random.Random(40)
         for n in (3, 4, 5):
@@ -217,6 +227,14 @@ class TestOptimizeOver:
         monkeypatch.setattr(enumeration, "_saturating_bfs", no_search)
         with pytest.raises(ValueError, match="population vector does not match the graph size"):
             optimize_over(complete(4), pv("1/3", "1/3", "1/3"), (1, 2, 3, 4), method=method)
+
+    def test_weight_size_checked(self, rho3):
+        with pytest.raises(ValueError, match="weight/state dimension mismatch"):
+            optimize_over(path(3), rho3, (1, 2))
+
+    def test_unknown_method(self, rho3):
+        with pytest.raises(ValueError, match="unknown method"):
+            optimize_over(path(3), rho3, (1, 2, 3), method="simplex")
 
     def test_structured_takes_no_config(self, rho3):
         with pytest.raises(ValueError, match="takes no config"):

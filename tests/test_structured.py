@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from diffpoly.core import (
     PopulationVector,
     apply_sequence,
     complete,
+    format_rational,
     op_sort_key,
     path,
     uniform_vector,
@@ -334,6 +336,26 @@ class TestPnPolytope:
             for v in pn.vertices:
                 assert (v.kind == "nonlocal") == (v.point in kn_vertices)
 
+    def test_json(self):
+        rho = PopulationVector.normalized([2, 3, 5, 11])
+        pn = pn_polytope(rho)
+        data = json.loads(json.dumps(pn.to_json()))
+        assert set(data) == {"rho0", "completeness", "generic_count", "vertices"}
+        assert data["rho0"] == ["2/21", "1/7", "5/21", "11/21"]
+        assert data["completeness"] == "proven" and data["generic_count"] == 8
+        assert len(data["vertices"]) == 8
+        for v, vertex in zip(data["vertices"], pn.vertices):
+            assert set(v) == {"subset", "point", "sequence", "kind"}
+            assert v["subset"] == sorted(vertex.subset)
+            assert all("/" in c for c in v["point"])
+            assert PopulationVector.from_json(v["point"]) == vertex.point
+            assert OperationSequence.from_json(v["sequence"]) == vertex.sequence
+            assert v["kind"] == vertex.kind
+        assert sorted(map(tuple, (v["subset"] for v in data["vertices"]))) == [
+            (), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,)]
+        assert {"subset": [1, 2, 3], "point": ["1/4"] * 4, "sequence": [["block", [1, 2, 3, 4]]],
+                "kind": "asymptotic"} in data["vertices"]
+
     def test_no_subset_point_reconstructs_from_others(self):
         rnd = random.Random(50)
         rho = random_sorted_population(rnd, 6)
@@ -440,10 +462,28 @@ class TestStepDecomposition:
             res = hull_membership(dec.target, sorted(set(dec.points)))
             assert res.inside
 
-    def test_flat_degenerate_input(self):
+    def test_tied_input_with_single_runs_coincides(self):
+        # k = l = 1 around i = 1: the image is S_{1} itself, however tied rho0 is
         rho = pv("1/6", "1/6", "1/6", "1/2")
         dec = decompose_step(set(), 1, rho)
+        assert dec.case == "all_coincide"
         assert dec.verify()
+
+    def test_json_generic_and_identity(self):
+        rho = PopulationVector.normalized([1, 2, 3, 5, 8, 13])
+        generic = decompose_step({2, 4}, 3, rho)
+        data = generic.to_json()
+        assert data["case"] == "generic" and data["subset"] == [2, 4] and data["position"] == 3
+        assert data["window"] == [format_rational(w) for w in generic.window]
+        assert data["ratios"] == [format_rational(r) for r in generic.ratios]
+        assert data["lambdas"] == [format_rational(w) for w in generic.lambdas]
+        assert [PopulationVector.from_json(p) for p in data["points"]] == list(generic.points)
+        assert PopulationVector.from_json(data["target"]) == generic.target
+        identity = decompose_step({2}, 2, rho).to_json()
+        assert identity["case"] == "identity"
+        assert identity["window"] is None and identity["ratios"] is None
+        assert identity["r"][0] is None and identity["r"][3] is None
+        assert None not in identity["r"][1:3]
 
     def test_bad_inputs_rejected(self):
         rho = pv("0", "1/2", "1/2")
