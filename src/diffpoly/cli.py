@@ -40,7 +40,7 @@ def parse_graph(spec: str) -> DiffusionGraph:
     Build a graph from "builder:params" or load one from a JSON file
     ({"n": ..., "edges": [[i, j], ...]}).
     """
-    if os.path.exists(spec) or spec.endswith(".json"):
+    if _is_file(spec):
         return _load(spec, DiffusionGraph.from_json)
     name, _, params = spec.partition(":")
     if name == "complete":
@@ -57,6 +57,11 @@ def parse_graph(spec: str) -> DiffusionGraph:
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
+def _is_file(spec: str) -> bool:
+    """Does `spec` name a file (an existing path, or any name ending in .json)?"""
+    return os.path.exists(spec) or spec.endswith(".json")
+
+
 def _load(spec: str, from_json):
     """`from_json` of the JSON file `spec`, naming the file in any error."""
     data = json.loads(Path(spec).read_text())
@@ -68,18 +73,21 @@ def _load(spec: str, from_json):
 
 def parse_rho(spec: str) -> PopulationVector:
     """Inline comma-separated p/q values, or a JSON file holding a state."""
-    if os.path.exists(spec):
+    if _is_file(spec):
         return _load(spec, PopulationVector.from_json)
     return PopulationVector(map(parse_rational, spec.split(",")))
 
 
 def parse_weights(spec: str) -> tuple[Fraction, ...]:
     """Inline comma-separated p/q values, or a JSON file with a list of p/q strings."""
-    if not os.path.exists(spec):
-        return tuple(map(parse_rational, spec.split(",")))
-    data = json.loads(Path(spec).read_text())
+    if _is_file(spec):
+        return _load(spec, _weights_from_json)
+    return tuple(map(parse_rational, spec.split(",")))
+
+
+def _weights_from_json(data) -> tuple[Fraction, ...]:
     if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
-        raise ValueError(f"{spec}: expected a JSON list of p/q strings")
+        raise ValueError("expected a JSON list of p/q strings")
     return tuple(map(parse_rational, data))
 
 

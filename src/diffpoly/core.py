@@ -20,7 +20,6 @@ computes its tuple hash on first use and keeps it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -219,9 +218,6 @@ class DiffusionGraph:
             raise ValueError('expected {"n": int, "edges": [[i, j], ...]}')
         return cls.from_edges(data["n"], edges)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
 
 @dataclass(frozen=True, order=True)
 class PairOp:
@@ -337,10 +333,6 @@ class OperationSequence(tuple):
 
     def __new__(cls, ops: Iterable[AveragingOp] = ()) -> "OperationSequence":
         return super().__new__(cls, tuple(ops))
-
-    def validate(self, graph: DiffusionGraph) -> None:
-        for op in self:
-            op.validate(graph)
 
     def to_json(self) -> list:
         return [op.to_json() for op in self]

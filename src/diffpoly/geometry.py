@@ -11,10 +11,13 @@ certificates:
   vertices carry a separating functional, interior points carry an exact
   reconstruction over the vertices.
 
-Both come from one engine, ``IncrementalHull``: a Clarkson walk that
-confirms only hull vertices and returns the witness that decided each
-answer, and a certification step that decides a point in one LP against
-a working set, such as the other vertices.  Its point set can grow in
+``hull_membership`` runs one phase-one LP over all the points, on
+purpose: it is the independent reference that the tests check
+``IncrementalHull.contains`` against.  ``extreme_points`` comes from the
+engine, ``IncrementalHull``: a Clarkson walk that confirms only hull
+vertices and returns the witness that decided each answer, and a
+certification step that decides a point in one LP against a working
+set, such as the other vertices.  Its point set can grow in
 place, by points from outside its hull, and its membership queries reuse
 earlier witnesses to skip the LP.  The final basis of every LP that ended
 inside is kept as a cell, which proves a later query inside with one

@@ -80,19 +80,18 @@ def _rank_words(rho0: PopulationVector):
     """
     n = len(rho0)
     ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
-    stack = [((), list(range(1, n + 1)), ranking, rho0, ())]
+    stack = [((), list(range(1, n + 1)), rho0, ())]
     while stack:
-        word, perm, ranking, state, steps = stack.pop()
+        word, perm, state, steps = stack.pop()
         yield tuple(perm), word, state, steps
         for a in range(n - 1, 0, -1):  # pushed high to low: the least letter comes out first
             if perm[a - 1] > perm[a] or not _least_in_class(word, a):
                 continue
-            u, v = ranking[a - 1], ranking[a]
+            u, v = ranking[perm[a - 1] - 1], ranking[perm[a] - 1]  # slot j holds initial rank perm[j]
             op = PairOp.of(u, v) if state[u - 1] != state[v - 1] else None
-            next_perm, next_ranking = perm[:], ranking[:]
+            next_perm = perm[:]
             next_perm[a - 1], next_perm[a] = perm[a], perm[a - 1]
-            next_ranking[a - 1], next_ranking[a] = v, u
-            stack.append((word + (a,), next_perm, next_ranking, op.apply(state) if op else state, steps + (op,)))
+            stack.append((word + (a,), next_perm, op.apply(state) if op else state, steps + (op,)))
 
 
 def _least_in_class(word: tuple[int, ...], a: int) -> bool:

@@ -11,8 +11,9 @@ with S_A adjacent to the n-1 points whose subsets differ in one element.
 ``decompose_step`` is the inductive engine behind that statement: it
 expresses one further pair averaging applied to a vertex, S_A B(i,i+1),
 as an exact convex combination of (at most) four neighboring vertices,
-with closed-form coefficients and a feasibility window whose endpoints
-are reported for verification.
+in closed form in every case, tied populations included: a generic step
+has a feasibility window whose endpoints are reported for verification,
+every other step weighs the segment between two of the four points.
 
 The number of vertices inherited from the complete-graph problem (the
 subsets with no two consecutive elements, reachable by commuting pair
@@ -35,7 +36,7 @@ from ..core import (
     apply_sequence,
     format_rational,
 )
-from ..geometry import ExtremalityCertificate, _is_convex_combination, extreme_points, hull_membership
+from ..geometry import ExtremalityCertificate, _is_convex_combination, extreme_points
 
 __all__ = [
     "subset_point",
@@ -220,8 +221,10 @@ class StepDecomposition:
     * "generic"      -- k, l > 1, the full four-point machinery with the
       closed-form affine coefficients and the feasibility window
       [max(0, r1), min(r2, r3)] for the fourth weight;
-    * "flat"         -- all populations around i coincide (non-generic
-      input), the image equals S_{A+i}.
+    * "flat"         -- k, l > 1 with the ties p2 = 0 and p1 = 0 or p3 = 0,
+      so S4 == S3 or S4 == S2 and the image lies on S2-S3: weights
+      ((k+1)/2k, (k-1)/2k) on (S2, S3) when p3 = 0, ((l-1)/2l, (l+1)/2l)
+      when p1 = 0, and all weight on S1 when all four points coincide.
 
     All fields that the run geometry leaves undefined are None.
     """
@@ -285,7 +288,7 @@ def decompose_step(subset: Iterable[int], position: int,
                    rho0: Sequence[Fraction]) -> StepDecomposition:
     """
     Decompose S_A B(i,i+1) as an exact convex combination of hypercube
-    vertices, with the closed-form coefficients in the generic case.
+    vertices, in closed form (see `StepDecomposition` for the cases).
 
     The construction around position i: S_A carries a run of k equal
     values ending at i and a run of l equal values starting at i+1.
@@ -339,58 +342,49 @@ def decompose_step(subset: Iterable[int], position: int,
             "Y2": _mean(rho0, i, i + l),
             "Z": (r2 + r3) / 2,
         }
-    p_values = (None if r1 is None else r2 - r1, r3 - r2, None if r4 is None else r4 - r3)
-    s1, s2, s3, _ = points
+    p_values = p1, p2, p3 = (None if r1 is None else r2 - r1, r3 - r2, None if r4 is None else r4 - r3)
     closed_form = {}
 
-    if i in A or (k == 1 and l == 1):
-        case = "identity" if i in A else "all_coincide"
-        lambdas = (Fraction(1), zero, zero, zero)
-    elif k == 1:  # S3 == S1 and S4 == S2: a two-point decomposition
-        case = "short_left"
-        w = _two_point_weight(target, s1, s2)
-        lambdas = (w, 1 - w, zero, zero)
+    # every case but the generic one weighs the segment between two points
+    if i in A:
+        case, a, b = "identity", 0, 0
+    elif k == 1 == l:  # all four points are S_{A+i}
+        case, a, b = "all_coincide", 0, 0
+    elif k == 1:  # S3 == S1 and S4 == S2
+        case, a, b = "short_left", 0, 1
     elif l == 1:  # S2 == S1 and S4 == S3
-        case = "short_right"
-        w = _two_point_weight(target, s1, s3)
-        lambdas = (w, zero, 1 - w, zero)
+        case, a, b = "short_right", 0, 2
+    elif p2 == 0 and 0 in (p1, p3):  # S4 == S3 or S4 == S2: the target is on S2-S3
+        case, (a, b) = "flat", (0, 0) if points[1] == points[2] else (1, 2)
     else:
-        p1, p2, p3 = p_values
+        case = "generic"
         den_k = (k - 1) * p1 + k * p2 + (k + 1) * p3
         den_l = (l + 1) * p1 + l * p2 + (l - 1) * p3
-        if den_k == 0 or den_l == 0 or (p2 + 2 * p3) == 0 or (p2 + 2 * p1) == 0:
-            # ties in rho0 collapsed the frame; fall back to an LP witness
-            distinct = sorted(set(points))
-            res = hull_membership(target, distinct)
-            if not res.inside:
-                raise AssertionError("degenerate step escaped the vertex hull")
-            weights = dict(zip(distinct, res.coefficients))
-            case = "flat"
-            lambdas = tuple(weights.pop(s, zero) for s in points)  # repeats weigh 0
-        else:
-            c1 = (p2 + 2 * p3) * (p2 + 2 * p1) * (k + l) / (2 * den_k * den_l)
-            c2 = -(p2 + 2 * p3) * (k + 1) / (2 * den_k)
-            c3 = -(p2 + 2 * p1) * (l + 1) / (2 * den_l)
+        c1 = (p2 + 2 * p3) * (p2 + 2 * p1) * (k + l) / (2 * den_k * den_l)
+        c2 = -(p2 + 2 * p3) * (k + 1) / (2 * den_k)
+        c3 = -(p2 + 2 * p1) * (l + 1) / (2 * den_l)
 
-            num_shared = (k - 1) * l * p1 + k * l * p2 + k * (l - 1) * p3
-            ratio1 = ((k - 1) * l * p1 * p2 + k * l * p2 * p2 + k * (l - 1) * p2 * p3
-                      - 2 * (k + l) * p1 * p3) / ((p2 + 2 * p3) * (p2 + 2 * p1) * k * l)
-            ratio2 = num_shared / ((p2 + 2 * p3) * k * l)
-            ratio3 = num_shared / ((p2 + 2 * p1) * k * l)
+        num_shared = (k - 1) * l * p1 + k * l * p2 + k * (l - 1) * p3
+        ratio1 = ((k - 1) * l * p1 * p2 + k * l * p2 * p2 + k * (l - 1) * p2 * p3
+                  - 2 * (k + l) * p1 * p3) / ((p2 + 2 * p3) * (p2 + 2 * p1) * k * l)
+        ratio2 = num_shared / ((p2 + 2 * p3) * k * l)
+        ratio3 = num_shared / ((p2 + 2 * p1) * k * l)
 
-            d1 = -c1 * ratio1
-            d2 = -c2 * ratio2
-            d3 = -c3 * ratio3
+        d1 = -c1 * ratio1
+        d2 = -c2 * ratio2
+        d3 = -c3 * ratio3
 
-            lo = max(zero, ratio1)
-            hi = min(ratio2, ratio3)
-            if lo > hi:  # contradicts the feasibility-window theorem
-                raise AssertionError(f"empty feasibility window for A={sorted(A)}, i={i}")
+        lo = max(zero, ratio1)
+        hi = min(ratio2, ratio3)
+        if lo > hi:  # contradicts the feasibility-window theorem
+            raise AssertionError(f"empty feasibility window for A={sorted(A)}, i={i}")
 
-            case = "generic"
-            lambdas = (c1 * lo + d1, c2 * lo + d2, c3 * lo + d3, lo)
-            closed_form = dict(coeff_c=(c1, c2, c3), coeff_d=(d1, d2, d3), window=(lo, hi),
-                               ratios=(ratio1, ratio2, ratio3))
+        lambdas = (c1 * lo + d1, c2 * lo + d2, c3 * lo + d3, lo)
+        closed_form = dict(coeff_c=(c1, c2, c3), coeff_d=(d1, d2, d3), window=(lo, hi),
+                           ratios=(ratio1, ratio2, ratio3))
+    if case != "generic":
+        w = _two_point_weight(target, points[a], points[b])
+        lambdas = tuple(w if t == a else 1 - w if t == b else zero for t in range(4))
 
     dec = StepDecomposition(
         subset=A, position=i, rho0=rho0, case=case, k=k, l=l, target=target, points=points,

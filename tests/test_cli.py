@@ -155,6 +155,13 @@ class TestOptimize:
         assert data["optimal_energy"] == "13/7"
         assert "recovered" in err
 
+    def test_weights_file_matches_inline(self, capsys, tmp_path):
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps(["1", "2", "3"]))
+        argv = ["optimize", "--graph", "path:3", "--rho", "1/6,1/3,1/2", "--weights"]
+        from_file = run_cli(capsys, *argv, str(f))
+        assert from_file[0] == 0 and from_file == run_cli(capsys, *argv, "1,2,3")
+
     def test_weights_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["optimize", "--graph", "complete:3", "--rho", "0,2/7,5/7"])
@@ -292,6 +299,24 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "'1/0' has a zero denominator" in err
+
+    @pytest.mark.parametrize("flag", ["--rho", "--weights"])
+    def test_missing_json_file_exit_2(self, capsys, tmp_path, flag):
+        # a name ending in .json is a file for every input flag, found or not
+        args = {"--graph": "path:3", "--rho": "1/6,1/3,1/2", "--weights": "1,2,3",
+                flag: str(tmp_path / "missing.json")}
+        argv = ["optimize"] + [x for item in args.items() for x in item]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "No such file" in err
+
+    def test_bad_weights_entry_names_the_file(self, capsys, tmp_path):
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps(["1/0", "2", "3"]))
+        code, out, err = run_cli(capsys, "optimize", "--graph", "path:3",
+                                 "--rho", "1/6,1/3,1/2", "--weights", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}: ") and "'1/0' has a zero denominator" in err
 
     @pytest.mark.parametrize("method", ["enumerate", "structured"])
     def test_optimize_population_size_exit_2(self, capsys, method):

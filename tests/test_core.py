@@ -26,6 +26,8 @@ from diffpoly.core import (
     sweep_word,
     uniform_vector,
 )
+from diffpoly.enumeration import explore
+from diffpoly.structured.ordered_path import subset_point
 
 
 def pv(*comps):
@@ -176,7 +178,7 @@ class TestGraph:
 
     def test_json_round_trip(self):
         g = helium_p5()
-        assert DiffusionGraph.from_json(json.loads(g.dumps())) == g
+        assert DiffusionGraph.from_json(json.loads(json.dumps(g.to_json()))) == g
 
 
 class TestApply:
@@ -329,6 +331,19 @@ class TestSweep:
         target = block.apply(rho)
         assert max(abs(a - b) for a, b in zip(state, target)) < Fraction(1, 2 ** 60)
 
+    def test_sweep_without_spanning_path(self):
+        # a star has no spanning path: the sweep falls back to a DFS tree walk
+        g = DiffusionGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+        block = BlockOp((1, 2, 3, 4))
+        word = sweep_word(g, block)
+        assert list(word) == [PairOp.of(1, 4), PairOp.of(1, 3), PairOp.of(1, 2)]
+        rho = pv("1/10", "2/10", "3/10", "4/10")
+        state = rho
+        for _ in range(200):
+            state = apply_sequence(word, state)
+        target = block.apply(rho)
+        assert max(abs(a - b) for a, b in zip(state, target)) < Fraction(1, 2 ** 60)
+
 
 class TestOps:
     def test_pair_op_validation(self):
@@ -402,6 +417,8 @@ class TestOps:
     def test_str_forms(self):
         assert str(PairOp.of(1, 2)) == "B12"
         assert str(BlockOp((1, 2, 3))) == "B123"
+        assert str(PairOp.of(9, 10)) == "B(9,10)"
+        assert str(BlockOp((9, 10))) == "B(9,10)"
         assert str(OperationSequence()) == "id"
 
     def test_connected_blocks_on_cycle(self):
@@ -456,3 +473,18 @@ class TestTrustedImages:
         assert key in {vec} and vec in {key}
         assert {vec: "state"}[key] == "state" and {key: "tuple"}[vec] == "tuple"
         assert len({vec, key, PopulationVector(list(key))}) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: explore(path(3), pv("1/6", "1/3", "1/2"), max_depth=-1), "max_depth must be >= 0"),
+    (lambda: BlockOp((3, 5)).validate(path(4)), r"block \(3, 5\) exceeds vertex range"),
+    (lambda: subset_point({5}, PopulationVector.normalized([1, 2, 3, 4])),
+     r"subset \[5\] out of range for n=4"),
+    (lambda: PopulationVector.normalized([0, 0]), "cannot normalize a non-positive total"),
+    (lambda: complete(1), "complete graph needs n >= 2"),
+    (lambda: grid_composition(1, 2), "grid composition needs m >= 2, n >= 1"),
+], ids=["explore-depth", "block-range", "subset-range", "normalize-zero", "complete-1",
+        "grid-1x2"])
+def test_input_errors_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

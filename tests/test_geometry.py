@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from diffpoly.core import PairOp, PopulationVector, apply_sequence, uniform_vector
+from diffpoly.core import PairOp, PopulationVector, apply_sequence, format_rational, uniform_vector
 from diffpoly.enumeration import triangle_decomposition
 from diffpoly.geometry import (
     ExtremalityCertificate,
@@ -68,6 +68,8 @@ class TestHullMembership:
     def test_empty_set(self, rho3):
         res = hull_membership(rho3, [])
         assert not res.inside and res.functional is None
+        # with no functional, "outside" is a witness against the empty set only
+        assert res.verify(rho3, []) and not res.verify(rho3, [uniform_vector(3)])
 
     def test_outside_gets_verified_functional(self, rho3):
         others = [p for p in K3_VERTICES if p != rho3]
@@ -113,6 +115,17 @@ class TestExtremePoints:
     def test_single_point(self, rho3):
         certs = extreme_points([rho3])
         assert len(certs) == 1 and certs[0].is_extreme
+
+    def test_interior_certificate_json(self):
+        certs = extreme_points(K3_VERTICES + [uniform_vector(3)])
+        (cert,) = [c for c in certs if not c.is_extreme]
+        data = cert.to_json()
+        assert data["point"] == ["1/3", "1/3", "1/3"] and data["is_extreme"] is False
+        assert "functional" not in data
+        assert data["combination"] == [
+            {"point": [format_rational(c) for c in q], "weight": format_rational(w)}
+            for q, w in cert.combination
+        ]
 
     def test_known_vertex_list_skips_the_scan_with_the_same_certificates(self):
         # handed the hull that listed them, the vertices are certified from

@@ -412,7 +412,7 @@ class TestStepDecomposition:
     def test_points_are_neighboring_subset_points(self, case):
         A, i = {"identity": ({2}, 2), "all_coincide": (set(), 2), "short_left": ({3}, 2),
                 "short_right": ({2}, 3), "generic": ({2, 3, 5, 6}, 4), "flat": ({1, 3}, 2)}[case]
-        if case == "flat":  # the tie r2 = r3 = r4 collapses the closed form
+        if case == "flat":  # the tie r2 = r3 = r4 collapses the four-point frame
             rho = PopulationVector.normalized([1, 3, 3, 3])
         else:
             rho = random_sorted_population(random.Random(25), 7)
@@ -425,8 +425,7 @@ class TestStepDecomposition:
             subset_point((A - {i - 1, i + 1}) | {i}, rho),
         )
         if case == "flat":
-            # the LP weighs distinct points; a repeated point carries weight
-            # only at its first position
+            # S4 repeats S3 and carries no weight; p3 = 0 puts (k+1)/2k on S2
             assert dec.points[2] == dec.points[3]
             assert dec.lambdas == (0, Fraction(3, 4), Fraction(1, 4), 0)
 
@@ -461,6 +460,28 @@ class TestStepDecomposition:
             assert dec.verify()
             res = hull_membership(dec.target, sorted(set(dec.points)))
             assert res.inside
+
+    def test_degenerate_steps_match_the_lp(self):
+        # every non-generic step is a two-point weight; an exact LP over the
+        # distinct points, weight placed at each point's first position, is
+        # the reference, on every tie pattern of the values 0..3
+        cases = set()
+        for n in range(3, 6):
+            subsets = [A for size in range(n) for A in combinations(range(1, n), size)]
+            for values in combinations_with_replacement(range(4), n):
+                if not any(values):
+                    continue
+                rho = PopulationVector.normalized(values)
+                for A, i in product(subsets, range(1, n)):
+                    dec = decompose_step(A, i, rho)
+                    cases.add(dec.case)
+                    if dec.case == "generic":
+                        continue
+                    distinct = sorted(set(dec.points))
+                    res = hull_membership(dec.target, distinct)
+                    weights = dict(zip(distinct, res.coefficients))
+                    assert dec.lambdas == tuple(weights.pop(q, 0) for q in dec.points)
+        assert cases == {"identity", "all_coincide", "short_left", "short_right", "flat", "generic"}
 
     def test_tied_input_with_single_runs_coincides(self):
         # k = l = 1 around i = 1: the image is S_{1} itself, however tied rho0 is
