@@ -20,6 +20,7 @@ from pathlib import Path
 from .core import (
     DiffusionGraph,
     PopulationVector,
+    _rationals_from_json,
     complete,
     cycle,
     format_rational,
@@ -64,9 +65,8 @@ def _is_file(spec: str) -> bool:
 
 def _load(spec: str, from_json):
     """`from_json` of the JSON file `spec`, naming the file in any error."""
-    data = json.loads(Path(spec).read_text())
     try:
-        return from_json(data)
+        return from_json(json.loads(Path(spec).read_text()))
     except ValueError as exc:
         raise ValueError(f"{spec}: {exc}") from None
 
@@ -81,14 +81,8 @@ def parse_rho(spec: str) -> PopulationVector:
 def parse_weights(spec: str) -> tuple[Fraction, ...]:
     """Inline comma-separated p/q values, or a JSON file with a list of p/q strings."""
     if _is_file(spec):
-        return _load(spec, _weights_from_json)
+        return _load(spec, _rationals_from_json)
     return tuple(map(parse_rational, spec.split(",")))
-
-
-def _weights_from_json(data) -> tuple[Fraction, ...]:
-    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
-        raise ValueError("expected a JSON list of p/q strings")
-    return tuple(map(parse_rational, data))
 
 
 def canonical_json(data) -> str:
@@ -248,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -83,6 +83,13 @@ def _exact(c, what: str = "population") -> Fraction:
         raise ValueError(f"{what} {c!r} has a zero denominator") from None
 
 
+def _rationals_from_json(data) -> tuple[Fraction, ...]:
+    """The rationals of a JSON list of p/q strings."""
+    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
+        raise ValueError(f"expected a list of p/q strings, got {data!r}")
+    return tuple(map(parse_rational, data))
+
+
 def _ints(values: Iterable) -> bool:
     """Are all `values` ints (JSON integers; bools and floats are not)?"""
     return all(type(v) is int for v in values)
@@ -137,9 +144,7 @@ class PopulationVector(tuple):
 
     @classmethod
     def from_json(cls, data: list[str]) -> "PopulationVector":
-        if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
-            raise ValueError(f"expected a list of p/q strings, got {data!r}")
-        return cls(parse_rational(s) for s in data)
+        return cls(_rationals_from_json(data))
 
 
 def uniform_vector(n: int) -> PopulationVector:
@@ -192,20 +197,7 @@ class DiffusionGraph:
 
     def induced_connected(self, subset: Iterable[int]) -> bool:
         """Is the induced subgraph on `subset` connected?"""
-        sub = set(subset)
-        if not sub:
-            return False
-        adj = self.adjacency()
-        start = next(iter(sub))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u] & sub:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen == sub
+        return _connected(self.adjacency(), subset)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": sorted([list(e) for e in self.edges])}
@@ -462,51 +454,65 @@ def connected_blocks(graph: DiffusionGraph, min_size: int = 3) -> list[BlockOp]:
     first.  Size-2 blocks coincide with pair operators and are skipped by
     default.
     """
-    out = []
-    for size in range(max(min_size, 2), graph.n + 1):
-        for sub in combinations(graph.vertices(), size):
-            if graph.induced_connected(sub):
-                out.append(BlockOp(sub))
-    return out
+    adj = graph.adjacency()
+    return [BlockOp(sub) for size in range(max(min_size, 2), graph.n + 1)
+            for sub in combinations(graph.vertices(), size) if _connected(adj, sub)]
+
+
+def _tree_walk(adj: dict[int, set[int]], sub: set[int]) -> list[tuple[int, int]]:
+    """
+    The edges of the depth-first tree inside the non-empty `sub`, in the
+    order it finds them: it starts at the least vertex and takes neighbours
+    in increasing order.  It keeps its own stack, so long paths do not recurse.
+    """
+    root = min(sub)
+    seen = {root}
+    edges: list[tuple[int, int]] = []
+    stack = [(root, iter(sorted(adj[root] & sub)))]
+    while stack:
+        u, rest = stack[-1]
+        for w in rest:
+            if w not in seen:
+                seen.add(w)
+                edges.append((u, w))
+                stack.append((w, iter(sorted(adj[w] & sub))))
+                break
+        else:
+            stack.pop()
+    return edges
+
+
+def _connected(adj: dict[int, set[int]], subset: Iterable[int]) -> bool:
+    """Is `subset` non-empty and connected in the graph with neighbour map `adj`?"""
+    sub = set(subset)
+    return bool(sub) and len(_tree_walk(adj, sub)) == len(sub) - 1
 
 
 def _spanning_walk(graph: DiffusionGraph, subset: tuple[int, ...]) -> list[tuple[int, int]]:
     """
     An edge word inside `subset` whose repeated application converges to the
-    block average: a spanning path if one exists, else a DFS tree walk.
+    block average: a spanning path if one exists, else the depth-first tree.
     """
-    sub = sorted(set(subset))
-    adj = {v: (graph.adjacency()[v] & set(sub)) for v in sub}
+    members = set(subset)
+    adj = graph.adjacency()
 
     # try for a Hamiltonian path (subsets are tiny)
     def extend(pathv: list[int]) -> list[int] | None:
-        if len(pathv) == len(sub):
+        if len(pathv) == len(members):
             return pathv
-        for w in sorted(adj[pathv[-1]]):
+        for w in sorted(adj[pathv[-1]] & members):
             if w not in pathv:
                 got = extend(pathv + [w])
                 if got:
                     return got
         return None
 
-    for start in sub:
+    for start in sorted(members):
         found = extend([start])
         if found:
             return [(found[t], found[t + 1]) for t in range(len(found) - 1)]
 
-    # fall back to a DFS spanning-tree edge sequence
-    edges: list[tuple[int, int]] = []
-    seen = {sub[0]}
-
-    def dfs(u: int) -> None:
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                edges.append((u, w))
-                dfs(w)
-
-    dfs(sub[0])
-    return edges
+    return _tree_walk(adj, members)
 
 
 def sweep_word(graph: DiffusionGraph, block: BlockOp) -> OperationSequence:

@@ -17,10 +17,12 @@ forward-invariant under every operator and provably contains the entire
 attainable set: the vertex list is then complete ("proven"), no matter
 the graph.  Otherwise the result is labeled "depth-bounded".
 
-Triangle pruning is available as an option: inside any triangle of the
-graph, averaging the extreme pair while the third population lies
-strictly between them lands inside the hull of states reachable another
-way, so such branches cannot contribute new vertices.
+Triangle pruning (``PolytopeConfig(triangle_pruning=True)``) skips the
+outer-pair average of a graph triangle whose third population lies
+strictly between the pair's: ``triangle_decomposition`` writes that image
+as a convex combination of states reachable another way.  It is off by
+default: the saturation argument above assumes every operator is applied,
+and pruned depth-bounded or pair-only searches can return other vertices.
 """
 from __future__ import annotations
 
@@ -167,21 +169,13 @@ def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
 
 def triangle_prune(graph: DiffusionGraph, rho: Sequence[Fraction], op: PairOp) -> bool:
     """
-    True when averaging op's endpoints cannot lead to a new vertex: some
-    third vertex forms a triangle with them and its population lies
-    strictly between theirs.  Ties never prune.
+    True when a search with triangle pruning skips averaging op's
+    endpoints: some third vertex forms a triangle with them and its
+    population lies strictly between theirs.  Ties never prune.
     """
-    i, k = op.i, op.j
-    lo = min(rho[i - 1], rho[k - 1])
-    hi = max(rho[i - 1], rho[k - 1])
-    if lo == hi:
-        return False
-    for j in graph.vertices():
-        if j in (i, k):
-            continue
-        if graph.has_edge(i, j) and graph.has_edge(j, k) and lo < rho[j - 1] < hi:
-            return True
-    return False
+    lo, hi = sorted((rho[op.i - 1], rho[op.j - 1]))
+    return any(lo < rho[j - 1] < hi for j in graph.vertices()
+               if graph.has_edge(op.i, j) and graph.has_edge(j, op.j))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "identity",
     "inversions",
     "apply_word",
     "all_permutations",
@@ -33,10 +32,6 @@ __all__ = [
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
-
-
-def identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
 
 
 def inversions(perm: Sequence[int]) -> int:

@@ -265,10 +265,13 @@ class TestErrors:
         ("--rho", [0.5, 0.5]),
         ("--rho", {"rho": ["1/2", "1/2"]}),
         ("--weights", [1, 2]),
+        pytest.param("--weights", "[1,", id="--weights-not-json"),
+        pytest.param("--rho", "[1,", id="--rho-not-json"),
     ])
     def test_malformed_file_exit_2(self, capsys, tmp_path, flag, content):
+        # a string is the file's raw text, which need not be valid JSON
         f = tmp_path / "input.json"
-        f.write_text(json.dumps(content))
+        f.write_text(content if isinstance(content, str) else json.dumps(content))
         args = {"--graph": "path:2", "--rho": "1/4,3/4", "--weights": "1,2", flag: str(f)}
         argv = ["optimize"] + [x for item in args.items() for x in item]
         code, out, err = run_cli(capsys, *argv)

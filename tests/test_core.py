@@ -170,6 +170,21 @@ class TestGraph:
         with pytest.raises(ValueError):
             DiffusionGraph.from_edges(3, [(1, 1), (1, 2), (2, 3)])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (0, frozenset(), "at least one vertex"),
+        (3, frozenset({(2, 1)}), "bad edge"),
+        (3, frozenset({(1, 4)}), "bad edge"),
+    ])
+    def test_malformed_graph_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            DiffusionGraph(n, edges)
+
+    def test_long_path_builds_without_recursion(self):
+        # far beyond the default recursion limit: the connectivity walk keeps its own stack
+        g = path(5000)
+        assert g.induced_connected(g.vertices())
+        assert not g.induced_connected(v for v in g.vertices() if v != 2500)
+
     def test_builders_reject_small(self):
         with pytest.raises(ValueError):
             path(1)
@@ -337,6 +352,10 @@ class TestSweep:
         block = BlockOp((1, 2, 3, 4))
         word = sweep_word(g, block)
         assert list(word) == [PairOp.of(1, 4), PairOp.of(1, 3), PairOp.of(1, 2)]
+        # the tree walk starts at the least vertex, takes neighbours in
+        # increasing order and backtracks: 12, 23, 24, 45, then 16
+        tree = DiffusionGraph.from_edges(6, [(1, 2), (2, 3), (2, 4), (4, 5), (1, 6)])
+        assert str(sweep_word(tree, BlockOp(tuple(range(1, 7))))) == "B16B45B24B23B12"
         rho = pv("1/10", "2/10", "3/10", "4/10")
         state = rho
         for _ in range(200):
@@ -426,6 +445,18 @@ class TestOps:
         assert [b.vertices for b in blocks] == [
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 3, 4),
         ]
+
+    def test_one_neighbour_map_per_search(self, monkeypatch):
+        g = complete(6)
+        calls = []
+        adjacency = DiffusionGraph.adjacency
+        monkeypatch.setattr(DiffusionGraph, "adjacency",
+                            lambda self: calls.append(1) or adjacency(self))
+        assert len(connected_blocks(g)) == 42
+        assert len(calls) == 1
+        # one map to validate the block, one for its walk
+        sweep_word(g, BlockOp((1, 2, 3, 4, 5, 6)))
+        assert len(calls) == 3
 
 
 def ops(n):

@@ -8,7 +8,6 @@ from diffpoly.structured.words import (
     all_permutations,
     apply_word,
     commutation_classes,
-    identity,
     inversions,
     reduced_words,
     stopping_permutation,
