@@ -496,21 +496,24 @@ def _spanning_walk(graph: DiffusionGraph, subset: tuple[int, ...]) -> list[tuple
     members = set(subset)
     adj = graph.adjacency()
 
-    # try for a Hamiltonian path (subsets are tiny)
-    def extend(pathv: list[int]) -> list[int] | None:
-        if len(pathv) == len(members):
-            return pathv
-        for w in sorted(adj[pathv[-1]] & members):
-            if w not in pathv:
-                got = extend(pathv + [w])
-                if got:
-                    return got
-        return None
-
+    # a Hamiltonian path: from each start in turn, a depth-first search that
+    # extends the path by its last vertex's neighbours in increasing order and
+    # keeps its own stack, so long paths do not recurse
     for start in sorted(members):
-        found = extend([start])
-        if found:
-            return [(found[t], found[t + 1]) for t in range(len(found) - 1)]
+        walk, on_walk = [start], {start}
+        stack = [iter(sorted(adj[start] & members))]
+        while len(walk) < len(members) and stack:
+            for w in stack[-1]:
+                if w not in on_walk:
+                    walk.append(w)
+                    on_walk.add(w)
+                    stack.append(iter(sorted(adj[w] & members)))
+                    break
+            else:
+                stack.pop()
+                on_walk.discard(walk.pop())
+        if len(walk) == len(members):
+            return list(zip(walk, walk[1:]))
 
     return _tree_walk(adj, members)
 

@@ -7,6 +7,16 @@ words with exact state deduplication (``_layers``); each caller decides
 which new states to keep and expand.  ``explore`` is its keep-everything
 run, the slow, trustworthy oracle.
 
+The search holds each state as its integer image (d*x_1, ..., d*x_n, d),
+d > 0, primitive: its entries have gcd 1, so equal states have equal
+images.  Averaging a block of k entries with sum s is one integer step
+(``_average``): every entry times k / gcd(s, k), the block's entries
+s / gcd(s, k), then the whole divided by its gcd.  Deduplication, triangle
+pruning, the hull query and the majorization test all read the image.  A
+state becomes a ``PopulationVector`` of ``Fraction``s only where it is
+needed: for a hull query that takes an LP, when it joins the hull of
+``polytope``'s search, and at the end of ``explore``.
+
 ``polytope`` finds the vertices of the diffusion polytope with a pruned
 search that exploits linearity: every averaging operator is a linear map,
 so a state that is a convex combination of already-seen states can never
@@ -48,6 +58,7 @@ from .geometry import (
     IncrementalHull,
     _image,
     _is_convex_combination,
+    _StateImage,
     extreme_points,
     hull_vertices,  # unused here, but perfbench/tracing.py wraps it by this name
 )
@@ -104,26 +115,51 @@ class ReachableSet:
         )
 
 
-def _layers(graph: DiffusionGraph, rho0: PopulationVector, ops: Sequence[AveragingOp],
+def _average(image: _StateImage, block: tuple[int, ...]) -> _StateImage:
+    """The primitive image of the state of `image` after averaging the
+    entries at the 0-based indices `block`: the integer step of the module
+    docstring."""
+    k = len(block)
+    s = 0
+    for v in block:  # a plain loop costs less than sum() on a generator
+        s += image[v]
+    g = gcd(s, k)
+    mean, scale = s // g, k // g
+    out = list(image) if scale == 1 else [a * scale for a in image]
+    for v in block:
+        out[v] = mean
+    if gcd(mean, out[-1]) > 1:  # a common divisor divides both
+        h = gcd(*out)
+        out = [a // h for a in out]
+    return _StateImage(out)
+
+
+def _layers(graph: DiffusionGraph, start: _StateImage, ops: Sequence[AveragingOp],
             triangle_pruning: bool, keep, words=None):
     """
-    The breadth-first layers from `rho0`, one list per layer: every frontier
-    state under every operator, states in frontier order and operators in
-    `ops` order (with triangle pruning, pairs that `triangle_prune` rules
-    out are skipped).  Each new state is tested once with `keep`; the kept
-    ones form the next frontier and, given the dict `words` holding rho0's
-    word, get their parent's word plus the operator.  The last layer is
+    The breadth-first layers from the state of image `start`, one list per
+    layer: every frontier state under every operator, states in frontier
+    order and operators in `ops` order (with triangle pruning, pairs that
+    `triangle_prune` rules out are skipped).  A state is its primitive
+    integer image, a `_StateImage`, so two states are equal exactly when
+    their images are; each operator applies by `_average`, and a state is
+    deduplicated, tested and handed on as its image.  No `Fraction` is built
+    here: a caller builds the `PopulationVector` of a state it keeps.  Each
+    new state is tested once with `keep`; the kept ones form the next
+    frontier and, given the dict `words` holding start's word, get their
+    parent's word plus the operator, keyed by image.  The last layer is
     empty; the caller resumes the generator for the next layer, or stops.
     """
-    seen = {rho0}
-    frontier = [rho0]
+    steps = [(op, tuple(v - 1 for v in op.support), isinstance(op, PairOp)) for op in ops]
+    seen = {start}
+    frontier = [start]
     while frontier:
-        layer: list[PopulationVector] = []
+        layer: list[_StateImage] = []
         for s in frontier:
-            for op in ops:
-                if triangle_pruning and isinstance(op, PairOp) and triangle_prune(graph, s, op):
+            for op, block, pair in steps:
+                if triangle_pruning and pair and triangle_prune(graph, s, op):
                     continue
-                t = op.apply(s)
+                t = _average(s, block)
                 if t in seen:
                     continue
                 seen.add(t)
@@ -149,10 +185,11 @@ def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
         raise ValueError("max_depth must be >= 0")
     rho0 = _population(graph, rho0)
     ops = graph_ops(graph, use_blocks)
-    states: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
+    start = _StateImage(_image(rho0))
+    words = {start: OperationSequence()}
     depth_reached = 0
     exhausted = not ops
-    for layer in islice(_layers(graph, rho0, ops, False, lambda t: True, states), max_depth):
+    for layer in islice(_layers(graph, start, ops, False, lambda t: True, words), max_depth):
         if not layer:
             exhausted = True
             break
@@ -160,7 +197,7 @@ def explore(graph: DiffusionGraph, rho0: Sequence[Fraction], max_depth: int,
     return ReachableSet(
         graph=graph,
         rho0=rho0,
-        states=states,
+        states={image.point(): word for image, word in words.items()},
         max_depth=max_depth,
         depth_reached=depth_reached,
         truncated=not exhausted,
@@ -171,7 +208,9 @@ def triangle_prune(graph: DiffusionGraph, rho: Sequence[Fraction], op: PairOp) -
     """
     True when a search with triangle pruning skips averaging op's
     endpoints: some third vertex forms a triangle with them and its
-    population lies strictly between theirs.  Ties never prune.
+    population lies strictly between theirs.  Ties never prune.  Only the
+    order of the populations counts, so `rho` may be any positive multiple
+    of the state, such as its integer image.
     """
     lo, hi = sorted((rho[op.i - 1], rho[op.j - 1]))
     return any(lo < rho[j - 1] < hi for j in graph.vertices()
@@ -319,18 +358,23 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
-    current hull.  Returns the provenance of every point of that hull,
-    whether the search saturated, and the hull itself, unscanned.
+    current hull, as a `PopulationVector` built once from its image.
+    Returns the provenance of every point of that hull, whether the search
+    saturated, and the hull itself, unscanned.
     """
     hull = IncrementalHull([rho0])
     provenance: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
+    start = _StateImage(_image(rho0))
+    words = {start: OperationSequence()}
     saturated = not ops
-    layers = _layers(graph, rho0, ops, triangle_pruning, lambda t: not hull.contains(t), provenance)
+    layers = _layers(graph, start, ops, triangle_pruning, lambda t: not hull.contains(t), words)
     for layer in islice(layers, max_depth):
         if not layer:
             saturated = True
             break
-        hull._extend(layer)
+        points = [t.point() for t in layer]
+        provenance.update((p, words[t]) for p, t in zip(points, layer))
+        hull._extend(points, layer)
     return provenance, saturated, hull
 
 
@@ -456,15 +500,19 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
 
 
 def _prefix_sums(v: Sequence[Fraction]) -> list[Fraction]:
-    """Sums of the k largest components of `v`, k = 1, 2, ..."""
+    """Sums of the k largest components of `v`, k = 1, 2, ...; the last is
+    the total."""
     return list(accumulate(sorted(v, reverse=True)))
 
 
 def _majorizes(sums: Sequence[Fraction], goal: Sequence[Fraction]) -> bool:
     """Can averaging possibly turn a state into `goal`, given the
-    `_prefix_sums` of both?  Necessary: the goal below the state in the
-    majorization order (both sum to one)."""
-    return all(a >= b for a, b in zip(sums, goal))
+    `_prefix_sums` of both, of the state's components or of any positive
+    multiple such as the numerators of its image?  Necessary: the goal below
+    the state in the majorization order, each sum over its total, compared
+    by cross-multiplying."""
+    total, goal_total = sums[-1], goal[-1]
+    return all(a * goal_total >= b * total for a, b in zip(sums, goal))
 
 
 def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
@@ -474,20 +522,22 @@ def _pair_reachable_targets(graph: DiffusionGraph, rho0: PopulationVector,
     Which of `targets` does some pair word of length <= max_depth hit
     exactly?  States that majorize no remaining target are pruned; that is
     lossless because every averaging image is majorized by its source.
-    Each vector's `_prefix_sums` are built once.  The search stops after
-    the layer that hits the last target.
+    States and targets are compared as integer images, and each one's
+    `_prefix_sums`, of its image's numerators, are built once.  The search
+    stops after the layer that hits the last target.
     """
-    remaining = {t: _prefix_sums(t) for t in targets}
+    remaining = {image: _prefix_sums(image[:-1]) for image in map(_image, targets)}
     found: set[PopulationVector] = set()
 
-    def hit_or_majorizes(t: PopulationVector) -> bool:
-        if remaining.pop(t, None) is not None:
-            found.add(t)
-        sums = _prefix_sums(t)
+    def hit_or_majorizes(image: _StateImage) -> bool:
+        if remaining.pop(image, None) is not None:
+            found.add(image.point())
+        sums = _prefix_sums(image[:-1])
         return any(_majorizes(sums, goal) for goal in remaining.values())
 
-    hit_or_majorizes(rho0)  # rho0 may be a target itself
-    layers = islice(_layers(graph, rho0, graph_ops(graph, False), triangle_pruning,
+    start = _StateImage(_image(rho0))
+    hit_or_majorizes(start)  # rho0 may be a target itself
+    layers = islice(_layers(graph, start, graph_ops(graph, False), triangle_pruning,
                             hit_or_majorizes), max_depth)
     while remaining and next(layers, None) is not None:
         pass  # each layer records its hits in `found`

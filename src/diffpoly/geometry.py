@@ -33,8 +33,10 @@ the certification LP only where that fails.
 Everything is decided in integers.  A point is checked once, where it
 enters (ints and Fractions, as many as the set's points have), and
 enters as its image (d*x, d), with d the lcm of its denominators, made
-once per hull; a functional holds only its coefficients and offset times
-the lcm D of theirs, with D beside them.  Every sign and every comparison
+once per hull; a search state may come as that image already, a
+`_StateImage`, and then needs no check and no `Fraction`s unless a walk
+runs.  A functional holds only its coefficients and offset times the lcm
+D of theirs, with D beside them.  Every sign and every comparison
 of two values is then an integer dot product or a cross-multiplication,
 with the same ties as in rationals, and two points are equal exactly
 when their images are.  A convex combination is checked in `Fraction`s,
@@ -74,12 +76,29 @@ __all__ = [
 ]
 
 
-def _image(values: Sequence[Fraction]) -> list[int]:
-    """[d*x for x in values] + [d], with d > 0 the lcm of the denominators."""
+def _image(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """
+    The tuple (d*x_1, ..., d*x_n, d) of `values`, with d > 0 the lcm of the
+    denominators.  Its entries have gcd 1, since for each prime p of d the
+    denominator holding p's full power in d leaves its numerator, prime to
+    p, unscaled by p: the one primitive image.
+    """
     d = math.lcm(*(x.denominator for x in values))
-    image = [x.numerator * (d // x.denominator) for x in values]
-    image.append(d)
-    return image
+    return (*(x.numerator * (d // x.denominator) for x in values), d)
+
+
+class _StateImage(tuple):
+    """
+    A search state held as its `_image`: the primitive integer tuple
+    (d*x_1, ..., d*x_n, d), d > 0.  `IncrementalHull.contains` takes one as
+    it is, with no check and no `Fraction`s; `point` builds the state.
+    """
+
+    __slots__ = ()
+
+    def point(self) -> PopulationVector:
+        *numerators, d = self
+        return PopulationVector._trusted([Fraction(a, d) for a in numerators])
 
 
 @dataclass(frozen=True, init=False)
@@ -391,28 +410,31 @@ class IncrementalHull:
         self.points = sorted({_exact_point(p, dim) for p in points})
         self._images = [_image(q) for q in self.points]
         self._image_of = dict(zip(self.points, self._images))  # point -> image
+        self._members = set(self._images)  # the images of the points
         # the confirmed vertices, in confirmation order, each with its
         # confirming functional as (D, func), or None for the least point
         self._confirmed: dict = {}
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
         self._cells: list = []  # final bases of the LPs that ended inside
 
-    def _extend(self, points) -> None:
+    def _extend(self, points, images=None) -> None:
         """
-        Add `points` to the set, keeping it in lexicographic order.  A new
-        point can hide an old vertex and cross an old cut, so the confirmed
-        vertices and the cuts are dropped.  The cells stay: what they prove
-        inside the old set is inside the grown one.
+        Add `points` to the set, keeping it in lexicographic order; `images`,
+        if given, are their `_image`s.  A new point can hide an old vertex and
+        cross an old cut, so the confirmed vertices and the cuts are dropped.
+        The cells stay: what they prove inside the old set is inside the
+        grown one.
         """
-        for p in points:
+        for k, p in enumerate(points):
             p = self._query(p)
             if p in self._image_of:
                 continue
             i = bisect(self.points, p)
-            image = _image(p)
+            image = _image(p) if images is None else images[k]
             self.points.insert(i, p)
             self._images.insert(i, image)
             self._image_of[p] = image
+            self._members.add(image)
         self._confirmed.clear()
         self._cuts.clear()
 
@@ -555,16 +577,20 @@ class IncrementalHull:
     def contains(self, point) -> bool:
         """Is `point` in the hull of the set?  A walk that ends outside keeps
         its functional as a cut; a point that a cut scores > 0, or that a
-        cell proves inside, needs no walk."""
-        point = self._query(point)
-        if point in self._image_of:
+        cell proves inside, needs no walk.  A search state may come as its
+        `_StateImage`, whose point is built only for a walk."""
+        if type(point) is _StateImage:
+            image, point = point, None
+        else:
+            point = self._query(point)
+            image = _image(point)
+        if image in self._members:
             return True
-        image = _image(point)
         if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):
             return False
         if self._in_a_cell(image):
             return True
-        witness = self._outside(point, image)
+        witness = self._outside(image.point() if point is None else point, image)
         if isinstance(witness, SeparatingFunctional):
             self._cuts.append(witness._func)
         return isinstance(witness, tuple)

@@ -363,6 +363,41 @@ class TestSweep:
         target = block.apply(rho)
         assert max(abs(a - b) for a, b in zip(state, target)) < Fraction(1, 2 ** 60)
 
+    def test_long_block_sweeps_without_recursion(self):
+        word = sweep_word(path(5000), BlockOp(tuple(range(1, 5001))))
+        assert len(word) == 4999
+        assert word[0] == PairOp(4999, 5000) and word[-1] == PairOp(1, 2)
+
+    @pytest.mark.parametrize("name", [
+        *(f"complete:{n}" for n in range(3, 7)), *(f"cycle:{n}" for n in range(3, 8)),
+        *(f"path:{n}" for n in range(2, 7)), "helium",
+    ])
+    def test_spanning_path_search_order(self, name):
+        # reference: the recursive search, each start in turn, neighbours in
+        # increasing order, the first spanning path found
+        builder, _, n = name.partition(":")
+        builders = {"complete": complete, "cycle": cycle, "path": path}
+        graph = builders[builder](int(n)) if n else helium_p5()
+        adj = graph.adjacency()
+
+        def extend(walk, members):
+            if len(walk) == len(members):
+                return walk
+            for w in sorted(adj[walk[-1]] & members):
+                if w not in walk:
+                    found = extend(walk + [w], members)
+                    if found:
+                        return found
+            return None
+
+        for block in connected_blocks(graph, 2):
+            members = set(block.vertices)
+            walk = next(filter(None, (extend([s], members) for s in sorted(members))), None)
+            if walk is None:
+                continue  # no spanning path: the tree walk, tested above
+            expected = [PairOp.of(i, j) for i, j in reversed(list(zip(walk, walk[1:])))]
+            assert list(sweep_word(graph, block)) == expected, block
+
 
 class TestOps:
     def test_pair_op_validation(self):

@@ -505,3 +505,68 @@ def test_pair_reachable_targets_match_explore_oracle():
         targets = rnd.sample(pool, min(12, len(pool)))
         expected = {t for t in targets if t in reach}
         assert _pair_reachable_targets(graph, rho, targets, 4, False) == expected
+
+
+def test_integer_step_matches_the_operators():
+    # the search's integer step on a state's image is the image of the
+    # operator's result, and stays primitive, along random words too
+    from math import gcd
+
+    from diffpoly.enumeration import _average
+    from diffpoly.geometry import _image, _StateImage
+
+    rnd = random.Random(25)
+    for n in range(2, 7):
+        subsets = [b for size in range(2, n + 1) for b in combinations(range(1, n + 1), size)]
+        ops = [BlockOp(b) for b in subsets] + [PairOp(*b) for b in subsets if len(b) == 2]
+        states = [random_population(rnd, n, bound) for bound in (2, 3, 50) for _ in range(3)]
+        states += [uniform_vector(n), exponential_populations(n)]
+        assert any(0 in s for s in states) and any(len(set(s)) < n for s in states)
+        for state in states:
+            image = _StateImage(_image(state))
+            for op in ops:
+                step = _average(image, tuple(v - 1 for v in op.support))
+                assert step == _image(op.apply(state)) and gcd(*step) == 1, (state, op)
+            for _ in range(8):  # a random word: denominators grow
+                op = rnd.choice(ops)
+                state, image = op.apply(state), _average(image, tuple(v - 1 for v in op.support))
+                assert type(image) is _StateImage and image.point() == state
+                assert image == _image(state) and gcd(*image) == 1, (state, op)
+
+
+class TestLPCounts:
+    """
+    LPs (`_phase_one` calls) a search runs, pinned at their current values.
+    A change that lowers one updates it here and says so; none may rise.
+    """
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        from diffpoly import geometry
+
+        calls = []
+        phase_one = geometry._phase_one
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return phase_one(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "_phase_one", counted)
+        return calls
+
+    @pytest.mark.parametrize("graph, rho, classify, lps", [
+        (cycle(4), (1, 2, 3, 4), False, 81),
+        (helium_p5(), (1, 2, 4, 7, 11), False, 130),
+        (cycle(4), (1, 2, 3, 4), True, 93),
+        (helium_p5(), (1, 2, 4, 7, 11), True, 140),
+    ], ids=["c4", "helium", "c4-classified", "helium-classified"])
+    def test_polytope(self, lp_calls, graph, rho, classify, lps):
+        polytope(graph, PopulationVector.normalized(rho), PolytopeConfig(classify=classify))
+        assert len(lp_calls) == lps
+
+    def test_optimize_over(self, lp_calls):
+        from diffpoly.optimize import optimize_over
+
+        optimize_over(complete(4), PopulationVector.normalized([3, 1, 4, 1]), (1, 2, 3, 4),
+                      config=PolytopeConfig(classify=False))
+        assert len(lp_calls) == 162

@@ -15,6 +15,7 @@ from diffpoly.geometry import (
     SeparatingFunctional,
     _image,
     _phase_one,
+    _StateImage,
     extreme_points,
     hull_membership,
     hull_vertices,
@@ -366,6 +367,26 @@ class TestIncrementalHull:
                 assert ([hull.is_extreme_in(p) for p in hull.points]
                         == [fresh.is_extreme_in(p) for p in fresh.points])
                 assert hull.vertices() == fresh.vertices()
+
+    def test_state_images_answer_as_their_points(self):
+        # a search state comes to `contains` as its `_StateImage`, and the
+        # set grows by points with their images; members, points a cut or a
+        # cell decides and walked points all get the LP's answer
+        rnd = random.Random(71)
+        for dim in (3, 4):
+            cloud = [random_population(rnd, dim, bound=6) for _ in range(24)]
+            probes = [random_population(rnd, dim) for _ in range(12)]
+            probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(12)] + cloud
+            by_image, by_point, seen = IncrementalHull([]), IncrementalHull([]), []
+            for batch in (cloud[:8], cloud[8:16], cloud[16:]):
+                by_image._extend(batch, [_StateImage(_image(p)) for p in batch])
+                by_point._extend(batch)
+                seen += batch
+                answers = [hull_membership(q, seen).inside for q in probes]
+                assert [by_image.contains(_StateImage(_image(q))) for q in probes] == answers
+                assert [by_point.contains(q) for q in probes] == answers
+                assert True in answers and False in answers
+            assert by_image.vertices() == by_point.vertices()
 
     def test_extend_drops_cuts(self):
         # the centroid is outside the hull of two corners, and its cut
