@@ -358,7 +358,8 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
-    current hull, as a `PopulationVector` built once from its image.
+    current hull, as a `PopulationVector` built once from its image: the
+    point that its walk in `IncrementalHull.contains` built, if it walked.
     Returns the provenance of every point of that hull, whether the search
     saturated, and the hull itself, unscanned.
     """
@@ -372,7 +373,7 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
         if not layer:
             saturated = True
             break
-        points = [t.point() for t in layer]
+        points = [hull._walked.pop(t, None) or t.point() for t in layer]
         provenance.update((p, words[t]) for p, t in zip(points, layer))
         hull._extend(points, layer)
     return provenance, saturated, hull

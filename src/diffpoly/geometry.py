@@ -44,15 +44,18 @@ by `_is_convex_combination` alone.
 
 The LP solver is a phase-one simplex with Bland's rule, which cannot
 cycle, in revised form: the LPs are short and wide (dimension + 1 <= 11
-rows, up to hundreds of point columns), so it keeps only the basis
-inverse, prices the point images in index order against the current dual
-vector, and builds only the entering column.  The basis inverse is held as
-the integer matrix det*B^-1 and pivoted fraction-free (Edmonds/Bareiss, as
-in lrs), where every division is exact.  These are the entries a full
-integer tableau would hold, and positive column scalings leave every Bland
-choice, so every answer is the one a rational tableau gives.  Rationals are
-built only for a convex combination; an infeasible LP's functional comes
-straight from the integer dual vector.
+rows, up to hundreds of point columns), so its rows hold only the basis
+inverse, as the integer matrix det*B^-1, and the right-hand side, pivoted
+fraction-free (Edmonds/Bareiss, as in lrs), where every division is exact.
+One dual row u, det minus the reduced costs of the artificial columns,
+rides along under the same step.  The point images are sign-flipped once
+per LP, only for a query with a negative coordinate, and priced in index
+order against u, the basic ones skipped (their price is 0); only the
+entering column is built.  These are the entries a full integer tableau
+would hold, and positive column scalings leave every Bland choice, so
+every answer is the one a rational tableau gives.  Rationals are built
+only for a convex combination; an infeasible LP's functional is u with
+the row signs folded back in.
 """
 from __future__ import annotations
 
@@ -208,61 +211,60 @@ def _phase_one(
 
     The LP is held in integers.  Column j of the constraint matrix is the
     image (d_j*s_j, d_j) of point j, with row r flipped by sign_r so that
-    the right-hand side, `point`'s image, is >= 0; the artificial columns
-    are unit vectors.  Scaling column j by d_j > 0 multiplies its reduced
-    cost by d_j, and every ratio of one ratio test by the same positive
-    factor (a basic column's own scaling cancels within its row's ratio), so
-    Bland's rule picks the same entering column and the same leaving row at
-    every pivot.  Rows are never scaled: that would reweight the artificial
-    variables and change the phase-one objective.
+    the right-hand side, `point`'s image, is >= 0; the columns are flipped
+    once, and only if a coordinate of `point` is negative.  The artificial
+    columns are unit vectors.  Scaling column j by d_j > 0 multiplies its
+    reduced cost by d_j, and every ratio of one ratio test by the same
+    positive factor (a basic column's own scaling cancels within its row's
+    ratio), so Bland's rule picks the same entering column and the same
+    leaving row at every pivot.  Rows are never scaled: that would reweight
+    the artificial variables and change the phase-one objective.
 
-    The simplex is revised (Azulay & Pique's integer form of it).  It holds
-    only the basis inverse, as the integer matrix det*B^-1 (the artificial
-    columns of the full tableau) beside the right-hand side, and the reduced
-    costs of the artificial columns beside the objective value, all times
-    det, the last pivot (1 at the start, always > 0).  With
-    u_r = det - reduced(artificial r), column j prices at -(u . A_j).
-    Columns are priced in index order, the point columns first, and the
-    first negative one enters; only that column is built, as det*B^-1*A_e,
-    with no division.  Pivots are fraction-free (Edmonds/Bareiss, as in
-    lrs): the pivot row stays as it is, every other row, objective
-    included, becomes (a*piv - f*p) // det, exact by Sylvester's identity,
-    and then det = piv.  These are the entries the full integer tableau
-    would hold, so every choice is the one it would make.  Rationals come
-    back only in the result.
+    The simplex is revised (Azulay & Pique's integer form of it).  Its rows
+    are det*B^-1 | rhs, the artificial columns of the full tableau and its
+    right-hand side, all times det, the last pivot (1 at the start, always
+    > 0).  Below them is the dual row u | z, carried from pivot to pivot:
+    u_r is det minus the tableau's reduced cost of artificial r, and z is
+    det times the objective, minus the tableau's objective entry.  Point
+    column j prices at -(u . A_j); a basic one prices at exactly 0, so it
+    is skipped.  Columns are priced in index order, the point columns
+    first, and the first negative one enters.  Only that column is built,
+    as det*B^-1*A_e beside its price u . A_e, with no division.  Pivots are
+    fraction-free (Edmonds/Bareiss, as in lrs): the pivot row stays as it
+    is, every other row, the dual row included, becomes
+    (a*piv - f*p) // det, exact by Sylvester's identity, and then
+    det = piv.  These are the entries the full integer tableau would hold,
+    so every choice is the one it would make.  Rationals come back only in
+    the result.
     """
     m = len(points)
-    n = len(point)
-    rows = n + 1
+    rows = len(point) + 1
     if images is None:
         images = [_image(q) for q in points]
     b = _image(point) if point_image is None else point_image
     sign = [-1 if v < 0 else 1 for v in b]
+    columns = [list(map(mul, sign, im)) for im in images] if -1 in sign else images
 
-    # row r: [det*B^-1 row r | rhs_r | entering column's entry]
-    tab = [[0] * rows + [abs(v), 0] for v in b]
-    for r in range(rows):
-        tab[r][r] = 1
-    # reduced costs of the artificial columns, the objective, the entering column's
-    reduced = [0] * rows + [-sum(abs(v) for v in b), 0]
+    # rows 0..rows-1: [det*B^-1 row r | rhs_r]; the last row: [u | z]
+    tab = [[int(r == c) for c in range(rows)] + [abs(v)] for r, v in enumerate(b)]
+    tab.append([1] * rows + [sum(abs(v) for v in b)])
+    dual = tab[rows]
     basis = [m + r for r in range(rows)]
+    basic = set(basis)
     det = 1
 
     while True:
-        # w_r = sign_r * u_r: point column j prices at -(w . image_j)
-        w = [s * (det - c) for s, c in zip(sign, reduced)]
-        enter = next((j for j, im in enumerate(images) if sum(map(mul, w, im)) > 0), None)
-        if enter is not None:
-            a = list(map(mul, sign, images[enter]))
-            column = [sum(map(mul, row, a)) for row in tab]
-            cost = -sum(map(mul, w, images[enter]))
+        for enter, a in enumerate(columns):
+            if enter not in basic and sum(map(mul, dual, a)) > 0:
+                column = [sum(map(mul, row, a)) for row in tab]
+                break
         else:
-            r = next((r for r in range(rows) if reduced[r] < 0), None)
+            r = next((r for r in range(rows) if dual[r] > det), None)
             if r is None:
                 break
             enter = m + r
             column = [row[r] for row in tab]
-            cost = reduced[r]
+            column[rows] -= det
         leave = None
         for r in range(rows):
             coef = column[r]
@@ -277,21 +279,20 @@ def _phase_one(
                     leave = r
         if leave is None:  # cannot happen: lam bounded by the normalization row
             raise ArithmeticError("phase-one LP unbounded")
-        for row, f in zip(tab, column):
-            row[-1] = f
-        reduced[-1] = cost
         pivot_row = tab[leave]
         piv = column[leave]
-        for r in range(rows):
+        for r, f in enumerate(column):
             if r != leave:
-                tab[r] = _eliminate(tab[r], pivot_row, -1, piv, det)
-        reduced = _eliminate(reduced, pivot_row, -1, piv, det)
+                tab[r] = [(a * piv - f * p) // det for a, p in zip(tab[r], pivot_row)]
+        dual = tab[rows]
         det = piv
+        basic.remove(basis[leave])
+        basic.add(enter)
         basis[leave] = enter
 
-    if reduced[rows] == 0:
+    if dual[rows] == 0:
         if cells is not None:
-            inverse = [list(map(mul, row, sign)) for row in tab]
+            inverse = [list(map(mul, row, sign)) for row in tab[:rows]]
             cells.append((
                 [row for row, var in zip(inverse, basis) if var < m],
                 [row for row, var in zip(inverse, basis) if var >= m],
@@ -303,18 +304,9 @@ def _phase_one(
                 lam[var] = Fraction(tab[r][rows] * images[var][-1], det * b[-1])
         return HullMembership(inside=True, coefficients=tuple(lam))
 
-    # infeasible: dual vector y_r = 1 - reduced(artificial r) / det, rows un-flipped
-    y = [s * (det - c) for s, c in zip(sign, reduced)]
-    functional = SeparatingFunctional._from_integers(det, y)
+    # infeasible: dual vector y_r = u_r / det, rows un-flipped
+    functional = SeparatingFunctional._from_integers(det, list(map(mul, sign, dual)))
     return HullMembership(inside=False, functional=functional)
-
-
-def _eliminate(row: list[int], pivot_row: list[int], enter: int, piv: int, det: int) -> list[int]:
-    """One fraction-free row update of a pivot on `pivot_row[enter] == piv`."""
-    f = row[enter]
-    if f:
-        return [(a * piv - f * p) // det for a, p in zip(row, pivot_row)]
-    return [a * piv // det for a in row]
 
 
 def _exact_point(point, dim: int | None = None) -> tuple:
@@ -416,6 +408,7 @@ class IncrementalHull:
         self._confirmed: dict = {}
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
         self._cells: list = []  # final bases of the LPs that ended inside
+        self._walked: dict = {}  # _StateImage -> its point, built for a walk that ended outside
 
     def _extend(self, points, images=None) -> None:
         """
@@ -578,7 +571,8 @@ class IncrementalHull:
         """Is `point` in the hull of the set?  A walk that ends outside keeps
         its functional as a cut; a point that a cut scores > 0, or that a
         cell proves inside, needs no walk.  A search state may come as its
-        `_StateImage`, whose point is built only for a walk."""
+        `_StateImage`, whose point is built only for a walk, and kept in
+        `_walked` for the search if the walk ends outside."""
         if type(point) is _StateImage:
             image, point = point, None
         else:
@@ -590,9 +584,13 @@ class IncrementalHull:
             return False
         if self._in_a_cell(image):
             return True
-        witness = self._outside(image.point() if point is None else point, image)
+        if point is None:
+            point = image.point()
+        witness = self._outside(point, image)
         if isinstance(witness, SeparatingFunctional):
             self._cuts.append(witness._func)
+            if type(image) is _StateImage:
+                self._walked[image] = point
         return isinstance(witness, tuple)
 
     def _query(self, point) -> tuple:

@@ -534,6 +534,26 @@ def test_integer_step_matches_the_operators():
                 assert image == _image(state) and gcd(*image) == 1, (state, op)
 
 
+def test_search_builds_each_state_point_once(monkeypatch):
+    # a state that a walk finds outside joins the hull with the point the
+    # walk built, so no state of one search builds its point twice
+    from diffpoly.enumeration import _saturating_bfs, graph_ops
+    from diffpoly.geometry import _StateImage
+
+    built = []
+    point = _StateImage.point
+
+    def counted(image):
+        built.append(image)
+        return point(image)
+
+    monkeypatch.setattr(_StateImage, "point", counted)
+    graph, rho = helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11])
+    _, saturated, hull = _saturating_bfs(graph, rho, graph_ops(graph, True), 15, True)
+    assert saturated and hull._walked == {}
+    assert len(built) == len(set(built)) >= len(hull.points) - 1  # all but rho
+
+
 class TestLPCounts:
     """
     LPs (`_phase_one` calls) a search runs, pinned at their current values.

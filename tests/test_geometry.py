@@ -516,11 +516,12 @@ class TestIncrementalHull:
         assert hull.vertices() == corners
 
 
-def reference_phase_one(point, points, entered=None):
+def reference_phase_one(point, points, entered=None, final=None):
     """
     The phase-one simplex on a tableau of `Fraction`s, with the same Bland
     rule: the reference the integer kernel must agree with exactly.  Each
-    entering column's index is appended to `entered`, if given.
+    entering column's index is appended to `entered`, if given, and the
+    final basis and tableau become the two items of `final`, if given.
     """
     m = len(points)
     n = len(point)
@@ -579,6 +580,8 @@ def reference_phase_one(point, points, entered=None):
             reduced = [a - f * p for a, p in zip(reduced, pivot_row)]
         basis[leave] = enter
 
+    if final is not None:
+        final[:] = basis, tableau
     if reduced[-1] == 0:
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
@@ -652,13 +655,41 @@ def phase_one_cases():
     return cases
 
 
+def assert_cell_matches_reference(cells, result, point, points, basis, tableau):
+    """
+    The cell of an LP that ended inside, against the reference's final basis
+    and tableau: the same basic points, in row order, and rows that are the
+    tableau's artificial columns, with the row signs folded in (column r
+    times sign_r), times one positive factor, point rows first.  The kernel
+    scales point column j by the lcm d_j of its denominators, which divides
+    its basic row by d_j, so a point row is multiplied back by it first.  An
+    LP that ended outside leaves no cell.
+    """
+    if not result.inside:
+        assert cells == []
+        return
+    (point_rows, artificial_rows, basic), = cells
+    m, rows = len(points), len(point) + 1
+    sign = [-1 if x < 0 else 1 for x in point] + [1]
+    assert basic == [points[var] for var in basis if var < m]
+    folded = [[tableau[r][m + c] * sign[c] for c in range(rows)] for r in range(rows)]
+    expected = ([row for row, var in zip(folded, basis) if var < m]
+                + [row for row, var in zip(folded, basis) if var >= m])
+    cell = [[_image(q)[-1] * x for x in row] for row, q in zip(point_rows, basic)] + artificial_rows
+    factor = next(Fraction(x) / y for row, ref in zip(cell, expected) for x, y in zip(row, ref) if y)
+    assert factor > 0
+    assert cell == [[factor * y for y in row] for row in expected]
+
+
 def test_integer_kernel_matches_fraction_reference():
     cases = phase_one_cases()
     assert len(cases) >= 300
     outcomes = set()
     for point, points in cases:
-        result = _phase_one(point, points)
-        assert result == reference_phase_one(point, points), (point, points)
+        cells, final = [], []
+        result = _phase_one(point, points, cells=cells)
+        assert result == reference_phase_one(point, points, final=final), (point, points)
+        assert_cell_matches_reference(cells, result, point, points, *final)
         outcomes.add(result.inside)
     assert outcomes == {True, False}
 
@@ -859,8 +890,10 @@ def test_wide_and_reentry_lps_match_fraction_reference():
     assert len(wide) == 64 + 43 + 2 * 8
     outcomes = set()
     for point, points in wide + reentry:
-        result = _phase_one(point, points)
-        assert result == reference_phase_one(point, points), (point, points)
+        cells, final = [], []
+        result = _phase_one(point, points, cells=cells)
+        assert result == reference_phase_one(point, points, final=final), (point, points)
+        assert_cell_matches_reference(cells, result, point, points, *final)
         assert _phase_one(point, points, images=[_image(q) for q in points]) == result
         assert _phase_one(point, points, point_image=_image(point)) == result
         outcomes.add(result.inside)
