@@ -56,6 +56,15 @@ would hold, and positive column scalings leave every Bland choice, so
 every answer is the one a rational tableau gives.  Rationals are built
 only for a convex combination; an infeasible LP's functional is u with
 the row signs folded back in.
+
+Within one walk, each LP after the first is the last one plus one column,
+the vertex that the last one's functional confirmed, so it resumes from
+the last one's final basis (Bland's rule terminates from any feasible
+basis): the new column is the only one that prices in, and it enters
+first.  An LP that ends inside then pivots every artificial variable still
+basic, at level 0, out for a point column where one has a nonzero entry
+in its row.  These degenerate pivots leave the combination as it is and
+add a basic point to its cell each, which then proves more points inside.
 """
 from __future__ import annotations
 
@@ -193,6 +202,7 @@ def _phase_one(
     images: Sequence[list[int]] | None = None,
     point_image: list[int] | None = None,
     cells: list | None = None,
+    warm: list | None = None,
 ) -> HullMembership:
     """
     Decide feasibility of  sum(lam_k * s_k) = p, sum(lam_k) = 1, lam >= 0
@@ -236,6 +246,23 @@ def _phase_one(
     det = piv.  These are the entries the full integer tableau would hold,
     so every choice is the one it would make.  Rationals come back only in
     the result.
+
+    `warm`, if given, is a list that an LP ending outside leaves its final
+    (tableau, basis, det) in.  If it holds one, the LP resumes from it: it
+    must come from the LP of the same `point` against `points` less the
+    last, which is a feasible basis here too.  Its tableau is unchanged, the
+    new column added as nonbasic, and the artificial indices move up by
+    one.  A walk confirms the best-scoring point of the last functional,
+    which prices in, so Bland's rule goes on from there, where a cold start
+    would first redo the last LP's pivots.
+
+    An LP that ends inside keeps no artificial basic that a point column can
+    replace: each artificial row, in row order, pivots out for the first
+    nonbasic point column, in index order, with a nonzero entry in it.  Its
+    level is 0, so the pivot is degenerate and lam does not change, and a
+    negative pivot negates the whole tableau, to keep det > 0.  Each such
+    pivot adds a basic point to the cell, which then proves inside the cone
+    of one more point column.
     """
     m = len(points)
     rows = len(point) + 1
@@ -245,13 +272,17 @@ def _phase_one(
     sign = [-1 if v < 0 else 1 for v in b]
     columns = [list(map(mul, sign, im)) for im in images] if -1 in sign else images
 
-    # rows 0..rows-1: [det*B^-1 row r | rhs_r]; the last row: [u | z]
-    tab = [[int(r == c) for c in range(rows)] + [abs(v)] for r, v in enumerate(b)]
-    tab.append([1] * rows + [sum(abs(v) for v in b)])
+    if warm:  # the last LP's final basis: its points are these less the last
+        tab, basis, det = warm
+        basis = [var + (var >= m - 1) for var in basis]
+    else:
+        # rows 0..rows-1: [det*B^-1 row r | rhs_r]; the last row: [u | z]
+        tab = [[int(r == c) for c in range(rows)] + [abs(v)] for r, v in enumerate(b)]
+        tab.append([1] * rows + [sum(abs(v) for v in b)])
+        basis = [m + r for r in range(rows)]
+        det = 1
     dual = tab[rows]
-    basis = [m + r for r in range(rows)]
     basic = set(basis)
-    det = 1
 
     while True:
         for enter, a in enumerate(columns):
@@ -279,18 +310,28 @@ def _phase_one(
                     leave = r
         if leave is None:  # cannot happen: lam bounded by the normalization row
             raise ArithmeticError("phase-one LP unbounded")
-        pivot_row = tab[leave]
-        piv = column[leave]
-        for r, f in enumerate(column):
-            if r != leave:
-                tab[r] = [(a * piv - f * p) // det for a, p in zip(tab[r], pivot_row)]
+        det = _pivot(tab, column, leave, det)
         dual = tab[rows]
-        det = piv
         basic.remove(basis[leave])
         basic.add(enter)
         basis[leave] = enter
 
     if dual[rows] == 0:
+        # each artificial still basic is at level 0: pivot it out, degenerately,
+        # for the first nonbasic point column with a nonzero entry in its row
+        for leave, var in enumerate(basis):
+            if var >= m:
+                row = tab[leave]
+                for enter, a in enumerate(columns):
+                    if enter not in basic and sum(map(mul, row, a)):
+                        det = _pivot(tab, [sum(map(mul, r, a)) for r in tab], leave, det)
+                        if det < 0:  # keep det > 0: the same rationals, every sign flipped
+                            tab[:] = [[-v for v in r] for r in tab]
+                            det = -det
+                        basic.remove(var)
+                        basic.add(enter)
+                        basis[leave] = enter
+                        break
         if cells is not None:
             inverse = [list(map(mul, row, sign)) for row in tab[:rows]]
             cells.append((
@@ -304,9 +345,26 @@ def _phase_one(
                 lam[var] = Fraction(tab[r][rows] * images[var][-1], det * b[-1])
         return HullMembership(inside=True, coefficients=tuple(lam))
 
+    if warm is not None:
+        warm[:] = tab, basis, det
     # infeasible: dual vector y_r = u_r / det, rows un-flipped
     functional = SeparatingFunctional._from_integers(det, list(map(mul, sign, dual)))
     return HullMembership(inside=False, functional=functional)
+
+
+def _pivot(tab: list[list[int]], column: list[int], leave: int, det: int) -> int:
+    """
+    Pivot the integer tableau `tab` (see `_phase_one`) on row `leave` of the
+    entering `column`, its entries in `tab`'s rows, fraction-free: the pivot
+    row stays, every other row becomes (a*piv - f*p) // det, exact by
+    Sylvester's identity.  Returns the new det, the pivot entry.
+    """
+    pivot_row = tab[leave]
+    piv = column[leave]
+    for r, f in enumerate(column):
+        if r != leave:
+            tab[r] = [(a * piv - f * p) // det for a, p in zip(tab[r], pivot_row)]
+    return piv
 
 
 def _exact_point(point, dim: int | None = None) -> tuple:
@@ -438,15 +496,18 @@ class IncrementalHull:
         `_decide` against the confirmed vertices with every point scored.
         Otherwise its best-scoring point is confirmed, with the LP's
         functional, and the walk goes on, until it ends with None: `point`
-        is confirmed, or the set is empty.  `point_image`, if given, is
-        `point`'s `_image`.
+        is confirmed, or the set is empty.  Each LP after the walk's first is
+        the last one plus that point, so it resumes from the last one's final
+        basis.  `point_image`, if given, is `point`'s `_image`.
         """
         if point_image is None:
             point_image = self._image_of_point(point)
         confirmed = self._confirmed
+        warm = []  # the final basis of the walk's last LP
         while point not in confirmed:
             if confirmed:
-                witness, best, functional = self._decide(point, point_image, list(confirmed))
+                witness, best, functional = self._decide(point, point_image, list(confirmed),
+                                                         warm=warm)
                 if witness is not None:
                     return witness
                 if best in confirmed:  # the LP just separated these points
@@ -468,17 +529,18 @@ class IncrementalHull:
         point_image = self._image_of_point(point)
         return self._decide(point, point_image, working, skip=point_image)[0]
 
-    def _decide(self, point, point_image, working, skip=None):
+    def _decide(self, point, point_image, working, skip=None, warm=None):
         """
         One `_phase_one` of `point` against `working` (if empty, the constant
-        1 separates), on the cached images.  Inside, returns the nonzero
-        (point, weight) pairs, None and None.  Outside, returns `_lower`'s
-        pair for the LP's functional, then that functional as (D, func).
+        1 separates), on the cached images, resumed from `warm` as there.
+        Inside, returns the nonzero (point, weight) pairs, None and None.
+        Outside, returns `_lower`'s pair for the LP's functional, then that
+        functional as (D, func).
         """
         if working:
             images = [self._image_of_point(q) for q in working]
             res = _phase_one(point, working, images=images, point_image=point_image,
-                             cells=self._cells)
+                             cells=self._cells, warm=warm)
             if res.inside:
                 return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None, None
             den, func = res.functional._den, res.functional._func
@@ -540,15 +602,18 @@ class IncrementalHull:
         """
         Does a cell, the most recent first, prove the point of `image` inside
         the hull of its basic points?  Cells in which `exclude` is basic are
-        passed over: they prove only that `exclude` is itself.
+        passed over: they prove only that `exclude` is itself.  A cell that
+        proves it moves to the most recent end, where the next scan starts.
         """
-        for point_rows, artificial_rows, basic in reversed(self._cells):
+        cells = self._cells
+        for k, (point_rows, artificial_rows, basic) in enumerate(reversed(cells), 1):
             for row in point_rows:  # a plain loop costs less per cell than all() on a generator
                 if sum(map(mul, row, image)) < 0:
                     break
             else:
                 if exclude not in basic and not any(sum(map(mul, row, image))
                                                     for row in artificial_rows):
+                    cells.append(cells.pop(-k))
                     return True
         return False
 

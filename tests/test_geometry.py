@@ -6,8 +6,17 @@ from itertools import combinations, product
 
 import pytest
 
-from diffpoly.core import PairOp, PopulationVector, apply_sequence, format_rational, uniform_vector
-from diffpoly.enumeration import triangle_decomposition
+from diffpoly import geometry
+from diffpoly.core import (
+    PairOp,
+    PopulationVector,
+    apply_sequence,
+    cycle,
+    format_rational,
+    helium_p5,
+    uniform_vector,
+)
+from diffpoly.enumeration import PolytopeConfig, polytope, triangle_decomposition
 from diffpoly.geometry import (
     ExtremalityCertificate,
     HullMembership,
@@ -22,7 +31,7 @@ from diffpoly.geometry import (
 )
 from diffpoly.optimize import exponential_populations
 from diffpoly.structured.complete import kn_candidate_points
-from diffpoly.structured.ordered_path import decompose_step, subset_point
+from diffpoly.structured.ordered_path import decompose_step, pn_polytope, subset_point
 
 from conftest import random_population
 
@@ -519,8 +528,10 @@ class TestIncrementalHull:
 def reference_phase_one(point, points, entered=None, final=None):
     """
     The phase-one simplex on a tableau of `Fraction`s, with the same Bland
-    rule: the reference the integer kernel must agree with exactly.  Each
-    entering column's index is appended to `entered`, if given, and the
+    rule and, once inside, the same degenerate pivots that take each basic
+    artificial out for the first nonbasic point column with a nonzero entry
+    in its row: the reference the integer kernel must agree with exactly.
+    Each entering column's index is appended to `entered`, if given, and the
     final basis and tableau become the two items of `final`, if given.
     """
     m = len(points)
@@ -552,6 +563,21 @@ def reference_phase_one(point, points, entered=None, final=None):
         reduced[j] = cost - sum(tableau[r][j] for r in range(rows))
     reduced[-1] = -sum(tableau[r][-1] for r in range(rows))
 
+    def pivot(leave, enter):
+        nonlocal reduced
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        pivot_row = tableau[leave]
+        for r in range(rows):
+            if r != leave:
+                f = tableau[r][enter]
+                if f:
+                    tableau[r] = [a - f * p for a, p in zip(tableau[r], pivot_row)]
+        f = reduced[enter]
+        if f:
+            reduced = [a - f * p for a, p in zip(reduced, pivot_row)]
+        basis[leave] = enter
+
     while True:
         enter = next((j for j in range(m + rows) if reduced[j] < 0), None)
         if enter is None:
@@ -567,19 +593,14 @@ def reference_phase_one(point, points, entered=None, final=None):
                 if best is None or key < best:
                     best = key
                     leave = r
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        pivot_row = tableau[leave]
-        for r in range(rows):
-            if r != leave:
-                f = tableau[r][enter]
-                if f:
-                    tableau[r] = [a - f * p for a, p in zip(tableau[r], pivot_row)]
-        f = reduced[enter]
-        if f:
-            reduced = [a - f * p for a, p in zip(reduced, pivot_row)]
-        basis[leave] = enter
+        pivot(leave, enter)
 
+    if reduced[-1] == 0:
+        for leave in range(rows):
+            if basis[leave] >= m:
+                enter = next((j for j in range(m) if j not in basis and tableau[leave][j]), None)
+                if enter is not None:
+                    pivot(leave, enter)
     if final is not None:
         final[:] = basis, tableau
     if reduced[-1] == 0:
@@ -655,6 +676,29 @@ def phase_one_cases():
     return cases
 
 
+def _dot(row, image):
+    return sum(a * x for a, x in zip(row, image))
+
+
+def cell_proves(cell, image):
+    """Does `cell` prove the point of `image` inside the hull of its basic points?"""
+    point_rows, artificial_rows, _ = cell
+    return (all(_dot(row, image) >= 0 for row in point_rows)
+            and not any(_dot(row, image) for row in artificial_rows))
+
+
+def assert_no_artificial_left_to_pivot_out(cell, points):
+    """
+    No artificial row of an inside LP's final basis has a nonzero entry in
+    a point column.  A basic point column has 0 there anyway, being a unit
+    column, so no nonbasic point column could have replaced the artificial.
+    The cell's rows carry the row signs, so row . image is the tableau's
+    entry.
+    """
+    _, artificial_rows, _ = cell
+    assert not any(_dot(row, _image(q)) for row in artificial_rows for q in points)
+
+
 def assert_cell_matches_reference(cells, result, point, points, basis, tableau):
     """
     The cell of an LP that ended inside, against the reference's final basis
@@ -663,11 +707,13 @@ def assert_cell_matches_reference(cells, result, point, points, basis, tableau):
     times sign_r), times one positive factor, point rows first.  The kernel
     scales point column j by the lcm d_j of its denominators, which divides
     its basic row by d_j, so a point row is multiplied back by it first.  An
-    LP that ended outside leaves no cell.
+    LP that ended outside leaves no cell; one that ended inside leaves no
+    artificial that a point column could have replaced.
     """
     if not result.inside:
         assert cells == []
         return
+    assert_no_artificial_left_to_pivot_out(cells[0], points)
     (point_rows, artificial_rows, basic), = cells
     m, rows = len(points), len(point) + 1
     sign = [-1 if x < 0 else 1 for x in point] + [1]
@@ -898,6 +944,64 @@ def test_wide_and_reentry_lps_match_fraction_reference():
         assert _phase_one(point, points, point_image=_image(point)) == result
         outcomes.add(result.inside)
     assert outcomes == {True, False}
+
+
+@pytest.fixture
+def resumed_lps(monkeypatch):
+    """(point, working, result, the cells it left) of every LP resumed from a
+    walk's last basis while the fixture is active, in call order."""
+    calls = []
+
+    def recording(point, points, **kwargs):
+        resumed, cells = bool(kwargs.get("warm")), kwargs.get("cells")
+        before = len(cells) if resumed else 0
+        result = _phase_one(point, points, **kwargs)
+        if resumed:
+            calls.append((point, list(points), result, cells[before:]))
+        return result
+
+    monkeypatch.setattr(geometry, "_phase_one", recording)
+    return calls
+
+
+def assert_resumed_lps_match_cold_ones(calls):
+    """Each resumed LP answers as a cold one of the same (point, working), with a
+    witness that passes substitution and, inside, one cell that proves the point."""
+    for point, working, result, cells in calls:
+        assert result.inside == _phase_one(point, working).inside, (point, working)
+        assert result.verify(point, working), (point, working)
+        assert len(cells) == result.inside
+        for cell in cells:
+            assert cell_proves(cell, _image(point))
+            assert_no_artificial_left_to_pivot_out(cell, working)
+
+
+def test_resumed_walk_lps_on_walk_clouds_match_cold_ones(resumed_lps):
+    rnd, clouds = walk_clouds()
+    for cloud in clouds:
+        pts = sorted(set(cloud))
+        dim = len(pts[0])
+        hull = IncrementalHull(cloud)
+        probes = [tuple(Fraction(rnd.randint(-2, 9), 7) for _ in range(dim)) for _ in range(5)]
+        probes += [_combination(rnd, rnd.sample(pts, rnd.randint(1, len(pts))))]
+        for point in rnd.sample(pts, min(5, len(pts))) + probes:
+            hull._outside(point)
+        hull.vertices()
+    assert_resumed_lps_match_cold_ones(resumed_lps)
+    assert len(resumed_lps) > 50
+    assert {result.inside for _, _, result, _ in resumed_lps} == {True, False}
+
+
+@pytest.mark.parametrize("search", [
+    lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])),
+    lambda: polytope(helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11]),
+                     PolytopeConfig(classify=False)),
+    lambda: pn_polytope(PopulationVector.normalized([2, 3, 5, 7, 11, 13])),
+], ids=["c4", "helium", "pn-6"])
+def test_resumed_walk_lps_of_searches_match_cold_ones(resumed_lps, search):
+    search()
+    assert_resumed_lps_match_cold_ones(resumed_lps)
+    assert len(resumed_lps) > 10
 
 
 def test_functional_from_integers_matches_fraction_form():
