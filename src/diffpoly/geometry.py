@@ -43,10 +43,13 @@ when their images are.  A convex combination is checked in `Fraction`s,
 by `_is_convex_combination` alone.
 
 The LP solver is a phase-one simplex with Bland's rule, which cannot
-cycle, in revised form: the LPs are short and wide (dimension + 1 <= 11
+cycle, in revised form: the LPs are short and wide (dimension <= 10
 rows, up to hundreds of point columns), so its rows hold only the basis
 inverse, as the integer matrix det*B^-1, and the right-hand side, pivoted
 fraction-free (Edmonds/Bareiss, as in lrs), where every division is exact.
+On the simplex, where every state lies, the normalization row
+sum(lam) = 1 is the sum of the coordinate rows, so the LP drops it and
+takes the same pivots; off the simplex it has dimension + 1 rows.
 One dual row u, det minus the reduced costs of the artificial columns,
 rides along under the same step.  The point images are sign-flipped once
 per LP, only for a query with a negative coordinate, and priced in index
@@ -195,12 +198,18 @@ class HullMembership:
         return self.functional.separates(point, points)
 
 
+def _on_simplex(image) -> bool:
+    """Does the point of `image` (d*x, d) lie on the simplex: x >= 0, sum(x) = 1?"""
+    return min(image) >= 0 and sum(image[:-1]) == image[-1]
+
+
 def _phase_one(
     point: Sequence[Fraction],
     points: Sequence[Sequence[Fraction]],
     *,
     images: Sequence[list[int]] | None = None,
     point_image: list[int] | None = None,
+    columns: Sequence[list[int]] | None = None,
     cells: list | None = None,
     warm: list | None = None,
 ) -> HullMembership:
@@ -209,26 +218,43 @@ def _phase_one(
     by minimizing the sum of artificial variables (Bland's rule throughout).
     `images` and `point_image`, if given, are the `_image`s of `points` and
     of `point`; a caller that holds them saves rebuilding them on every call.
+
+    When `point` and every point lie on the simplex, the normalization row
+    sum(lam_k) = 1 is the sum of the n coordinate rows, and the LP drops
+    it: n rows, not n + 1.  It takes the same pivots.  On every feasible
+    point the dropped row's artificial is the sum of the others, so the
+    n + 1-row objective is twice the n-row one and every reduced cost keeps
+    its sign; that row's ratio is a mediant of the others', and its
+    artificial, the last index, never leaves on a tie.  A lam that solves
+    the coordinate rows sums to 1 anyway, and the infeasible LP's
+    functional is u with offset 0.  `columns`, if given, are the LP's
+    columns: `images`, which must then be given too, or, when the LP drops
+    the normalization row, the images less d; a caller that holds them
+    decides the form once per point rather than once per LP.
+
     `cells`, if given, is a list that an LP ending inside appends its final
     basis to, as one cell: det*B^-1 with the row signs folded in, split into
     the rows whose basic variable is a point column and the rows whose basic
     variable is artificial, and the basic points.  For any image b', row . b'
     is det times that basic variable in the solution of the same basis for
     b'; if it is >= 0 on every point row and 0 on every artificial row, b'
-    is a non-negative combination of the basic points' images, and the
-    normalization row makes it a convex combination, so b' is inside the
-    hull of the basic points.
+    is a non-negative combination of the basic points' images.  The
+    normalization row's artificial makes it a convex combination: in the
+    n + 1-row form its row is one of the artificial rows, and an LP that
+    dropped it appends its check, sum(b'[:-1]) - b'[-1], as one more.  So
+    b' is inside the hull of the basic points.
 
     The LP is held in integers.  Column j of the constraint matrix is the
-    image (d_j*s_j, d_j) of point j, with row r flipped by sign_r so that
-    the right-hand side, `point`'s image, is >= 0; the columns are flipped
-    once, and only if a coordinate of `point` is negative.  The artificial
-    columns are unit vectors.  Scaling column j by d_j > 0 multiplies its
-    reduced cost by d_j, and every ratio of one ratio test by the same
-    positive factor (a basic column's own scaling cancels within its row's
-    ratio), so Bland's rule picks the same entering column and the same
-    leaving row at every pivot.  Rows are never scaled: that would reweight
-    the artificial variables and change the phase-one objective.
+    image (d_j*s_j, d_j) of point j, less d_j if the LP dropped the
+    normalization row, with row r flipped by sign_r so that the right-hand
+    side, `point`'s image, is >= 0; the columns are flipped once, and only
+    if a coordinate of `point` is negative.  The artificial columns are unit
+    vectors.  Scaling column j by d_j > 0 multiplies its reduced cost by
+    d_j, and every ratio of one ratio test by the same positive factor (a
+    basic column's own scaling cancels within its row's ratio), so Bland's
+    rule picks the same entering column and the same leaving row at every
+    pivot.  Rows are never scaled: that would reweight the artificial
+    variables and change the phase-one objective.
 
     The simplex is revised (Azulay & Pique's integer form of it).  Its rows
     are det*B^-1 | rhs, the artificial columns of the full tableau and its
@@ -250,11 +276,11 @@ def _phase_one(
     `warm`, if given, is a list that an LP ending outside leaves its final
     (tableau, basis, det) in.  If it holds one, the LP resumes from it: it
     must come from the LP of the same `point` against `points` less the
-    last, which is a feasible basis here too.  Its tableau is unchanged, the
-    new column added as nonbasic, and the artificial indices move up by
-    one.  A walk confirms the best-scoring point of the last functional,
-    which prices in, so Bland's rule goes on from there, where a cold start
-    would first redo the last LP's pivots.
+    last, in the same form, which is a feasible basis here too.  Its tableau
+    is unchanged, the new column added as nonbasic, and the artificial
+    indices move up by one.  A walk confirms the best-scoring point of the
+    last functional, which prices in, so Bland's rule goes on from there,
+    where a cold start would first redo the last LP's pivots.
 
     An LP that ends inside keeps no artificial basic that a point column can
     replace: each artificial row, in row order, pivots out for the first
@@ -265,12 +291,17 @@ def _phase_one(
     of one more point column.
     """
     m = len(points)
-    rows = len(point) + 1
     if images is None:
         images = [_image(q) for q in points]
-    b = _image(point) if point_image is None else point_image
+    image = _image(point) if point_image is None else point_image
+    if columns is None:
+        on_simplex = _on_simplex(image) and all(map(_on_simplex, images))
+        columns = [im[:-1] for im in images] if on_simplex else images
+    rows = len(columns[0])
+    b = image[:rows]
     sign = [-1 if v < 0 else 1 for v in b]
-    columns = [list(map(mul, sign, im)) for im in images] if -1 in sign else images
+    if -1 in sign:
+        columns = [list(map(mul, sign, a)) for a in columns]
 
     if warm:  # the last LP's final basis: its points are these less the last
         tab, basis, det = warm
@@ -308,7 +339,7 @@ def _phase_one(
                 rhs = tab[leave][rows] * coef
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave = r
-        if leave is None:  # cannot happen: lam bounded by the normalization row
+        if leave is None:  # cannot happen: the normalization row, or the rows' sum, bounds lam
             raise ArithmeticError("phase-one LP unbounded")
         det = _pivot(tab, column, leave, det)
         dual = tab[rows]
@@ -334,22 +365,27 @@ def _phase_one(
                         break
         if cells is not None:
             inverse = [list(map(mul, row, sign)) for row in tab[:rows]]
+            artificial_rows = [row for row, var in zip(inverse, basis) if var >= m]
+            if rows < len(image):  # the dropped normalization row, as its check
+                artificial_rows.append([1] * rows + [-1])
             cells.append((
                 [row for row, var in zip(inverse, basis) if var < m],
-                [row for row, var in zip(inverse, basis) if var >= m],
+                artificial_rows,
                 [points[var] for var in basis if var < m],
             ))
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
             if var < m:
-                lam[var] = Fraction(tab[r][rows] * images[var][-1], det * b[-1])
+                lam[var] = Fraction(tab[r][rows] * images[var][-1], det * image[-1])
         return HullMembership(inside=True, coefficients=tuple(lam))
 
     if warm is not None:
         warm[:] = tab, basis, det
-    # infeasible: dual vector y_r = u_r / det, rows un-flipped
-    functional = SeparatingFunctional._from_integers(det, list(map(mul, sign, dual)))
-    return HullMembership(inside=False, functional=functional)
+    # infeasible: dual vector y_r = u_r / det, rows un-flipped; with no
+    # normalization row, the offset is 0
+    func = list(map(mul, sign, dual))
+    func += [0] * (len(image) - rows)
+    return HullMembership(inside=False, functional=SeparatingFunctional._from_integers(det, func))
 
 
 def _pivot(tab: list[list[int]], column: list[int], leave: int, det: int) -> int:
@@ -439,18 +475,25 @@ class IncrementalHull:
     or a convex combination.  Each confirmed vertex keeps the functional
     that confirmed it, which it maximizes over the set.
 
+    The hull knows whether all its points lie on the simplex, and keeps
+    each point's image less d beside its image: an LP of a query on the
+    simplex then drops the normalization row and runs on those columns.
+
     Both kinds of witness are reused.  Every LP that ends inside leaves a
     cell, the final basis of its LP (see `_phase_one`): a later query that a
     cell proves inside is inside with one integer matrix-vector product and
     no LP, and a point of the set that a cell proves inside the hull of
     other basic points is hidden by them, so `vertices` drops it with no
-    walk.  The cells prove combinations of points of the set, which only
-    grows, so they survive `_extend`.  A point is checked once, when it
-    joins; the search adds only points from outside the hull, which no older
-    cell proves hidden.  `contains` also keeps the functional of every query
-    it finds outside, as a cut: each is <= 0 on the whole set, so a later
-    query that one of them scores > 0 is outside with no LP.  A new point
-    can cross a cut, so `_extend` drops the cuts.
+    walk.  A cell of an LP without the normalization row keeps that row's
+    check: without it, the cell would prove inside every query in the cone
+    of its basic points, 2p for each p it proves.  The cells prove
+    combinations of points of the set, which only grows, so they survive
+    `_extend`.  A point is checked once, when it joins; the search adds
+    only points from outside the hull, which no older cell proves hidden.
+    `contains` also keeps the functional of every query it finds outside,
+    as a cut: each is <= 0 on the whole set, so a later query that one of
+    them scores > 0 is outside with no LP.  A new point can cross a cut, so
+    `_extend` drops the cuts.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -460,6 +503,10 @@ class IncrementalHull:
         self.points = sorted({_exact_point(p, dim) for p in points})
         self._images = [_image(q) for q in self.points]
         self._image_of = dict(zip(self.points, self._images))  # point -> image
+        # do all the points lie on the simplex?  Then an LP of a query on it
+        # drops the normalization row, and runs on each point's image less d
+        self._all_on_simplex = all(map(_on_simplex, self._images))
+        self._column_of = {p: image[:-1] for p, image in self._image_of.items()}
         self._members = set(self._images)  # the images of the points
         # the confirmed vertices, in confirmation order, each with its
         # confirming functional as (D, func), or None for the least point
@@ -485,6 +532,8 @@ class IncrementalHull:
             self.points.insert(i, p)
             self._images.insert(i, image)
             self._image_of[p] = image
+            self._column_of[p] = image[:-1]
+            self._all_on_simplex = self._all_on_simplex and _on_simplex(image)
             self._members.add(image)
         self._confirmed.clear()
         self._cuts.clear()
@@ -532,15 +581,20 @@ class IncrementalHull:
     def _decide(self, point, point_image, working, skip=None, warm=None):
         """
         One `_phase_one` of `point` against `working` (if empty, the constant
-        1 separates), on the cached images, resumed from `warm` as there.
+        1 separates), on the cached images, resumed from `warm` as there; with
+        no normalization row, on the cached columns, if `point` and the set
+        lie on the simplex.
         Inside, returns the nonzero (point, weight) pairs, None and None.
         Outside, returns `_lower`'s pair for the LP's functional, then that
         functional as (D, func).
         """
         if working:
             images = [self._image_of_point(q) for q in working]
+            columns = images
+            if self._all_on_simplex and _on_simplex(point_image):
+                columns = [self._column_of[q] for q in working]
             res = _phase_one(point, working, images=images, point_image=point_image,
-                             cells=self._cells, warm=warm)
+                             columns=columns, cells=self._cells, warm=warm)
             if res.inside:
                 return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None, None
             den, func = res.functional._den, res.functional._func

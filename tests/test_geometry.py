@@ -524,21 +524,51 @@ class TestIncrementalHull:
         assert hull._confirmed == {}
         assert hull.vertices() == corners
 
+    def test_cells_prove_no_point_off_the_simplex(self):
+        # the inside LPs over population vectors drop the normalization row,
+        # so without that row's check their cells would prove only that a
+        # point is in the cone of the basic points: 2p would pass for each p
+        points = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
+        rnd = random.Random(4)
+        inside = [_combination(rnd, rnd.sample(points, 4)) for _ in range(6)]
+        hull = IncrementalHull(points)
+        assert all(hull.contains(p) for p in inside)
+        assert hull._cells and all(len(rows[0]) == 4 for rows, _, _ in hull._cells)
+        for p in inside:
+            double = tuple(2 * x for x in p)
+            cell = next(c for c in hull._cells if cell_proves(c, _image(p)))
+            point_rows, artificial_rows, basic = cell
+            assert cell_proves((point_rows, artificial_rows[:-1], basic), _image(double))
+            for q in (double, p[:1] + (p[1] + Fraction(1, 10),) + p[2:]):
+                assert not hull._in_a_cell(_image(q))
+                assert not hull.contains(q)
+                witness = hull._outside(q)
+                assert isinstance(witness, SeparatingFunctional)
+                assert witness.separates(q, hull.points)
+                assert not hull_membership(q, points).inside
 
-def reference_phase_one(point, points, entered=None, final=None):
+
+def on_simplex(point):
+    return min(point) >= 0 and sum(point) == 1
+
+
+def reference_phase_one(point, points, entered=None, final=None, normalization=False):
     """
     The phase-one simplex on a tableau of `Fraction`s, with the same Bland
     rule and, once inside, the same degenerate pivots that take each basic
     artificial out for the first nonbasic point column with a nonzero entry
     in its row: the reference the integer kernel must agree with exactly.
-    Each entering column's index is appended to `entered`, if given, and the
+    As in the kernel, the normalization row is dropped when `point` and
+    every point lie on the simplex, unless `normalization` is set.  Each
+    entering column's index is appended to `entered`, if given, and the
     final basis and tableau become the two items of `final`, if given.
     """
     m = len(points)
     n = len(point)
-    rows = n + 1
+    dropped = not normalization and all(map(on_simplex, [point, *points]))
+    rows = n if dropped else n + 1
 
-    b = [Fraction(point[r]) for r in range(n)] + [Fraction(1)]
+    b = [Fraction(point[r]) for r in range(n)] + [Fraction(1)] * (rows - n)
     sign = [1] * rows
     for r in range(rows):
         if b[r] < 0:
@@ -609,7 +639,7 @@ def reference_phase_one(point, points, entered=None, final=None):
             if var < m:
                 lam[var] = tableau[r][-1]
         return HullMembership(inside=True, coefficients=tuple(lam))
-    y = [sign[r] * (Fraction(1) - reduced[m + r]) for r in range(rows)]
+    y = [sign[r] * (Fraction(1) - reduced[m + r]) for r in range(rows)] + [Fraction(0)]
     return HullMembership(inside=False, functional=SeparatingFunctional(tuple(y[:n]), y[n]))
 
 
@@ -707,16 +737,20 @@ def assert_cell_matches_reference(cells, result, point, points, basis, tableau):
     times sign_r), times one positive factor, point rows first.  The kernel
     scales point column j by the lcm d_j of its denominators, which divides
     its basic row by d_j, so a point row is multiplied back by it first.  An
-    LP that ended outside leaves no cell; one that ended inside leaves no
-    artificial that a point column could have replaced.
+    LP that dropped the normalization row ends its artificial rows with that
+    row's check.  An LP that ended outside leaves no cell; one that ended
+    inside leaves no artificial that a point column could have replaced.
     """
     if not result.inside:
         assert cells == []
         return
     assert_no_artificial_left_to_pivot_out(cells[0], points)
     (point_rows, artificial_rows, basic), = cells
-    m, rows = len(points), len(point) + 1
-    sign = [-1 if x < 0 else 1 for x in point] + [1]
+    m, n, rows = len(points), len(point), len(tableau)
+    if rows == n:
+        assert artificial_rows[-1] == [1] * n + [-1]
+        artificial_rows = artificial_rows[:-1]
+    sign = [-1 if x < 0 else 1 for x in point] + [1] * (rows - n)
     assert basic == [points[var] for var in basis if var < m]
     folded = [[tableau[r][m + c] * sign[c] for c in range(rows)] for r in range(rows)]
     expected = ([row for row, var in zip(folded, basis) if var < m]
@@ -727,17 +761,54 @@ def assert_cell_matches_reference(cells, result, point, points, basis, tableau):
     assert cell == [[factor * y for y in row] for row in expected]
 
 
+def assert_normalization_row_changes_no_pivot(point, points, result, entered):
+    """
+    On the simplex, the LP with the normalization row enters the same
+    columns as the reference's `result`, which dropped it and entered
+    `entered`, with the same answer and lam; the integer kernel with that
+    row kept (every image its own column) matches the reference with it.
+    """
+    assert all(map(on_simplex, [point, *points]))
+    kept = []
+    full = reference_phase_one(point, points, kept, normalization=True)
+    assert entered == kept, (point, points)
+    assert result.inside == full.inside and result.coefficients == full.coefficients
+    images = [_image(q) for q in points]
+    assert _phase_one(point, points, images=images, columns=images) == full
+
+
+def test_lps_drop_the_normalization_row_exactly_on_the_simplex(monkeypatch):
+    # every tableau holds its constraint rows and the dual row
+    tableau_rows, pivot = [], geometry._pivot
+
+    def recording(tab, column, leave, det):
+        tableau_rows.append(len(tab))
+        return pivot(tab, column, leave, det)
+
+    monkeypatch.setattr(geometry, "_pivot", recording)
+    polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4]))
+    assert tableau_rows and set(tableau_rows) == {4 + 1}
+    tableau_rows.clear()
+    rnd = random.Random(12)
+    IncrementalHull([tuple(rnd.randint(-4, 4) for _ in range(3)) for _ in range(15)]).vertices()
+    assert tableau_rows and set(tableau_rows) == {3 + 2}
+
+
 def test_integer_kernel_matches_fraction_reference():
     cases = phase_one_cases()
     assert len(cases) >= 300
-    outcomes = set()
+    outcomes, simplex_cases = set(), 0
     for point, points in cases:
-        cells, final = [], []
+        cells, final, entered = [], [], []
         result = _phase_one(point, points, cells=cells)
-        assert result == reference_phase_one(point, points, final=final), (point, points)
+        assert result == reference_phase_one(point, points, entered, final), (point, points)
         assert_cell_matches_reference(cells, result, point, points, *final)
         outcomes.add(result.inside)
+        if all(map(on_simplex, [point, *points])):
+            assert_normalization_row_changes_no_pivot(point, points, result, entered)
+            simplex_cases += 1
     assert outcomes == {True, False}
+    assert simplex_cases >= 60
 
 
 def reference_value(func, point):
@@ -749,6 +820,18 @@ def reference_separates(func, point, others):
     return reference_value(func, point) > 0 and all(reference_value(func, q) <= 0 for q in others)
 
 
+def hull_lp(hull, point, working):
+    """
+    `_phase_one` of `point` against `working`, in the hull's form: without
+    the normalization row exactly when `point` and every point of the hull
+    lie on the simplex, as the reference decides it in `Fraction`s.
+    """
+    images = [_image(q) for q in working]
+    dropped = all(map(on_simplex, [point, *hull.points]))
+    return _phase_one(point, working, images=images,
+                      columns=[image[:-1] for image in images] if dropped else images)
+
+
 def reference_outside(hull, point):
     """
     `IncrementalHull._outside` with every score a `Fraction`: the reference
@@ -758,7 +841,7 @@ def reference_outside(hull, point):
     while point not in hull._confirmed:
         working = list(hull._confirmed)
         if working:
-            res = _phase_one(point, working)
+            res = hull_lp(hull, point, working)
             if res.inside:
                 return tuple((q, w) for q, w in zip(working, res.coefficients) if w)
             func = res.functional
@@ -778,7 +861,7 @@ def reference_outside(hull, point):
 def reference_certify(hull, point, working):
     """`IncrementalHull._certify` with every score a `Fraction`."""
     if working:
-        res = _phase_one(point, working)
+        res = hull_lp(hull, point, working)
         if res.inside:
             return tuple((q, w) for q, w in zip(working, res.coefficients) if w)
         func = res.functional
@@ -935,14 +1018,18 @@ def test_wide_and_reentry_lps_match_fraction_reference():
     wide, reentry = wide_phase_one_cases(), reentry_phase_one_cases()
     assert len(wide) == 64 + 43 + 2 * 8
     outcomes = set()
-    for point, points in wide + reentry:
-        cells, final = [], []
+    for k, (point, points) in enumerate(wide + reentry):
+        cells, final, entered = [], [], []
         result = _phase_one(point, points, cells=cells)
-        assert result == reference_phase_one(point, points, final=final), (point, points)
+        assert result == reference_phase_one(point, points, entered, final), (point, points)
         assert_cell_matches_reference(cells, result, point, points, *final)
         assert _phase_one(point, points, images=[_image(q) for q in points]) == result
         assert _phase_one(point, points, point_image=_image(point)) == result
         outcomes.add(result.inside)
+        if k < len(wide):  # every wide case lies on the simplex, no re-entry case does
+            assert_normalization_row_changes_no_pivot(point, points, result, entered)
+        else:
+            assert len(final[1]) == len(point) + 1
     assert outcomes == {True, False}
 
 
