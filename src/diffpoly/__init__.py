@@ -45,7 +45,6 @@ from .structured import (
     count_commuting_subsets,
     kn_extreme_points,
     pn_polytope,
-    stopping_permutation,
 )
 
 __version__ = "0.1.0"
@@ -87,6 +86,5 @@ __all__ = [
     "count_commuting_subsets",
     "kn_extreme_points",
     "pn_polytope",
-    "stopping_permutation",
     "__version__",
 ]

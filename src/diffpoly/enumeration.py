@@ -358,10 +358,11 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
-    current hull, as a `PopulationVector` built once from its image: the
-    point that its walk in `IncrementalHull.contains` built, if it walked.
-    Returns the provenance of every point of that hull, whether the search
-    saturated, and the hull itself, unscanned.
+    current hull: `IncrementalHull._extend` takes the layer's images and
+    returns their points, each built once, by its walk in
+    `IncrementalHull.contains` if it walked.  Returns the provenance of
+    every point of that hull, whether the search saturated, and the hull
+    itself, unscanned.
     """
     hull = IncrementalHull([rho0])
     provenance: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
@@ -373,9 +374,7 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
         if not layer:
             saturated = True
             break
-        points = [hull._walked.pop(t, None) or t.point() for t in layer]
-        provenance.update((p, words[t]) for p, t in zip(points, layer))
-        hull._extend(points, layer)
+        provenance.update((p, words[t]) for p, t in zip(hull._extend(layer), layer))
     return provenance, saturated, hull
 
 

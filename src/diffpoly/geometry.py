@@ -494,6 +494,10 @@ class IncrementalHull:
     as a cut: each is <= 0 on the whole set, so a later query that one of
     them scores > 0 is outside with no LP.  A new point can cross a cut, so
     `_extend` drops the cuts.
+
+    The search hands `contains` and `_extend` its states as `_StateImage`s.
+    A state's point is built once: by the walk that finds it outside, kept
+    until `_extend` takes it, or else by `_extend`.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -515,20 +519,27 @@ class IncrementalHull:
         self._cells: list = []  # final bases of the LPs that ended inside
         self._walked: dict = {}  # _StateImage -> its point, built for a walk that ended outside
 
-    def _extend(self, points, images=None) -> None:
+    def _extend(self, points) -> list:
         """
-        Add `points` to the set, keeping it in lexicographic order; `images`,
-        if given, are their `_image`s.  A new point can hide an old vertex and
-        cross an old cut, so the confirmed vertices and the cuts are dropped.
-        The cells stay: what they prove inside the old set is inside the
-        grown one.
+        Add `points` to the set, keeping it in lexicographic order, and
+        return them as exact points, in order.  A search state may come as
+        its `_StateImage`, as to `contains`: its point is the one its walk
+        built, if it walked, else built here.  A new point can hide an old
+        vertex and cross an old cut, so the confirmed vertices and the cuts
+        are dropped.  The cells stay: what they prove inside the old set is
+        inside the grown one.
         """
-        for k, p in enumerate(points):
-            p = self._query(p)
-            if p in self._image_of:
+        added = []
+        for p in points:
+            if type(p) is _StateImage:
+                image, p = p, self._walked.pop(p, None) or p.point()
+            else:
+                p = self._query(p)
+                image = _image(p)
+            added.append(p)
+            if image in self._members:
                 continue
             i = bisect(self.points, p)
-            image = _image(p) if images is None else images[k]
             self.points.insert(i, p)
             self._images.insert(i, image)
             self._image_of[p] = image
@@ -537,6 +548,7 @@ class IncrementalHull:
             self._members.add(image)
         self._confirmed.clear()
         self._cuts.clear()
+        return added
 
     def _outside(self, point, point_image=None):
         """
@@ -691,7 +703,7 @@ class IncrementalHull:
         its functional as a cut; a point that a cut scores > 0, or that a
         cell proves inside, needs no walk.  A search state may come as its
         `_StateImage`, whose point is built only for a walk, and kept in
-        `_walked` for the search if the walk ends outside."""
+        `_walked` for `_extend` if the walk ends outside."""
         if type(point) is _StateImage:
             image, point = point, None
         else:

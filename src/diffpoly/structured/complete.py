@@ -9,12 +9,10 @@ each commutation class into one candidate point, and commuting letter
 swaps do not change the point.  The least word of a class is its
 lexicographic normal form, so the candidates come from a depth-first search
 over normal forms alone, which visits each class once and averages each
-prefix once; `words.reduced_words` and `words.commutation_classes` list
-every word and stay only as its test oracle.  The candidate set provably
-covers every vertex of the polytope; it is certified and filtered exactly
-here, because a few classes (first seen at n = 4, on reverse-permutation
-words) yield points that are *not* extreme even for fully generic
-populations.
+prefix once; no other word is listed.  The candidate set provably covers
+every vertex of the polytope; it is certified and filtered exactly here,
+because a few classes (first seen at n = 4, on reverse-permutation words)
+yield points that are *not* extreme even for fully generic populations.
 
 Ties are covered too.  Ranks break ties by label, so each candidate is a
 fixed linear map, set by its word and that ranking, applied to rho0.  A
@@ -39,44 +37,22 @@ from typing import Sequence
 from ..core import OperationSequence, PairOp, PopulationVector, op_sort_key
 from ..geometry import IncrementalHull
 
-__all__ = ["word_sequence", "kn_candidate_points", "kn_extreme_points"]
-
-
-def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[PopulationVector, OperationSequence]:
-    """
-    Run a rank-word from `rho0`: letter i averages the vertices currently
-    ranked i and i+1 (ranks by increasing initial population) and swaps
-    their rank slots.  Returns the resulting state and the vertex-labeled
-    pair sequence that produced it; a letter whose two levels are already
-    equal still swaps their ranks but leaves no operator in the sequence.
-    """
-    n = len(rho0)
-    ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
-    state = PopulationVector(rho0)
-    ops = []
-    for letter in word:
-        if not 0 < letter < n:
-            raise ValueError(f"letter {letter} is outside 1..{n - 1}")
-        u, v = ranking[letter - 1], ranking[letter]
-        if state[u - 1] != state[v - 1]:
-            op = PairOp.of(u, v)
-            state = op.apply(state)
-            ops.append(op)
-        ranking[letter - 1], ranking[letter] = ranking[letter], ranking[letter - 1]
-    return state, OperationSequence(ops)
+__all__ = ["kn_candidate_points", "kn_extreme_points"]
 
 
 def _rank_words(rho0: PopulationVector):
     """
     Depth-first walk over the lexicographic normal forms of the reduced
     rank-words from `rho0`, sharing prefixes: yields (permutation, word,
-    point, steps) per commutation class, the empty word first; the point
-    is `word_sequence`'s and steps hold a pair op per letter, None where
-    the levels were equal.  Letter a may follow a prefix when it lengthens
-    the permutation and keeps the word the least of its class: no letter
-    greater than a in the run of letters commuting with a (|x - a| > 1)
-    that ends the prefix.  Both rules are prefix-closed, so the walk visits
-    each class once, at its least word.
+    point, steps) per commutation class, the empty word first.  Letter i
+    averages the vertices currently ranked i and i+1 (ranks by increasing
+    initial population, ties by label) and swaps their rank slots; steps
+    hold that pair op per letter, None where the levels were equal.
+    Letter a may follow a prefix when it lengthens the permutation and
+    keeps the word the least of its class: no letter greater than a in the
+    run of letters commuting with a (|x - a| > 1) that ends the prefix.
+    Both rules are prefix-closed, so the walk visits each class once, at
+    its least word.
     """
     n = len(rho0)
     ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
@@ -121,7 +97,7 @@ def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, Oper
     """
     One candidate extreme point per commutation class, deduplicated; each
     maps to the pair sequence of the least word in its class, which on ties
-    omits the letters that average equal levels (see `word_sequence`).
+    omits the letters that average equal levels (see `_rank_words`).
 
     The least words are generated directly, by a depth-first search over
     lexicographic normal forms (Cartier & Foata; Anisimov & Knuth), so each

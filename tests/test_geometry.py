@@ -378,9 +378,9 @@ class TestIncrementalHull:
                 assert hull.vertices() == fresh.vertices()
 
     def test_state_images_answer_as_their_points(self):
-        # a search state comes to `contains` as its `_StateImage`, and the
-        # set grows by points with their images; members, points a cut or a
-        # cell decides and walked points all get the LP's answer
+        # a search state comes to `contains` and `_extend` as its
+        # `_StateImage`, and `_extend` returns its point; members, points a
+        # cut or a cell decides and walked points all get the LP's answer
         rnd = random.Random(71)
         for dim in (3, 4):
             cloud = [random_population(rnd, dim, bound=6) for _ in range(24)]
@@ -388,8 +388,8 @@ class TestIncrementalHull:
             probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(12)] + cloud
             by_image, by_point, seen = IncrementalHull([]), IncrementalHull([]), []
             for batch in (cloud[:8], cloud[8:16], cloud[16:]):
-                by_image._extend(batch, [_StateImage(_image(p)) for p in batch])
-                by_point._extend(batch)
+                assert by_image._extend([_StateImage(_image(p)) for p in batch]) == batch
+                assert by_point._extend(batch) == batch
                 seen += batch
                 answers = [hull_membership(q, seen).inside for q in probes]
                 assert [by_image.contains(_StateImage(_image(q))) for q in probes] == answers

@@ -37,17 +37,18 @@ from diffpoly.structured import (
     subset_point,
     subset_sequence,
 )
-from diffpoly.structured.complete import _least_order, _rank_words, word_sequence
+from diffpoly.structured.complete import _least_order, _rank_words
 from diffpoly.structured.ordered_path import triangular
-from diffpoly.structured.words import (
+
+from conftest import random_sorted_population
+from word_oracle import (
     all_permutations,
     apply_word,
     commutation_classes,
     reduced_words,
     total_commutation_classes,
+    word_sequence,
 )
-
-from conftest import random_sorted_population
 
 
 def pv(*comps):

@@ -1,10 +1,14 @@
+import doctest
 import random
 
 import pytest
 
 from diffpoly.core import PairOp, PopulationVector
 from diffpoly.optimize import energy
-from diffpoly.structured.words import (
+
+import word_oracle
+from conftest import random_population
+from word_oracle import (
     all_permutations,
     apply_word,
     commutation_classes,
@@ -14,7 +18,11 @@ from diffpoly.structured.words import (
     total_commutation_classes,
 )
 
-from conftest import random_population
+
+def test_oracle_doctests():
+    # the oracle lives outside the package, where test_doctests does not walk
+    result = doctest.testmod(word_oracle)
+    assert result.failed == 0 and result.attempted == 8
 
 
 class TestReducedWords:

@@ -1,5 +1,6 @@
 """
-Reduced words in the symmetric group and their commutation classes.
+Test oracles for `diffpoly.structured.complete`: reduced words in the
+symmetric group, their commutation classes, and the rank-word replay.
 
 Permutations are tuples in one-line notation over 1..n.  A word is a tuple
 of letter indices (i_1, ..., i_m), each letter i meaning the adjacent
@@ -11,24 +12,19 @@ the other by repeatedly swapping neighboring letters i, j with |i-j| > 1.
 
 `reduced_words` and `commutation_classes` list every word and partition
 them, which grows fast (the longest element of S_6 alone has 292,864
-reduced words).  They are the test oracle for `complete.kn_candidate_points`,
-which generates the least word of each class directly, and for the K_n tie
-pass, which reorders that word's operators instead of walking the class.
+reduced words), and `word_sequence` replays one word from a population.
+Together they are the reference for `complete.kn_candidate_points`, which
+generates the least word of each class directly, and for the K_n tie pass,
+which reorders that word's operators instead of walking the class.  The
+library calls none of them.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator, Sequence
 
-__all__ = [
-    "inversions",
-    "apply_word",
-    "all_permutations",
-    "reduced_words",
-    "commutation_classes",
-    "total_commutation_classes",
-    "stopping_permutation",
-]
+from diffpoly.core import OperationSequence, PairOp, PopulationVector
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -149,3 +145,27 @@ def stopping_permutation(weights: Sequence) -> Permutation:
         raise ValueError("weights must be pairwise distinct")
     by_weight = sorted(range(1, len(weights) + 1), key=lambda i: weights[i - 1])
     return tuple(reversed(by_weight))
+
+
+def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[PopulationVector, OperationSequence]:
+    """
+    Run a rank-word from `rho0`: letter i averages the vertices currently
+    ranked i and i+1 (ranks by increasing initial population) and swaps
+    their rank slots.  Returns the resulting state and the vertex-labeled
+    pair sequence that produced it; a letter whose two levels are already
+    equal still swaps their ranks but leaves no operator in the sequence.
+    """
+    n = len(rho0)
+    ranking = sorted(range(1, n + 1), key=lambda v: (rho0[v - 1], v))
+    state = PopulationVector(rho0)
+    ops = []
+    for letter in word:
+        if not 0 < letter < n:
+            raise ValueError(f"letter {letter} is outside 1..{n - 1}")
+        u, v = ranking[letter - 1], ranking[letter]
+        if state[u - 1] != state[v - 1]:
+            op = PairOp.of(u, v)
+            state = op.apply(state)
+            ops.append(op)
+        ranking[letter - 1], ranking[letter] = ranking[letter], ranking[letter - 1]
+    return state, OperationSequence(ops)
