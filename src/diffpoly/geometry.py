@@ -60,11 +60,18 @@ every answer is the one a rational tableau gives.  Rationals are built
 only for a convex combination; an infeasible LP's functional is u with
 the row signs folded back in.
 
-Within one walk, each LP after the first is the last one plus one column,
-the vertex that the last one's functional confirmed, so it resumes from
-the last one's final basis (Bland's rule terminates from any feasible
-basis): the new column is the only one that prices in, and it enters
-first.  An LP that ends inside then pivots every artificial variable still
+An LP of a point can resume from the final basis of an earlier LP of the
+same point against a prefix of its columns: a phase-one basis stays
+feasible when columns are added, and Bland's rule terminates from any
+feasible basis.  Within one walk, each LP after the first is the last one
+plus one column, the vertex that the last one's functional confirmed, so
+it resumes from the last one's final basis: the new column is the only one
+that prices in, and it enters first.  A certification LP starts near its
+answer: it prices the other points nearest first, by exact squared
+Euclidean distance in integers, and a vertex that its own walk confirmed
+resumes from that walk's last LP, whose columns come first.  Column order
+and start change only which pivots Bland's rule takes, not an answer.
+An LP that ends inside then pivots every artificial variable still
 basic, at level 0, out for a point column where one has a nonzero entry
 in its row.  These degenerate pivots leave the combination as it is and
 add a basic point to its cell each, which then proves more points inside.
@@ -76,7 +83,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .core import PopulationVector, format_rational
@@ -274,13 +281,17 @@ def _phase_one(
     the result.
 
     `warm`, if given, is a list that an LP ending outside leaves its final
-    (tableau, basis, det) in.  If it holds one, the LP resumes from it: it
-    must come from the LP of the same `point` against `points` less the
-    last, in the same form, which is a feasible basis here too.  Its tableau
-    is unchanged, the new column added as nonbasic, and the artificial
-    indices move up by one.  A walk confirms the best-scoring point of the
-    last functional, which prices in, so Bland's rule goes on from there,
-    where a cold start would first redo the last LP's pivots.
+    (tableau, basis, det, m) in, m its number of point columns.  If it holds
+    one, the LP resumes from it: it must come from an LP of the same `point`
+    against a prefix of `points`, the first m0, in the same form.  A
+    phase-one basis stays feasible when columns are added, and Bland's rule
+    terminates from any feasible basis.  Its tableau is unchanged, and not
+    changed in place, the new columns added as nonbasic, and the artificial
+    indices move up by m - m0.  A walk's next LP adds one column, the
+    best-scoring point of the last functional, which prices in, so Bland's
+    rule goes on from there, where a cold start would first redo the last
+    LP's pivots; a certification LP adds the other vertices to the last LP
+    of the point's own walk (`IncrementalHull._certify`).
 
     An LP that ends inside keeps no artificial basic that a point column can
     replace: each artificial row, in row order, pivots out for the first
@@ -303,9 +314,10 @@ def _phase_one(
     if -1 in sign:
         columns = [list(map(mul, sign, a)) for a in columns]
 
-    if warm:  # the last LP's final basis: its points are these less the last
-        tab, basis, det = warm
-        basis = [var + (var >= m - 1) for var in basis]
+    if warm:  # a final basis of this point against a prefix of these points
+        tab, basis, det, m0 = warm
+        tab = tab[:]  # rows are replaced, never changed: the kept basis stays as it is
+        basis = [var + (m - m0) * (var >= m0) for var in basis]
     else:
         # rows 0..rows-1: [det*B^-1 row r | rhs_r]; the last row: [u | z]
         tab = [[int(r == c) for c in range(rows)] + [abs(v)] for r, v in enumerate(b)]
@@ -380,7 +392,7 @@ def _phase_one(
         return HullMembership(inside=True, coefficients=tuple(lam))
 
     if warm is not None:
-        warm[:] = tab, basis, det
+        warm[:] = tab, basis, det, m
     # infeasible: dual vector y_r = u_r / det, rows un-flipped; with no
     # normalization row, the offset is 0
     func = list(map(mul, sign, dual))
@@ -495,6 +507,11 @@ class IncrementalHull:
     them scores > 0 is outside with no LP.  A new point can cross a cut, so
     `_extend` drops the cuts.
 
+    A walk whose last LP confirms the queried point itself keeps that LP,
+    its columns and final basis, in `_kept`: the certification LP of the
+    point (`_certify`) resumes from it.  `_extend` drops the kept LPs, as it
+    drops the confirmed vertices.
+
     The search hands `contains` and `_extend` its states as `_StateImage`s.
     A state's point is built once: by the walk that finds it outside, kept
     until `_extend` takes it, or else by `_extend`.
@@ -518,6 +535,10 @@ class IncrementalHull:
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
         self._cells: list = []  # final bases of the LPs that ended inside
         self._walked: dict = {}  # _StateImage -> its point, built for a walk that ended outside
+        # a point its own walk confirmed -> that walk's last LP, as its
+        # columns and its final basis (`_phase_one`'s `warm`), for `_certify`
+        self._kept: dict = {}
+        self._scaled: dict | None = None  # point -> D*x, D the lcm of the set's d, built by `_certify`
 
     def _extend(self, points) -> list:
         """
@@ -526,8 +547,9 @@ class IncrementalHull:
         its `_StateImage`, as to `contains`: its point is the one its walk
         built, if it walked, else built here.  A new point can hide an old
         vertex and cross an old cut, so the confirmed vertices and the cuts
-        are dropped.  The cells stay: what they prove inside the old set is
-        inside the grown one.
+        are dropped, and with them the kept walk LPs and the scaled points.
+        The cells stay: what they prove inside the old set is inside the
+        grown one.
         """
         added = []
         for p in points:
@@ -548,6 +570,8 @@ class IncrementalHull:
             self._members.add(image)
         self._confirmed.clear()
         self._cuts.clear()
+        self._kept.clear()
+        self._scaled = None
         return added
 
     def _outside(self, point, point_image=None):
@@ -559,7 +583,9 @@ class IncrementalHull:
         functional, and the walk goes on, until it ends with None: `point`
         is confirmed, or the set is empty.  Each LP after the walk's first is
         the last one plus that point, so it resumes from the last one's final
-        basis.  `point_image`, if given, is `point`'s `_image`.
+        basis.  When an LP confirms `point` itself, its columns and final
+        basis are kept for `_certify`.  `point_image`, if given, is `point`'s
+        `_image`.
         """
         if point_image is None:
             point_image = self._image_of_point(point)
@@ -567,12 +593,14 @@ class IncrementalHull:
         warm = []  # the final basis of the walk's last LP
         while point not in confirmed:
             if confirmed:
-                witness, best, functional = self._decide(point, point_image, list(confirmed),
-                                                         warm=warm)
+                working = list(confirmed)
+                witness, best, functional = self._decide(point, point_image, working, warm=warm)
                 if witness is not None:
                     return witness
                 if best in confirmed:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
+                if best == point:
+                    self._kept[point] = working, warm
             elif self.points:
                 best, functional = self.points[0], None  # the least point is a vertex
             else:
@@ -582,13 +610,38 @@ class IncrementalHull:
 
     def _certify(self, point, working):
         """
-        Certify `point` in one LP against `working`, points of the set: a
-        combination of `working`, a functional that separates `point`
-        strictly from every other point of the set, or None if the LP's
-        functional, lowered, does not.  Confirms nothing.
+        Certify `point`, a point of the set, in one LP against `working`,
+        other points of the set in lexicographic order: a combination of
+        `working`, a functional that separates `point` strictly from every
+        other point of the set, or None if the LP's functional, lowered, does
+        not.  Confirms nothing.
+
+        The LP starts near its answer.  It prices `working` nearest first,
+        by exact squared Euclidean distance to `point`, ties in the order
+        given.  If `point`'s own walk confirmed it and `working` holds that
+        walk's columns, they come first, and the LP resumes from the walk's
+        last basis.  Only the order and the start change: every answer is
+        the exact one, whatever they are.
         """
         point_image = self._image_of_point(point)
-        return self._decide(point, point_image, working, skip=point_image)[0]
+        walked, warm = self._kept.get(point, ((), None))
+        kept = set(walked)
+        rest = [q for q in working if q not in kept]
+        if len(rest) + len(walked) != len(working):  # not every walk column is in working
+            walked, warm, rest = (), None, list(working)
+        if self._scaled is None:
+            scale = math.lcm(*(image[-1] for image in self._images))
+            self._scaled = {p: [a * (scale // image[-1]) for a in image[:-1]]
+                            for p, image in zip(self.points, self._images)}
+        scaled, origin = self._scaled, self._scaled[point]
+
+        def distance(q):
+            diff = list(map(sub, scaled[q], origin))
+            return sum(map(mul, diff, diff))
+
+        rest.sort(key=distance)
+        return self._decide(point, point_image, [*walked, *rest], skip=point_image,
+                            warm=warm and list(warm))[0]
 
     def _decide(self, point, point_image, working, skip=None, warm=None):
         """
@@ -747,9 +800,10 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
     strictly separating functional (checked against every other point),
     non-vertices with an exact convex reconstruction over the vertices.
     After the vertex scan, each point is decided by one certification LP
-    (`IncrementalHull._certify`) against the other vertices in
-    lexicographic order, so each certificate depends on the vertex set
-    alone, not on the scan's path.
+    (`IncrementalHull._certify`) against the other vertices, nearest first;
+    a vertex that the scan's walk confirmed for itself resumes from that
+    walk's last LP.  The certificates are deterministic, but they depend on
+    the scan's path, not on the vertex set alone.
 
     `_hull` is for the polytope search, which hands over its hull after
     `vertices()` and that vertex list as `points`: the scan is skipped, and

@@ -188,7 +188,7 @@ def check_p3_cases(n: int | None) -> tuple[bool, str]:
 # --- ordered path hypercube -----------------------------------------------
 
 
-@_check("ordered-path-hypercube", budget=60, max_n=10)  # n = 10: 15 s; n = 11: 105 s
+@_check("ordered-path-hypercube", budget=60, max_n=10)  # n = 10: 8.0 s; n = 11: 25-33 s
 def check_pn(n: int | None) -> tuple[bool, str]:
     n_max = n or 7
     rnd = random.Random(20260808)

@@ -858,8 +858,14 @@ def reference_outside(hull, point):
     return None
 
 
+def nearest_first(point, points):
+    """`points` by squared Euclidean distance to `point`, in `Fraction`s, ties lexicographic."""
+    return sorted(points, key=lambda q: (sum((Fraction(a) - b) ** 2 for a, b in zip(q, point)), q))
+
+
 def reference_certify(hull, point, working):
-    """`IncrementalHull._certify` with every score a `Fraction`."""
+    """`IncrementalHull._certify` started cold, with every score a `Fraction`."""
+    working = nearest_first(point, working)
     if working:
         res = hull_lp(hull, point, working)
         if res.inside:
@@ -901,9 +907,9 @@ def walk_clouds():
     return rnd, clouds
 
 
-def test_walk_matches_fraction_reference():
+def test_walk_matches_fraction_reference(certification_lps):
     rnd, clouds = walk_clouds()
-    witnesses, kinds = 0, set()
+    witnesses, kinds, resumed = 0, set(), 0
     for cloud in clouds:
         pts = sorted(set(cloud))
         dim = len(pts[0])
@@ -911,7 +917,8 @@ def test_walk_matches_fraction_reference():
         probes += [_combination(rnd, rnd.sample(pts, rnd.randint(1, len(pts))))]
         # extremality queries and probes on a fresh hull, then the vertex
         # scan and more probes on the same hull, then one certification LP
-        # per point against the other vertices (as in extreme_points)
+        # per point against the other vertices (as in extreme_points); one
+        # that resumes its point's own walk is checked against a cold LP
         fast, slow = IncrementalHull(cloud), IncrementalHull(cloud)
         queries = rnd.sample(pts, min(5, len(pts))) + probes[:3] + pts + probes[3:]
         for point in queries:
@@ -923,13 +930,19 @@ def test_walk_matches_fraction_reference():
         vertices = fast.vertices()
         for p in pts:
             others = [v for v in vertices if v != p]
+            certification_lps.clear()
             witness = fast._certify(p, others)
-            assert witness == reference_certify(slow, p, others)
+            if certification_lps and certification_lps[0][3]:
+                assert_certification_lps_match_cold_ones(certification_lps)
+                assert reference_separates(witness, p, [q for q in pts if q != p])
+                resumed += 1
+            else:
+                assert witness == reference_certify(slow, p, others)
             assert isinstance(witness, tuple) == (p not in vertices)
             witnesses += 1
         assert list(fast._confirmed) == list(slow._confirmed)
         assert sorted(fast._confirmed) == vertices
-    assert witnesses > 1000
+    assert witnesses > 1000 and resumed > 50
     assert kinds == {tuple, SeparatingFunctional, type(None)}
 
 
@@ -941,6 +954,11 @@ def test_certify_returns_none_without_strict_separation():
     working = [(0, 0), (1, 0)]
     assert hull._certify((0, 1), working) is None is reference_certify(hull, (0, 1), working)
     assert hull._confirmed == {}  # certification confirms nothing
+    # after the vertex scan, the last LP of (0, 1)'s own walk ran against
+    # (0, 0) and (1, 1): without (1, 1) in the working set it is not resumed
+    hull.vertices()
+    assert hull._kept[(0, 1)][0] == [(0, 0), (1, 1)]
+    assert hull._certify((0, 1), working) is None
 
 
 def test_separates_matches_fraction_reference():
@@ -1089,6 +1107,99 @@ def test_resumed_walk_lps_of_searches_match_cold_ones(resumed_lps, search):
     search()
     assert_resumed_lps_match_cold_ones(resumed_lps)
     assert len(resumed_lps) > 10
+
+
+@pytest.fixture
+def certification_lps(monkeypatch):
+    """(point, working, result, the columns of the point's own walk that it
+    resumed after, or ()) of every certification LP (`_phase_one` inside
+    `IncrementalHull._certify`) while the fixture is active, in call order."""
+    calls, walked = [], []
+    certify, phase_one = IncrementalHull._certify, geometry._phase_one
+
+    def certifying(hull, point, working):
+        walked.append(hull._kept.get(point, ((),))[0])
+        try:
+            return certify(hull, point, working)
+        finally:
+            walked.pop()
+
+    def recording(point, points, **kwargs):
+        result = phase_one(point, points, **kwargs)
+        if walked:
+            calls.append((point, list(points), result, walked[-1] if kwargs.get("warm") else ()))
+        return result
+
+    monkeypatch.setattr(IncrementalHull, "_certify", certifying)
+    monkeypatch.setattr(geometry, "_phase_one", recording)
+    return calls
+
+
+def assert_certification_lps_match_cold_ones(calls):
+    """Each certification LP answers as a cold one of the same (point, working),
+    with a witness that passes substitution; its columns are the columns of
+    the walk it resumed, if any, then the rest nearest first."""
+    for point, working, result, walked in calls:
+        assert result.inside == _phase_one(point, working).inside, (point, working)
+        assert result.verify(point, working), (point, working)
+        assert working[:len(walked)] == list(walked)
+        assert working[len(walked):] == nearest_first(point, working[len(walked):])
+
+
+@pytest.mark.parametrize("search, resumed", [
+    (lambda: pn_polytope(PopulationVector.normalized([2, 3, 5, 7, 11, 13])), 9),
+    # the search certifies by LP only its least point, confirmed with no
+    # walk, and ties, none of them confirmed by its own walk
+    (lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])), 0),
+    (lambda: polytope(helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11]),
+                      PolytopeConfig(classify=False)), 0),
+], ids=["pn-6", "c4", "helium"])
+def test_resumed_certification_lps_match_cold_ones(certification_lps, search, resumed):
+    search()
+    assert_certification_lps_match_cold_ones(certification_lps)
+    assert len(certification_lps) > 5
+    assert sum(bool(walked) for *_, walked in certification_lps) == resumed
+
+
+@pytest.fixture
+def certification_pivots(monkeypatch):
+    """[LPs, pivots inside `IncrementalHull._certify`] while the fixture is active."""
+    counts, certifying = [0, 0], []
+    certify, phase_one, pivot = IncrementalHull._certify, geometry._phase_one, geometry._pivot
+
+    def counted_certify(*args):
+        certifying.append(None)
+        try:
+            return certify(*args)
+        finally:
+            certifying.pop()
+
+    def counted_phase_one(*args, **kwargs):
+        counts[0] += 1
+        return phase_one(*args, **kwargs)
+
+    def counted_pivot(*args):
+        counts[1] += bool(certifying)
+        return pivot(*args)
+
+    monkeypatch.setattr(IncrementalHull, "_certify", counted_certify)
+    monkeypatch.setattr(geometry, "_phase_one", counted_phase_one)
+    monkeypatch.setattr(geometry, "_pivot", counted_pivot)
+    return counts
+
+
+@pytest.mark.parametrize("search, lps, pivots", [
+    (lambda: pn_polytope(PopulationVector.normalized(
+        sorted(random.Random(7).sample(range(100000, 1000000), 7)))), 127, 237),
+    (lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])), 90, 24),
+], ids=["pn-7", "c4"])
+def test_certification_pivots(certification_pivots, search, lps, pivots):
+    # LPs, and the pivots of the certification LPs, pinned at their current
+    # values; a change that lowers one updates it here and says so, none may
+    # rise.  Certification LPs priced in lexicographic order from a cold
+    # start took 657 and 65 pivots
+    search()
+    assert certification_pivots == [lps, pivots]
 
 
 def test_functional_from_integers_matches_fraction_form():
