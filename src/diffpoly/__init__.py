@@ -40,7 +40,6 @@ from .optimize import (
     optimize_over,
 )
 from .structured import (
-    decompose_step,
     fibonacci_nonlocal_count,
     count_commuting_subsets,
     kn_extreme_points,
@@ -81,7 +80,6 @@ __all__ = [
     "gardner_limit",
     "monotone_extremal_check",
     "optimize_over",
-    "decompose_step",
     "fibonacci_nonlocal_count",
     "count_commuting_subsets",
     "kn_extreme_points",

@@ -4,14 +4,12 @@ Closed-form and theorem-backed solvers.
 * ``complete`` -- extreme points of the complete-graph polytope generated
   from commutation classes and certified exactly.
 * ``ordered_path`` -- the ordered path-graph polytope: its 2^(n-1) vertices
-  indexed by subsets, the hypercube adjacency, exact decomposition
-  witnesses for one averaging step, and the Fibonacci counting formulas.
+  indexed by subsets, the hypercube adjacency, the closed form of the
+  polytope as 2(n-1) inequalities, and the Fibonacci counting formulas.
 """
 from .complete import kn_candidate_points, kn_extreme_points
 from .ordered_path import (
-    StepDecomposition,
     count_commuting_subsets,
-    decompose_step,
     fibonacci,
     fibonacci_nonlocal_count,
     pn_polytope,
@@ -23,9 +21,7 @@ from .ordered_path import (
 __all__ = [
     "kn_candidate_points",
     "kn_extreme_points",
-    "StepDecomposition",
     "count_commuting_subsets",
-    "decompose_step",
     "fibonacci",
     "fibonacci_nonlocal_count",
     "pn_polytope",

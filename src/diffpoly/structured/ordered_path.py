@@ -8,12 +8,32 @@ mean of the corresponding initial components, and everything else is
 untouched.  The vertex set is therefore a combinatorial (n-1)-hypercube,
 with S_A adjacent to the n-1 points whose subsets differ in one element.
 
-``decompose_step`` is the inductive engine behind that statement: it
-expresses one further pair averaging applied to a vertex, S_A B(i,i+1),
-as an exact convex combination of (at most) four neighboring vertices,
-in closed form in every case, tied populations included: a generic step
-has a feasibility window whose endpoints are reported for verification,
-every other step weighs the segment between two of the four points.
+For sorted rho0 the polytope is
+Q = {x : sum(x) = 1, x_a <= x_{a+1} and P_a(x) >= P_a(rho0), a = 1..n-1},
+with P_a the sum of the first a components: the ascending states that
+rho0 majorizes.  ``_slacks`` gives Q's 2(n-1) slacks at a state's integer
+image, so checking a point against Q is a substitution.  Why Q is the
+polytope D, ties included (they only make some S_A coincide):
+
+* D lies in Q.  rho0 is in Q.  Averaging the pair i, i+1 of an ascending
+  state keeps it ascending and changes only P_i, which it raises, so each
+  pair step maps Q into Q.  A block is a limit of pair steps and Q is
+  closed, so blocks map Q into Q too.  In particular every S_A, the image
+  of rho0 under its word, lies in Q.
+* S_A is a vertex of Q.  In prefix-sum coordinates y_a = P_a(x), with
+  y_0 = 0 and y_n = 1, the equation x_a = x_{a+1} makes y_a the mean of
+  y_{a-1} and y_{a+1}.  The n-1 equations x_a = x_{a+1} for a in A and
+  P_a(x) = P_a(rho0) for a not in A fix y_a at each a not in A and make y
+  linear across each maximal run of A.  Their only solution is S_A.  For
+  strictly increasing rho0 no other inequality is tight there, so S_A is
+  a simple vertex.  Each of its n-1 edges keeps all but one of these
+  equations tight; S_{A xor {a}} satisfies those n-2 and lies in Q, so the
+  edges end at the flips.
+* The subset points are all the vertices.  The graph of a polytope is
+  connected, and from rho0, the empty subset's point, the edges reach only
+  subset points, so vert(Q) = {S_A}.  Then Q = conv(S), which lies in D,
+  since each S_A has a word: D = Q = conv(S).  Q and every S_A move
+  continuously with rho0, so the equality carries over to tied rho0.
 
 The number of vertices inherited from the complete-graph problem (the
 subsets with no two consecutive elements, reachable by commuting pair
@@ -25,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from ..core import (
@@ -34,9 +54,8 @@ from ..core import (
     PairOp,
     PopulationVector,
     apply_sequence,
-    format_rational,
 )
-from ..geometry import ExtremalityCertificate, _is_convex_combination, extreme_points
+from ..geometry import ExtremalityCertificate, extreme_points
 
 __all__ = [
     "subset_point",
@@ -44,8 +63,6 @@ __all__ = [
     "PnVertex",
     "PnPolytope",
     "pn_polytope",
-    "StepDecomposition",
-    "decompose_step",
     "fibonacci",
     "triangular",
     "count_commuting_subsets",
@@ -175,6 +192,22 @@ def _subset_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, frozenset
     return chosen
 
 
+def _slacks(image: Sequence[int], rho_image: Sequence[int]) -> list[int]:
+    """
+    Q's 2(n-1) slacks at the state of integer image (d*x_1, ..., d*x_n, d),
+    given `rho_image`, the image (e*rho_1, ..., e) of sorted rho0: first
+    d*(x_{a+1} - x_a), then d*e*(P_a(x) - P_a(rho0)), for a = 1..n-1.  A
+    state, whose entries sum to 1, is in Q exactly when none is negative.
+
+    >>> _slacks((1, 1, 6, 8), (0, 1, 3, 4))  # S_{1} = (1/8, 1/8, 3/4) of (0, 1/4, 3/4)
+    [0, 5, 4, 0]
+    """
+    *x, d = image
+    *r, e = rho_image
+    steps = [b - a for a, b in zip(x, x[1:])]
+    return steps + [p * e - q * d for p, q in zip(accumulate(x[:-1]), accumulate(r[:-1]))]
+
+
 def _pn_vertex(point: PopulationVector, sub: frozenset[int]) -> PnVertex:
     kind = "asymptotic" if any(a + 1 in sub for a in sub) else "nonlocal"
     return PnVertex(subset=sub, point=point, sequence=subset_sequence(sub), kind=kind)
@@ -205,196 +238,6 @@ def pn_polytope(rho0: Sequence[Fraction]) -> PnPolytope:
         generic_count=2 ** (len(rho0) - 1),
         certificates=tuple(certs),
     )
-
-
-@dataclass(frozen=True)
-class StepDecomposition:
-    """
-    Exact convex decomposition of S_A B(i,i+1) over neighboring vertices.
-
-    `case` records the run geometry around position i:
-
-    * "identity"     -- i already in A, nothing moves;
-    * "all_coincide" -- k = l = 1, the image is itself the vertex S_{A+i};
-    * "short_left"   -- k = 1 < l, two distinct vertices suffice;
-    * "short_right"  -- k > 1 = l, two distinct vertices suffice;
-    * "generic"      -- k, l > 1, the full four-point machinery with the
-      closed-form affine coefficients and the feasibility window
-      [max(0, r1), min(r2, r3)] for the fourth weight;
-    * "flat"         -- k, l > 1 with the ties p2 = 0 and p1 = 0 or p3 = 0,
-      so S4 == S3 or S4 == S2 and the image lies on S2-S3: weights
-      ((k+1)/2k, (k-1)/2k) on (S2, S3) when p3 = 0, ((l-1)/2l, (l+1)/2l)
-      when p1 = 0, and all weight on S1 when all four points coincide.
-
-    All fields that the run geometry leaves undefined are None.
-    """
-
-    subset: frozenset[int]
-    position: int
-    rho0: PopulationVector
-    case: str
-    k: int
-    l: int
-    target: PopulationVector
-    points: tuple[PopulationVector, PopulationVector, PopulationVector, PopulationVector]
-    lambdas: tuple[Fraction, Fraction, Fraction, Fraction]
-    r_values: tuple[Fraction | None, Fraction, Fraction, Fraction | None]
-    p_values: tuple[Fraction | None, Fraction, Fraction | None]
-    x: Fraction
-    y: Fraction
-    segment_values: dict
-    coeff_c: tuple[Fraction, Fraction, Fraction] | None = None
-    coeff_d: tuple[Fraction, Fraction, Fraction] | None = None
-    window: tuple[Fraction, Fraction] | None = None
-    ratios: tuple[Fraction, Fraction, Fraction] | None = None  # (-D1/C1, -D2/C2, -D3/C3)
-
-    def verify(self) -> bool:
-        return _is_convex_combination(self.target, zip(self.points, self.lambdas))
-
-    def to_json(self) -> dict:
-        opt = lambda v: None if v is None else format_rational(v)
-        return {
-            "subset": sorted(self.subset),
-            "position": self.position,
-            "case": self.case,
-            "k": self.k,
-            "l": self.l,
-            "target": self.target.to_json(),
-            "points": [list(p.to_json()) for p in self.points],
-            "lambdas": [format_rational(l) for l in self.lambdas],
-            "r": [opt(v) for v in self.r_values],
-            "p": [opt(v) for v in self.p_values],
-            "window": None if self.window is None else [format_rational(w) for w in self.window],
-            "ratios": None if self.ratios is None else [format_rational(r) for r in self.ratios],
-        }
-
-
-def _mean(rho: Sequence[Fraction], first: int, last: int) -> Fraction | None:
-    """Mean of 1-based positions first..last; None when the range is empty."""
-    if last < first:
-        return None
-    return sum(rho[t - 1] for t in range(first, last + 1)) / (last - first + 1)
-
-
-def _two_point_weight(target, p_main, p_other) -> Fraction:
-    """Solve target = w*p_main + (1-w)*p_other exactly."""
-    for t in range(len(target)):
-        if p_main[t] != p_other[t]:
-            return (target[t] - p_other[t]) / (p_main[t] - p_other[t])
-    return Fraction(1)  # the two points coincide; target must equal them
-
-
-def decompose_step(subset: Iterable[int], position: int,
-                   rho0: Sequence[Fraction]) -> StepDecomposition:
-    """
-    Decompose S_A B(i,i+1) as an exact convex combination of hypercube
-    vertices, in closed form (see `StepDecomposition` for the cases).
-
-    The construction around position i: S_A carries a run of k equal
-    values ending at i and a run of l equal values starting at i+1.
-    R1/R4 are the initial-population means flanking positions i, i+1,
-    p1..p3 their successive gaps; the four candidate vertices are the
-    subset points of A+i with, respectively, nothing removed, i+1
-    removed, i-1 removed, and both removed.
-    """
-    rho0 = _require_sorted(rho0)
-    n = len(rho0)
-    A = frozenset(subset)
-    i = position
-    if not (1 <= i <= n - 1):
-        raise ValueError(f"position {i} out of range for n={n}")
-    if any(not (1 <= a <= n - 1) for a in A):
-        raise ValueError(f"subset {sorted(A)} out of range for n={n}")
-
-    def point(sub: Iterable[int]) -> PopulationVector:
-        return apply_sequence(subset_sequence(sub), rho0)
-
-    zero = Fraction(0)
-    s_a = point(A)
-    target = PairOp.of(i, i + 1).apply(s_a)
-    r2, r3 = rho0[i - 1], rho0[i]
-    if i in A:
-        if target != s_a:
-            raise AssertionError(f"pair {i},{i + 1} moved the subset point of {sorted(A)}")
-        k = l = 0
-        r1 = r4 = None
-        x, y = s_a[i - 1], s_a[i]
-        points = (s_a,) * 4
-        segment_values = {}
-    else:
-        k = 1
-        while (i - k) in A:
-            k += 1
-        l = 1
-        while (i + l) in A:
-            l += 1
-        r1 = _mean(rho0, i - k + 1, i - 1)
-        r4 = _mean(rho0, i + 2, i + l)
-        x = _mean(rho0, i - k + 1, i)
-        y = _mean(rho0, i + 1, i + l)
-        B = A | {i}
-        points = (point(B), point(B - {i + 1}), point(B - {i - 1}), point(B - {i - 1, i + 1}))
-        segment_values = {
-            "X": _mean(rho0, i - k + 1, i + l),
-            "X1": _mean(rho0, i - k + 1, i + 1),
-            "Y1": r4,
-            "X2": r1,
-            "Y2": _mean(rho0, i, i + l),
-            "Z": (r2 + r3) / 2,
-        }
-    p_values = p1, p2, p3 = (None if r1 is None else r2 - r1, r3 - r2, None if r4 is None else r4 - r3)
-    closed_form = {}
-
-    # every case but the generic one weighs the segment between two points
-    if i in A:
-        case, a, b = "identity", 0, 0
-    elif k == 1 == l:  # all four points are S_{A+i}
-        case, a, b = "all_coincide", 0, 0
-    elif k == 1:  # S3 == S1 and S4 == S2
-        case, a, b = "short_left", 0, 1
-    elif l == 1:  # S2 == S1 and S4 == S3
-        case, a, b = "short_right", 0, 2
-    elif p2 == 0 and 0 in (p1, p3):  # S4 == S3 or S4 == S2: the target is on S2-S3
-        case, (a, b) = "flat", (0, 0) if points[1] == points[2] else (1, 2)
-    else:
-        case = "generic"
-        den_k = (k - 1) * p1 + k * p2 + (k + 1) * p3
-        den_l = (l + 1) * p1 + l * p2 + (l - 1) * p3
-        c1 = (p2 + 2 * p3) * (p2 + 2 * p1) * (k + l) / (2 * den_k * den_l)
-        c2 = -(p2 + 2 * p3) * (k + 1) / (2 * den_k)
-        c3 = -(p2 + 2 * p1) * (l + 1) / (2 * den_l)
-
-        num_shared = (k - 1) * l * p1 + k * l * p2 + k * (l - 1) * p3
-        ratio1 = ((k - 1) * l * p1 * p2 + k * l * p2 * p2 + k * (l - 1) * p2 * p3
-                  - 2 * (k + l) * p1 * p3) / ((p2 + 2 * p3) * (p2 + 2 * p1) * k * l)
-        ratio2 = num_shared / ((p2 + 2 * p3) * k * l)
-        ratio3 = num_shared / ((p2 + 2 * p1) * k * l)
-
-        d1 = -c1 * ratio1
-        d2 = -c2 * ratio2
-        d3 = -c3 * ratio3
-
-        lo = max(zero, ratio1)
-        hi = min(ratio2, ratio3)
-        if lo > hi:  # contradicts the feasibility-window theorem
-            raise AssertionError(f"empty feasibility window for A={sorted(A)}, i={i}")
-
-        lambdas = (c1 * lo + d1, c2 * lo + d2, c3 * lo + d3, lo)
-        closed_form = dict(coeff_c=(c1, c2, c3), coeff_d=(d1, d2, d3), window=(lo, hi),
-                           ratios=(ratio1, ratio2, ratio3))
-    if case != "generic":
-        w = _two_point_weight(target, points[a], points[b])
-        lambdas = tuple(w if t == a else 1 - w if t == b else zero for t in range(4))
-
-    dec = StepDecomposition(
-        subset=A, position=i, rho0=rho0, case=case, k=k, l=l, target=target, points=points,
-        lambdas=lambdas, r_values=(r1, r2, r3, r4), p_values=p_values, x=x, y=y,
-        segment_values=segment_values, **closed_form)
-    if not dec.verify():
-        raise AssertionError(
-            f"{case} step decomposition failed exact verification for A={sorted(A)}, i={i}"
-        )
-    return dec
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,26 @@ whose generating sequences are absent from the table, with membership in
 the vertex set switching on sign conditions in the initial gaps.  The
 `c4-analysis` check certifies that behavior explicitly.
 
+The ordered path's hypercube theorem is checked by substitution: for
+sorted populations the polytope is the closed form Q of 2(n-1) linear
+inequalities (see `structured.ordered_path`), so `ordered-path-hypercube`
+reads the cube's vertex-facet incidence off each vertex's slacks, and
+`pair-images` puts every pair image of every subset point into Q.  Neither
+solves an LP.
+
 Each check maps the optional size parameter `n` to ``(passed, detail)``.
 The `_check` decorator on its definition names it, declares its time
 budget and the largest `n` it reads, and times the whole call; a pass that
 overran the budget, or an exception the check raised, becomes a failure.
-Checks called directly, as the acceptance tests do, keep their budgets.
+Every check has a budget, and checks called directly, as the acceptance
+tests do, keep theirs.
 """
 from __future__ import annotations
 
 import functools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -40,12 +49,13 @@ from .core import (
 )
 from .enumeration import (
     PolytopeConfig,
+    _average,
     explore,
     graph_ops,
     polytope,
     triangle_decomposition,
 )
-from .geometry import hull_membership
+from .geometry import _image, _StateImage, hull_membership
 from .optimize import (
     energy,
     exponential_populations,
@@ -54,13 +64,12 @@ from .optimize import (
 )
 from .structured import (
     count_commuting_subsets,
-    decompose_step,
     fibonacci,
     fibonacci_nonlocal_count,
     kn_extreme_points,
     pn_polytope,
 )
-from .structured.ordered_path import triangular
+from .structured.ordered_path import _slacks, _subset_points, triangular
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -73,7 +82,7 @@ class CheckResult:
     seconds: float = 0.0
 
 
-def _check(name: str, budget: float | None = None, max_n: int | None = None):
+def _check(name: str, budget: float, max_n: int | None = None):
     """
     Make a check returning ``(passed, detail)`` into one returning a timed
     `CheckResult` called `name`.  A pass that took `budget` seconds or more
@@ -89,7 +98,7 @@ def _check(name: str, budget: float | None = None, max_n: int | None = None):
             except Exception as exc:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             seconds = time.monotonic() - start
-            if passed and budget is not None and seconds >= budget:
+            if passed and seconds >= budget:
                 passed, detail = False, f"took {seconds:.2f}s (budget {budget:g}s)"
             return CheckResult(name, passed, detail, seconds)
         run.max_n = max_n
@@ -190,30 +199,45 @@ def check_p3_cases(n: int | None) -> tuple[bool, str]:
 
 @_check("ordered-path-hypercube", budget=60, max_n=10)  # n = 10: 8.0 s; n = 11: 25-33 s
 def check_pn(n: int | None) -> tuple[bool, str]:
+    """
+    Each vertex of `pn_polytope` lies in Q, with zero slack on exactly its
+    label's n-1 inequalities (x_a = x_{a+1} for a in A, P_a tight for a not
+    in A), and each inequality is tight on 2^(n-2) vertices: the
+    (n-1)-cube's vertex-facet incidence, which makes the flips the edges.
+    """
     n_max = n or 7
     rnd = random.Random(20260808)
     for size in range(3, n_max + 1):
         rho0 = _random_sorted_rho(rnd, size)
+        rho_image = _image(rho0)
         pn = pn_polytope(rho0)
-        if len(pn.vertices) != 2 ** (size - 1):
-            return False, f"n={size}: {len(pn.vertices)} vertices != 2^{size-1}"
         if not all(c.is_extreme for c in pn.certificates):
             return False, f"n={size}: certification failed"
-        labels = {v.subset for v in pn.vertices}
+        tight_on = Counter()
         for v in pn.vertices:
-            neighbors = [other for other in pn.neighbors(v.subset) if other in labels]
-            if len(neighbors) != size - 1:
-                return False, (f"n={size}: vertex {sorted(v.subset)} has "
-                               f"{len(neighbors)} neighbors, wanted {size - 1}")
+            slacks = _slacks(_image(v.point), rho_image)
+            tight = {j for j, s in enumerate(slacks) if s == 0}
+            # the n-1 step slacks come first, then the n-1 prefix slacks
+            label = {a - 1 if a in v.subset else size - 2 + a for a in range(1, size)}
+            if min(slacks) < 0 or tight != label:
+                return False, (f"n={size}: vertex {sorted(v.subset)} is outside Q or "
+                               "not tight on exactly its label's inequalities")
+            if apply_sequence(v.sequence, rho0) != v.point:
+                return False, f"n={size}: the word of {sorted(v.subset)} misses its point"
+            tight_on.update(tight)
+        if len(pn.vertices) != 2 ** (size - 1):
+            return False, f"n={size}: {len(pn.vertices)} vertices != 2^{size-1}"
+        if sorted(tight_on.values()) != [2 ** (size - 2)] * (2 * size - 2):
+            return False, f"n={size}: an inequality is not tight on 2^{size-2} vertices"
         if size <= 5:
             enum = polytope(path(size), rho0, PolytopeConfig(classify=False))
             if enum.points() != sorted(v.point for v in pn.vertices):
                 return False, f"n={size}: enumeration oracle disagrees"
             if enum.completeness != "proven":
                 return False, f"n={size}: enumeration not certified complete"
-    return True, (f"2^(n-1) certified vertices for n=3..{n_max}, each one-element flip "
-                  "of a label is another label (polytope edges not checked), "
-                  "oracle match for n<=5")
+    return True, (f"2^(n-1) certified vertices for n=3..{n_max}, each in Q and tight on "
+                  "exactly its label's n-1 of Q's 2(n-1) inequalities, each inequality "
+                  "on 2^(n-2) vertices: the cube's incidence; oracle match for n<=5")
 
 
 # --- counting --------------------------------------------------------------
@@ -339,44 +363,34 @@ def check_c4_analysis(n: int | None) -> tuple[bool, str]:
                   "even spacing: that point is interior")
 
 
-# --- step decomposition witnesses ------------------------------------------
+# --- pair images of the subset points ---------------------------------------
 
 
-@_check("step-witnesses", budget=120, max_n=8)  # n = 8: 21 s; n = 9: 49-66 s
-def check_step_witnesses(n: int | None) -> tuple[bool, str]:
+@_check("pair-images", budget=120, max_n=12)  # n = 12: 28-32 s; n = 13: 59.8-60.4 s
+def check_pair_images(n: int | None) -> tuple[bool, str]:
+    """Every pair image B(i,i+1) S_A of every subset point lies in Q, each
+    built by the search's integer step."""
     n_max = n or 6
     rnd = random.Random(31)
-    windows = 0
     total = 0
     for size in range(3, n_max + 1):
-        positions = range(1, size)
-        subsets = [frozenset(c) for k in range(size) for c in combinations(positions, k)]
         for trial in range(50):
             rho0 = _random_sorted_rho(rnd, size)
-            for subset in subsets:
-                for i in positions:
-                    if i in subset:
-                        continue
+            rho_image = _image(rho0)
+            for point, subset in _subset_points(rho0).items():
+                image = _StateImage(_image(point))
+                for i in range(size - 1):
                     total += 1
-                    dec = decompose_step(subset, i, rho0)
-                    if not dec.verify():
-                        return False, f"witness failed at n={size}, A={sorted(subset)}, i={i}"
-                    if dec.case == "generic":
-                        windows += 1
-                        r1, r2, r3 = dec.ratios
-                        if not (r2 > r1 and r3 > r1):
-                            return False, (f"window inequality failed at n={size}, "
-                                           f"A={sorted(subset)}, i={i}")
-                        lo, hi = dec.window
-                        if not (lo <= hi and all(0 <= l <= 1 for l in dec.lambdas)):
-                            return False, f"window produced bad weights at n={size}"
-    return True, f"{total} exact witnesses, {windows} with strict windows"
+                    if min(_slacks(_average(image, (i, i + 1)), rho_image)) < 0:
+                        return False, (f"n={size}: pair {i + 1},{i + 2} takes the point of "
+                                       f"{sorted(subset)} out of Q")
+    return True, f"{total} pair images of subset points lie in Q, n=3..{n_max}"
 
 
 # --- triangle identities ----------------------------------------------------
 
 
-@_check("triangle-identities")
+@_check("triangle-identities", budget=10)
 def check_triangles(n: int | None) -> tuple[bool, str]:
     rnd = random.Random(12)
     done = 0
@@ -451,7 +465,7 @@ def _random_rho(rnd: random.Random, n: int) -> PopulationVector:
     return PopulationVector.normalized(vals)
 
 
-@_check("properties-operators")
+@_check("properties-operators", budget=10)
 def check_local_properties(n: int | None) -> tuple[bool, str]:
     """Conservation, idempotence, spread monotonicity, no inversion."""
     rnd = random.Random(77)
@@ -479,7 +493,7 @@ def check_local_properties(n: int | None) -> tuple[bool, str]:
     return True, "500 instances: conservation, idempotence, spread, no inversion"
 
 
-@_check("properties-containment")
+@_check("properties-containment", budget=60)
 def check_containment(n: int | None) -> tuple[bool, str]:
     """Deleting edges shrinks the polytope: every sub-polytope vertex stays inside."""
     rnd = random.Random(99)
@@ -509,7 +523,7 @@ def check_containment(n: int | None) -> tuple[bool, str]:
     return True, f"{checked} random subgraph pairs stayed contained"
 
 
-@_check("properties-monotone")
+@_check("properties-monotone", budget=30)
 def check_monotone_objective(n: int | None) -> tuple[bool, str]:
     rnd = random.Random(55)
     cfg = PolytopeConfig(classify=False)
@@ -526,7 +540,7 @@ def check_monotone_objective(n: int | None) -> tuple[bool, str]:
     return True, "500 optimization runs: optimal words are monotone"
 
 
-@_check("properties-replay")
+@_check("properties-replay", budget=30)
 def check_replay(n: int | None) -> tuple[bool, str]:
     rnd = random.Random(42)
     for _ in range(500):
@@ -551,7 +565,7 @@ SUITES = {
     "pn": [check_pn],
     "counts": [check_counts],
     "c4": [check_c4_table, check_c4_analysis],
-    "witness": [check_step_witnesses],
+    "witness": [check_pair_images],
     "triangles": [check_triangles],
     "energy": [check_energy],
     "properties": [

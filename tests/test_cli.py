@@ -221,7 +221,7 @@ class TestVerifyCommand:
         assert err.startswith("error:") and "takes no size parameter" in err
 
     @pytest.mark.parametrize("suite, n, limit", [("pn", "11", 10), ("pn", "30", 10),
-                                                 ("witness", "9", 8), ("all", "9", 8),
+                                                 ("witness", "13", 12), ("all", "11", 10),
                                                  ("counts", "1000001", 1000000)])
     def test_size_above_the_limit_exit_2_before_any_check(self, capsys, monkeypatch,
                                                           suite, n, limit):

@@ -31,7 +31,7 @@ from diffpoly.geometry import (
 )
 from diffpoly.optimize import exponential_populations
 from diffpoly.structured.complete import kn_candidate_points
-from diffpoly.structured.ordered_path import decompose_step, pn_polytope, subset_point
+from diffpoly.structured.ordered_path import pn_polytope, subset_point
 
 from conftest import random_population
 
@@ -1277,19 +1277,6 @@ def _reconstruction(tamper):
     return cert.verify(SQUARE)
 
 
-def _step(tamper):
-    # the short-left case: S3 == S1, so weight moved from S3 to S1 keeps the point
-    dec = decompose_step({2}, 1, pv("1/10", "2/10", "3/10", "4/10"))
-    assert dec.case == "short_left" and dec.points[0] == dec.points[2]
-    l1, l2, l3, l4 = dec.lambdas
-    return replace(dec, **{
-        None: {},
-        "negative_weight": {"lambdas": (l1 + 1, l2, l3 - 1, l4)},
-        "weight_sum": {"lambdas": (2 * l1, 2 * l2, 2 * l3, 2 * l4)},
-        "target": {"target": dec.rho0},
-    }[tamper]).verify()
-
-
 def _triangle(tamper):
     # the weights are lam and 1 - lam: they cannot sum to anything but 1
     dec = triangle_decomposition(Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
@@ -1301,7 +1288,7 @@ def _triangle(tamper):
 
 
 WITNESS_CHECKS = {"hull_membership": _hull_membership, "reconstruction": _reconstruction,
-                  "step": _step, "triangle": _triangle}
+                  "triangle": _triangle}
 
 
 @pytest.mark.parametrize("check, tamper", [

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -18,17 +19,16 @@ from diffpoly.core import (
     PopulationVector,
     apply_sequence,
     complete,
-    format_rational,
     op_sort_key,
     path,
     uniform_vector,
 )
-from diffpoly.enumeration import PolytopeConfig, polytope
-from diffpoly.geometry import hull_membership, hull_vertices
+from diffpoly import verify
+from diffpoly.enumeration import PolytopeConfig, _average, polytope
+from diffpoly.geometry import _image, _StateImage, hull_membership, hull_vertices
 from diffpoly.structured import (
     count_commuting_subsets,
     counts_csv,
-    decompose_step,
     fibonacci,
     fibonacci_nonlocal_count,
     kn_candidate_points,
@@ -38,7 +38,7 @@ from diffpoly.structured import (
     subset_sequence,
 )
 from diffpoly.structured.complete import _least_order, _rank_words
-from diffpoly.structured.ordered_path import triangular
+from diffpoly.structured.ordered_path import _slacks, _subset_points, triangular
 
 from conftest import random_sorted_population
 from word_oracle import (
@@ -367,176 +367,142 @@ class TestPnPolytope:
             assert not hull_membership(p, others).inside
 
 
-class TestStepDecomposition:
-    def test_identity_case(self):
-        rnd = random.Random(21)
-        rho = random_sorted_population(rnd, 5)
-        dec = decompose_step({2}, 2, rho)
-        assert dec.case == "identity"
-        assert dec.target == subset_point({2}, rho)
+def slacks_of(point, rho):
+    return _slacks(_image(point), _image(rho))
 
-    def test_all_coincide_case(self):
-        rnd = random.Random(22)
-        rho = random_sorted_population(rnd, 5)
-        dec = decompose_step(set(), 2, rho)
-        assert dec.case == "all_coincide"
-        assert dec.lambdas == (1, 0, 0, 0)
-        assert dec.target == subset_point({2}, rho)
-        assert len(set(dec.points)) == 1
 
-    def test_short_left_and_right(self):
-        rnd = random.Random(23)
-        rho = random_sorted_population(rnd, 5)
-        left = decompose_step({3}, 2, rho)   # k=1 < l=2
-        assert left.case == "short_left" and left.k == 1 and left.l == 2
-        right = decompose_step({2}, 3, rho)  # k=2 > l=1
-        assert right.case == "short_right" and right.k == 2 and right.l == 1
-        for dec in (left, right):
-            assert dec.verify()
-            assert sum(1 for l in dec.lambdas if l > 0) <= 2
+def pair_images(point):
+    image = _StateImage(_image(point))
+    return [_average(image, (i, i + 1)) for i in range(len(point) - 1)]
 
-    def test_generic_case_with_window(self):
-        rnd = random.Random(24)
-        rho = random_sorted_population(rnd, 6)
-        dec = decompose_step({2, 4}, 3, rho)  # k = l = 2
-        assert dec.case == "generic"
-        assert dec.verify()
-        r1, r2, r3 = dec.ratios
-        assert r2 > r1 and r3 > r1
-        lo, hi = dec.window
-        assert lo == max(Fraction(0), r1) and hi == min(r2, r3) and lo <= hi
-        assert dec.lambdas[3] == lo
 
-    @pytest.mark.parametrize("case", [
-        "identity", "all_coincide", "short_left", "short_right", "generic", "flat",
-    ])
-    def test_points_are_neighboring_subset_points(self, case):
-        A, i = {"identity": ({2}, 2), "all_coincide": (set(), 2), "short_left": ({3}, 2),
-                "short_right": ({2}, 3), "generic": ({2, 3, 5, 6}, 4), "flat": ({1, 3}, 2)}[case]
-        if case == "flat":  # the tie r2 = r3 = r4 collapses the four-point frame
-            rho = PopulationVector.normalized([1, 3, 3, 3])
-        else:
-            rho = random_sorted_population(random.Random(25), 7)
-        dec = decompose_step(A, i, rho)
-        assert dec.case == case
-        assert dec.points == (
-            subset_point(A | {i}, rho),
-            subset_point((A - {i + 1}) | {i}, rho),
-            subset_point((A - {i - 1}) | {i}, rho),
-            subset_point((A - {i - 1, i + 1}) | {i}, rho),
-        )
-        if case == "flat":
-            # S4 repeats S3 and carries no weight; p3 = 0 puts (k+1)/2k on S2
-            assert dec.points[2] == dec.points[3]
-            assert dec.lambdas == (0, Fraction(3, 4), Fraction(1, 4), 0)
+def midpoint(p, q):
+    return PopulationVector([(a + b) / 2 for a, b in zip(p, q)])
 
-    def test_segment_values_match_direct_means(self):
-        rnd = random.Random(26)
-        rho = random_sorted_population(rnd, 7)
-        dec = decompose_step({2, 3, 5, 6}, 4, rho)
-        r1, r2, r3, r4 = dec.r_values
-        k, l = dec.k, dec.l
-        assert dec.x == ((k - 1) * r1 + r2) / k
-        assert dec.y == (r3 + (l - 1) * r4) / l
-        seg = dec.segment_values
-        assert seg["X"] == ((k - 1) * r1 + r2 + r3 + (l - 1) * r4) / (k + l)
-        assert seg["X1"] == ((k - 1) * r1 + r2 + r3) / (k + 1)
-        assert seg["Y1"] == r4 and seg["X2"] == r1
-        assert seg["Y2"] == (r2 + r3 + (l - 1) * r4) / (l + 1)
-        assert seg["Z"] == (r2 + r3) / 2
 
-    def test_agrees_with_lp_oracle(self):
-        # the witness reconstruction must agree with an independent exact
-        # feasibility solve over the four candidate vertices
-        rnd = random.Random(27)
-        for _ in range(30):
-            n = rnd.randrange(4, 8)
-            rho = random_sorted_population(rnd, n)
-            A = {a for a in range(1, n) if rnd.random() < 0.5}
-            options = [i for i in range(1, n) if i not in A]
-            if not options:
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_membership_matches_the_lp(self, n):
+        # a point meets Q's inequalities exactly when it is a convex
+        # combination of the subset points: checked on the subset points,
+        # their pair images, random mixtures and perturbations of these
+        rnd = random.Random(40 + n)
+        rho = random_sorted_population(rnd, n)
+        vertices = sorted(_subset_points(rho))
+        images = [image.point() for p in vertices for image in pair_images(p)]
+        mixtures = []
+        for _ in range(12):
+            chosen = rnd.sample(vertices, min(3, len(vertices)))
+            weights = [rnd.randrange(1, 10) for _ in chosen]
+            mixtures.append(PopulationVector(
+                [sum(w * p[t] for w, p in zip(weights, chosen)) / sum(weights) for t in range(n)]))
+        perturbed = []
+        for base in rnd.sample(vertices + images + mixtures, 24):
+            j, k = rnd.sample(range(n), 2)
+            delta = Fraction(1, rnd.choice([100, 10 ** 4, 10 ** 7]))
+            perturbed.append(tuple(x + delta if t == j else x - delta if t == k else x
+                                   for t, x in enumerate(base)))
+        outcomes = set()
+        for point in vertices + rnd.sample(images, min(20, len(images))) + mixtures + perturbed:
+            inside = min(slacks_of(point, rho)) >= 0
+            assert inside == hull_membership(point, vertices).inside, point
+            outcomes.add(inside)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tied_pair_images_stay_in_q(self, n):
+        # every tie pattern of the values 0..3: every pair image of every
+        # distinct subset point lies in Q
+        for values in combinations_with_replacement(range(4), n):
+            if not any(values):
                 continue
-            i = rnd.choice(options)
-            dec = decompose_step(A, i, rho)
-            assert dec.verify()
-            res = hull_membership(dec.target, sorted(set(dec.points)))
-            assert res.inside
+            rho = PopulationVector.normalized(values)
+            rho_image = _image(rho)
+            for point in _subset_points(rho):
+                assert min(slacks_of(point, rho)) >= 0, (values, point)
+                for image in pair_images(point):
+                    assert min(_slacks(image, rho_image)) >= 0, (values, point, image)
 
-    def test_degenerate_steps_match_the_lp(self):
-        # every non-generic step is a two-point weight; an exact LP over the
-        # distinct points, weight placed at each point's first position, is
-        # the reference, on every tie pattern of the values 0..3
-        cases = set()
-        for n in range(3, 6):
-            subsets = [A for size in range(n) for A in combinations(range(1, n), size)]
-            for values in combinations_with_replacement(range(4), n):
-                if not any(values):
-                    continue
-                rho = PopulationVector.normalized(values)
-                for A, i in product(subsets, range(1, n)):
-                    dec = decompose_step(A, i, rho)
-                    cases.add(dec.case)
-                    if dec.case == "generic":
-                        continue
-                    distinct = sorted(set(dec.points))
-                    res = hull_membership(dec.target, distinct)
-                    weights = dict(zip(distinct, res.coefficients))
-                    assert dec.lambdas == tuple(weights.pop(q, 0) for q in dec.points)
-        assert cases == {"identity", "all_coincide", "short_left", "short_right", "flat", "generic"}
+    def test_vertex_slacks_give_the_cube_incidence(self):
+        # x_a = x_{a+1} holds at S_A exactly for a in A, P_a tight exactly
+        # for a not in A
+        rho = PopulationVector.normalized([1, 2, 4, 7, 11])
+        for size in range(5):
+            for subset in combinations(range(1, 5), size):
+                slacks = slacks_of(subset_point(subset, rho), rho)
+                assert len(slacks) == 8 and min(slacks) >= 0
+                assert [s == 0 for s in slacks] == (
+                    [a in subset for a in range(1, 5)] + [a not in subset for a in range(1, 5)])
 
-    def test_tied_input_with_single_runs_coincides(self):
-        # k = l = 1 around i = 1: the image is S_{1} itself, however tied rho0 is
-        rho = pv("1/6", "1/6", "1/6", "1/2")
-        dec = decompose_step(set(), 1, rho)
-        assert dec.case == "all_coincide"
-        assert dec.verify()
+    def test_moved_vertex_fails_the_hypercube_check(self, monkeypatch):
+        def moved(rho0):
+            pn = pn_polytope(rho0)
+            first, second, *rest = pn.vertices
+            return replace(pn, vertices=(replace(first, point=midpoint(first.point, second.point)),
+                                         second, *rest))
 
-    def test_json_generic_and_identity(self):
-        rho = PopulationVector.normalized([1, 2, 3, 5, 8, 13])
-        generic = decompose_step({2, 4}, 3, rho)
-        data = generic.to_json()
-        assert data["case"] == "generic" and data["subset"] == [2, 4] and data["position"] == 3
-        assert data["window"] == [format_rational(w) for w in generic.window]
-        assert data["ratios"] == [format_rational(r) for r in generic.ratios]
-        assert data["lambdas"] == [format_rational(w) for w in generic.lambdas]
-        assert [PopulationVector.from_json(p) for p in data["points"]] == list(generic.points)
-        assert PopulationVector.from_json(data["target"]) == generic.target
-        identity = decompose_step({2}, 2, rho).to_json()
-        assert identity["case"] == "identity"
-        assert identity["window"] is None and identity["ratios"] is None
-        assert identity["r"][0] is None and identity["r"][3] is None
-        assert None not in identity["r"][1:3]
+        monkeypatch.setattr(verify, "pn_polytope", moved)
+        result = verify.check_pn(4)
+        assert not result.passed and "not tight on exactly its label's" in result.detail
 
-    def test_bad_inputs_rejected(self):
-        rho = pv("0", "1/2", "1/2")
-        with pytest.raises(ValueError):
-            decompose_step(set(), 5, rho)
-        with pytest.raises(ValueError):
-            decompose_step({9}, 1, rho)
+    def test_added_non_vertex_fails_the_hypercube_check(self, monkeypatch):
+        def padded(rho0):
+            pn = pn_polytope(rho0)
+            first, second = pn.vertices[:2]
+            return replace(pn, vertices=pn.vertices + (
+                replace(second, point=midpoint(first.point, second.point)),))
+
+        monkeypatch.setattr(verify, "pn_polytope", padded)
+        result = verify.check_pn(4)
+        assert not result.passed and "not tight on exactly its label's" in result.detail
+
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_dropped_inequality_fails_the_hypercube_check(self, monkeypatch, dropped):
+        def fewer(image, rho_image):
+            slacks = _slacks(image, rho_image)
+            return slacks[:dropped] + slacks[dropped + 1:]
+
+        monkeypatch.setattr(verify, "_slacks", fewer)
+        assert not verify.check_pn(4).passed
+
+    def test_image_outside_q_fails_the_pair_image_check(self, monkeypatch):
+        def swapped(image, block):  # an ascending pair swapped, not averaged
+            i, j = block
+            out = list(image)
+            out[i], out[j] = out[j], out[i]
+            return _StateImage(out)
+
+        monkeypatch.setattr(verify, "_average", swapped)
+        result = verify.check_pair_images(4)
+        assert not result.passed and "out of Q" in result.detail
 
     def test_checks_survive_optimized_mode(self):
         # python -O strips assert statements; the exact checks must still run
         import diffpoly
 
         script = textwrap.dedent("""
-            from fractions import Fraction
-            from diffpoly.core import PopulationVector
+            from diffpoly import verify
+            from diffpoly.geometry import _StateImage
             from diffpoly.structured import ordered_path as op
 
             assert False, "this assert must be stripped by -O"
-            op.StepDecomposition.verify = lambda self: False
-            rho = PopulationVector.normalized([1, 2, 4, 7, 11, 16])
-            flat = PopulationVector([Fraction(1, 6)] * 3 + [Fraction(1, 2)])
-            tied = PopulationVector.normalized([1, 3, 3, 3])
-            cases = [({2}, 2, rho), (set(), 2, rho), ({3}, 2, rho), ({2}, 3, rho),
-                     ({2, 4}, 3, rho), (set(), 1, flat), ({1, 3}, 2, tied)]
+            if not (verify.check_pn(5).passed and verify.check_pair_images(5).passed):
+                raise SystemExit("the closed-form checks fail under -O")
             unchecked = []
-            for subset, i, r in cases:
-                try:
-                    op.decompose_step(subset, i, r)
-                except AssertionError:
-                    continue
-                unchecked.append((sorted(subset), i))
+            slacks = verify._slacks
+            verify._slacks = lambda image, rho_image: slacks(image, rho_image)[1:]
+            if verify.check_pn(5).passed:
+                unchecked.append("check_pn")
+            verify._slacks = slacks
+
+            def swapped(image, block):
+                out = list(image)
+                out[block[0]], out[block[1]] = out[block[1]], out[block[0]]
+                return _StateImage(out)
+
+            verify._average = swapped
+            if verify.check_pair_images(5).passed:
+                unchecked.append("check_pair_images")
             op.fibonacci = lambda m: -1
             try:
                 op.fibonacci_nonlocal_count(5)
