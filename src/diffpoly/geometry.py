@@ -30,6 +30,18 @@ that confirmed it: given the hull of a search, ``extreme_points`` lowers
 that functional over the other points to certify the vertex, and runs
 the certification LP only where that fails.
 
+A support scan scores the set's points against a functional: for the
+next vertex of a walk, and to lower a functional into a certificate.
+After an LP that ends outside, it scores only the points that are not
+the LP's columns.  No column prices in at the end, so the LP's
+functional is <= 0 on each of them, and exactly 0 on a basic one: their
+best score is 0.  So a walk's LP scores only the points not yet
+confirmed, and a certification LP against every other point of the set
+scores none.  Only an LP with the query or a column off the simplex can
+end with every basic variable artificial (on it, every point column
+prices in at that basis); it has no such column, and its scan scores
+every point.
+
 Everything is decided in integers.  A point is checked once, where it
 enters (ints and Fractions, as many as the set's points have), and
 enters as its image (d*x, d), with d the lcm of its denominators, made
@@ -83,7 +95,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from .core import PopulationVector, format_rational
@@ -481,7 +493,10 @@ class IncrementalHull:
     Membership and extremality queries against a point set, sharing work
     across queries (Clarkson's output-sensitive scheme): each LP runs
     against the vertices confirmed so far, and a failed separation confirms
-    one more vertex by exact support maximization over the whole set.
+    one more vertex by exact support maximization over the rest of the set:
+    the LP's functional is <= 0 on the confirmed vertices, and 0 on each
+    basic one, so the scan scores only the others, unless the final basis
+    is all artificial (see `_lower`).
     Answers are identical to testing against the full set, and the walk
     that decides an answer also yields its witness: a separating functional
     or a convex combination.  Each confirmed vertex keeps the functional
@@ -538,7 +553,8 @@ class IncrementalHull:
         # a point its own walk confirmed -> that walk's last LP, as its
         # columns and its final basis (`_phase_one`'s `warm`), for `_certify`
         self._kept: dict = {}
-        self._scaled: dict | None = None  # point -> D*x, D the lcm of the set's d, built by `_certify`
+        # point -> (D*x, its squared norm), D the lcm of the set's d, built by `_certify`
+        self._scaled: dict | None = None
 
     def _extend(self, points) -> list:
         """
@@ -594,7 +610,8 @@ class IncrementalHull:
         while point not in confirmed:
             if confirmed:
                 working = list(confirmed)
-                witness, best, functional = self._decide(point, point_image, working, warm=warm)
+                witness, best, functional = self._decide(point, point_image, working,
+                                                         confirmed, warm)
                 if witness is not None:
                     return witness
                 if best in confirmed:  # the LP just separated these points
@@ -621,40 +638,44 @@ class IncrementalHull:
         given.  If `point`'s own walk confirmed it and `working` holds that
         walk's columns, they come first, and the LP resumes from the walk's
         last basis.  Only the order and the start change: every answer is
-        the exact one, whatever they are.
+        the exact one, whatever they are.  The lowering scores only the
+        points outside `working` (see `_lower`).
         """
         point_image = self._image_of_point(point)
         walked, warm = self._kept.get(point, ((), None))
         kept = set(walked)
+        bounded = set(working)
         rest = [q for q in working if q not in kept]
         if len(rest) + len(walked) != len(working):  # not every walk column is in working
             walked, warm, rest = (), None, list(working)
         if self._scaled is None:
             scale = math.lcm(*(image[-1] for image in self._images))
-            self._scaled = {p: [a * (scale // image[-1]) for a in image[:-1]]
-                            for p, image in zip(self.points, self._images)}
-        scaled, origin = self._scaled, self._scaled[point]
+            vectors = ([a * (scale // image[-1]) for a in image[:-1]] for image in self._images)
+            self._scaled = {p: (v, sum(map(mul, v, v))) for p, v in zip(self.points, vectors)}
+        scaled, (origin, _) = self._scaled, self._scaled[point]
 
-        def distance(q):
-            diff = list(map(sub, scaled[q], origin))
-            return sum(map(mul, diff, diff))
+        def distance(q):  # |q - point|^2 less |point|^2, the same for every q
+            v, norm = scaled[q]
+            return norm - 2 * sum(map(mul, v, origin))
 
         rest.sort(key=distance)
-        return self._decide(point, point_image, [*walked, *rest], skip=point_image,
-                            warm=warm and list(warm))[0]
+        # a copy of the kept basis, or a fresh list: either way the final basis comes back
+        return self._decide(point, point_image, [*walked, *rest], bounded, list(warm or ()),
+                            skip=point_image)[0]
 
-    def _decide(self, point, point_image, working, skip=None, warm=None):
+    def _decide(self, point, point_image, working, bounded, warm, skip=None):
         """
         One `_phase_one` of `point` against `working` (if empty, the constant
-        1 separates), on the cached images, resumed from `warm` as there; with
-        no normalization row, on the cached columns, if `point` and the set
-        lie on the simplex.
+        1 separates), on the cached images, resumed from the list `warm` as
+        there, which the LP leaves its final basis in; with no normalization
+        row, on the cached columns, if `point` and the set lie on the simplex.
         Inside, returns the nonzero (point, weight) pairs, None and None.
         Outside, returns `_lower`'s pair for the LP's functional, then that
-        functional as (D, func).
+        functional as (D, func).  `bounded` holds the points of `working`:
+        unless the final basis is all artificial, `_lower` scores none of them.
         """
         if working:
-            images = [self._image_of_point(q) for q in working]
+            images = [self._image_of[q] for q in working]
             columns = images
             if self._all_on_simplex and _on_simplex(point_image):
                 columns = [self._column_of[q] for q in working]
@@ -663,18 +684,28 @@ class IncrementalHull:
             if res.inside:
                 return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None, None
             den, func = res.functional._den, res.functional._func
+            if all(var >= len(working) for var in warm[1]):  # no point column attains 0
+                bounded = ()
         else:
             den, func = 1, [0] * (len(point_image) - 1) + [1]
-        return (*self._lower(point_image, den, func, skip), (den, func))
+        return (*self._lower(point_image, den, func, skip, bounded), (den, func))
 
-    def _lower(self, point_image, den, func, skip=None):
+    def _lower(self, point_image, den, func, skip=None, bounded=()):
         """
         The functional with coefficients and offset `func` / `den`, its
         offset lowered by its `_support` over the set less `skip` (None if
         that is not > 0 at the point of `point_image`), and the last point
         of that support, a vertex if nothing is skipped.
+
+        `bounded`, if not empty, holds the columns of the LP that `func`
+        comes from, whose final basis holds a point column.  No column
+        prices in at the end, so `func` is <= 0 on each of them, and a basic
+        one prices at exactly 0: their best score is 0, and `_support` scores
+        only the points outside them.  That gives the same lowered functional
+        and, whenever the point is read, the same point: it is read only at a
+        score >= the value at the point, which is > 0, and no column ties there.
         """
-        best_num, best_d, support = self._support(func, skip)
+        best_num, best_d, support = self._support(func, skip, bounded)
         best = support[-1] if support else None
         if best_num * point_image[-1] >= sum(map(mul, func, point_image)) * best_d:
             return None, best
@@ -683,19 +714,23 @@ class IncrementalHull:
         lowered[-1] -= best_num
         return SeparatingFunctional._from_integers(den * best_d, lowered), best
 
-    def _support(self, func, skip=None):
+    def _support(self, func, skip=None, bounded=()):
         """
         The best score num / d of the integer functional `func` over the
         set's points whose image is not `skip`, as num, d and the points that
         attain it, in lexicographic order.  Image (d*x, d) scores func.image
         / d; a `func` without an offset is one shorter than the images.
+
+        Points in `bounded`, which the caller knows to score at most 0, and
+        exactly 0 at one of them at least, are not scored: the best score is
+        then 0 or more, and the points listed are those outside `bounded`.
         """
         best_num, best_d, best = 0, 1, []
         for q, image in zip(self.points, self._images):
-            if image != skip:
+            if image != skip and q not in bounded:
                 num, d = sum(map(mul, func, image)), image[-1]
                 gap = num * best_d - best_num * d
-                if gap > 0 or not best:
+                if gap > 0 or not (best or bounded):
                     best_num, best_d, best = num, d, [q]
                 elif gap == 0:
                     best.append(q)

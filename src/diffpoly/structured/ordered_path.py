@@ -55,7 +55,8 @@ from ..core import (
     PopulationVector,
     apply_sequence,
 )
-from ..geometry import ExtremalityCertificate, extreme_points
+from ..enumeration import _average
+from ..geometry import ExtremalityCertificate, _image, _StateImage, extreme_points
 
 __all__ = [
     "subset_point",
@@ -182,14 +183,27 @@ class PnPolytope:
         }
 
 
+def _subset_images(rho0: Sequence[Fraction]) -> dict[_StateImage, frozenset[int]]:
+    """
+    The distinct subset points of sorted `rho0` as their primitive images,
+    each with its smallest subset: ρ0's image averaged by the search's
+    integer step once per maximal run, with no `Fraction` built.
+    """
+    rho_image = _StateImage(_image(_require_sorted(rho0)))
+    n = len(rho_image) - 1
+    chosen: dict[_StateImage, frozenset[int]] = {}
+    for size in range(n):
+        for sub in combinations(range(1, n), size):
+            image = rho_image
+            for first, last in _maximal_runs(sub):
+                image = _average(image, tuple(range(first - 1, last + 1)))
+            chosen.setdefault(image, frozenset(sub))
+    return chosen
+
+
 def _subset_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, frozenset[int]]:
     """The distinct subset points of sorted `rho0`, each with its smallest subset."""
-    rho0 = _require_sorted(rho0)
-    chosen: dict[PopulationVector, frozenset[int]] = {}
-    for size in range(len(rho0)):
-        for sub in combinations(range(1, len(rho0)), size):
-            chosen.setdefault(apply_sequence(subset_sequence(sub), rho0), frozenset(sub))
-    return chosen
+    return {image.point(): sub for image, sub in _subset_images(rho0).items()}
 
 
 def _slacks(image: Sequence[int], rho_image: Sequence[int]) -> list[int]:

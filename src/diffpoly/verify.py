@@ -55,7 +55,7 @@ from .enumeration import (
     polytope,
     triangle_decomposition,
 )
-from .geometry import _image, _StateImage, hull_membership
+from .geometry import _image, hull_membership
 from .optimize import (
     energy,
     exponential_populations,
@@ -69,7 +69,7 @@ from .structured import (
     kn_extreme_points,
     pn_polytope,
 )
-from .structured.ordered_path import _slacks, _subset_points, triangular
+from .structured.ordered_path import _slacks, _subset_images, triangular
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -197,7 +197,7 @@ def check_p3_cases(n: int | None) -> tuple[bool, str]:
 # --- ordered path hypercube -----------------------------------------------
 
 
-@_check("ordered-path-hypercube", budget=60, max_n=10)  # n = 10: 8.0 s; n = 11: 25-33 s
+@_check("ordered-path-hypercube", budget=60, max_n=11)  # n = 11: 14.3-15.0 s; n = 12: 77.6 s
 def check_pn(n: int | None) -> tuple[bool, str]:
     """
     Each vertex of `pn_polytope` lies in Q, with zero slack on exactly its
@@ -366,7 +366,7 @@ def check_c4_analysis(n: int | None) -> tuple[bool, str]:
 # --- pair images of the subset points ---------------------------------------
 
 
-@_check("pair-images", budget=120, max_n=12)  # n = 12: 28-32 s; n = 13: 59.8-60.4 s
+@_check("pair-images", budget=120, max_n=13)  # n = 13: 32.5-34.2 s; n = 14: 87.1 s
 def check_pair_images(n: int | None) -> tuple[bool, str]:
     """Every pair image B(i,i+1) S_A of every subset point lies in Q, each
     built by the search's integer step."""
@@ -377,8 +377,7 @@ def check_pair_images(n: int | None) -> tuple[bool, str]:
         for trial in range(50):
             rho0 = _random_sorted_rho(rnd, size)
             rho_image = _image(rho0)
-            for point, subset in _subset_points(rho0).items():
-                image = _StateImage(_image(point))
+            for image, subset in _subset_images(rho0).items():
                 for i in range(size - 1):
                     total += 1
                     if min(_slacks(_average(image, (i, i + 1)), rho_image)) < 0:

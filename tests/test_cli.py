@@ -220,8 +220,8 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "takes no size parameter" in err
 
-    @pytest.mark.parametrize("suite, n, limit", [("pn", "11", 10), ("pn", "30", 10),
-                                                 ("witness", "13", 12), ("all", "11", 10),
+    @pytest.mark.parametrize("suite, n, limit", [("pn", "12", 11), ("pn", "30", 11),
+                                                 ("witness", "14", 13), ("all", "12", 11),
                                                  ("counts", "1000001", 1000000)])
     def test_size_above_the_limit_exit_2_before_any_check(self, capsys, monkeypatch,
                                                           suite, n, limit):

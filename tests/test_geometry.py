@@ -961,6 +961,51 @@ def test_certify_returns_none_without_strict_separation():
     assert hull._certify((0, 1), working) is None
 
 
+def scan_and_certify(cloud):
+    """The vertex scan's confirmations, in order, each point's certification
+    witness against the other vertices, and `extreme_points`' certificates."""
+    hull = IncrementalHull(cloud)
+    vertices = hull.vertices()
+    witnesses = [hull._certify(p, [v for v in vertices if v != p]) for p in hull.points]
+    return list(hull._confirmed.items()), witnesses, extreme_points(cloud)
+
+
+def test_bounded_support_scan_matches_full_scan(monkeypatch):
+    # after an LP that ends outside, the scan skips the LP's columns; with
+    # the skip disabled every point is scored, and nothing may change
+    _, clouds = walk_clouds()
+    support, skipped = IncrementalHull._support, []
+
+    def recording(hull, func, skip=None, bounded=()):
+        skipped.append(len(bounded))
+        return support(hull, func, skip, bounded)
+
+    monkeypatch.setattr(IncrementalHull, "_support", recording)
+    bounded = [scan_and_certify(cloud) for cloud in clouds]
+    assert sum(skipped) > 1000
+    monkeypatch.setattr(IncrementalHull, "_support",
+                        lambda hull, func, skip=None, bounded=(): support(hull, func, skip))
+    assert [scan_and_certify(cloud) for cloud in clouds] == bounded
+
+
+def test_all_artificial_outside_lp_scans_the_whole_set(monkeypatch):
+    # the LP of (5,) against the least point (-20,) ends at once with both
+    # artificials basic: its functional x + 1 is -19 there, not 0, so the
+    # scan scores (-20,) too, and the best score is -9, at (-10,)
+    support, skipped = IncrementalHull._support, []
+
+    def recording(hull, func, skip=None, bounded=()):
+        skipped.append(bounded)
+        return support(hull, func, skip, bounded)
+
+    monkeypatch.setattr(IncrementalHull, "_support", recording)
+    points = [(-20,), (-10,)]
+    witness = IncrementalHull(points)._outside((5,))
+    assert skipped == [()]
+    assert witness == SeparatingFunctional((Fraction(1),), Fraction(10))
+    assert witness == reference_outside(IncrementalHull(points), (5,))
+
+
 def test_separates_matches_fraction_reference():
     rnd = random.Random(77)
 
@@ -1200,6 +1245,33 @@ def test_certification_pivots(certification_pivots, search, lps, pivots):
     # start took 657 and 65 pivots
     search()
     assert certification_pivots == [lps, pivots]
+
+
+def test_pn_certification_scores_no_point(monkeypatch):
+    # every point is a vertex, so each certification LP's columns are every
+    # other point, and its scan scores none; each walk LP's scan scores only
+    # the points not yet confirmed.  Scanning every point, the walks scored
+    # 4,032 points and certification 4,032
+    scored, certifying = [0, 0], []
+    certify, support = IncrementalHull._certify, IncrementalHull._support
+
+    def counted_certify(*args):
+        certifying.append(None)
+        try:
+            return certify(*args)
+        finally:
+            certifying.pop()
+
+    def counted_support(hull, func, skip=None, bounded=()):
+        scored[bool(certifying)] += sum(image != skip and q not in bounded
+                                        for q, image in zip(hull.points, hull._images))
+        return support(hull, func, skip, bounded)
+
+    monkeypatch.setattr(IncrementalHull, "_certify", counted_certify)
+    monkeypatch.setattr(IncrementalHull, "_support", counted_support)
+    pn_polytope(PopulationVector.normalized(
+        sorted(random.Random(7).sample(range(100000, 1000000), 7))))
+    assert scored == [2016, 0]
 
 
 def test_functional_from_integers_matches_fraction_form():

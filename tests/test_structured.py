@@ -423,6 +423,20 @@ class TestClosedForm:
                 for image in pair_images(point):
                     assert min(_slacks(image, rho_image)) >= 0, (values, point, image)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_subset_points_match_their_words(self, n):
+        # built on integer images, the subset points are the points of their
+        # words, in the same order, each labelled with its smallest subset
+        for values in combinations_with_replacement(range(4), n):
+            if not any(values):
+                continue
+            rho = PopulationVector.normalized(values)
+            expected = {}
+            for size in range(n):
+                for subset in combinations(range(1, n), size):
+                    expected.setdefault(subset_point(subset, rho), frozenset(subset))
+            assert list(_subset_points(rho).items()) == list(expected.items()), values
+
     def test_vertex_slacks_give_the_cube_incidence(self):
         # x_a = x_{a+1} holds at S_A exactly for a in A, P_a tight exactly
         # for a not in A
