@@ -474,7 +474,7 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
     from .structured import complete
 
     kn_hull, _ = complete._kn_hull(rho0)
-    kn_extreme = {p for p in points if p in kn_hull._image_of and kn_hull.is_extreme_in(p)}
+    kn_extreme = {p for p in points if kn_hull._index(p) is not None and kn_hull.is_extreme_in(p)}
 
     out = {}
     unresolved = []

@@ -28,7 +28,9 @@ kept as cuts, which decide later ones outside; a new point can cross a
 cut, so growth drops them.  Each confirmed vertex keeps the functional
 that confirmed it: given the hull of a search, ``extreme_points`` lowers
 that functional over the other points to certify the vertex, and runs
-the certification LP only where that fails.
+the certification LP only where that fails.  Its per-point state is kept
+by index into its sorted points: a walk, scan or certification LP hashes
+and compares no point.
 
 A support scan scores the set's points against a functional: for the
 next vertex of a walk, and to lower a functional into a certificate.
@@ -417,13 +419,14 @@ def _pivot(tab: list[list[int]], column: list[int], leave: int, det: int) -> int
     Pivot the integer tableau `tab` (see `_phase_one`) on row `leave` of the
     entering `column`, its entries in `tab`'s rows, fraction-free: the pivot
     row stays, every other row becomes (a*piv - f*p) // det, exact by
-    Sylvester's identity.  Returns the new det, the pivot entry.
+    Sylvester's identity (a*piv // det if f = 0).  Returns the new det, the pivot entry.
     """
     pivot_row = tab[leave]
     piv = column[leave]
     for r, f in enumerate(column):
         if r != leave:
-            tab[r] = [(a * piv - f * p) // det for a, p in zip(tab[r], pivot_row)]
+            tab[r] = ([(a * piv - f * p) // det for a, p in zip(tab[r], pivot_row)] if f
+                      else [a * piv // det for a in tab[r]])
     return piv
 
 
@@ -530,6 +533,11 @@ class IncrementalHull:
     The search hands `contains` and `_extend` its states as `_StateImage`s.
     A state's point is built once: by the walk that finds it outside, kept
     until `_extend` takes it, or else by `_extend`.
+
+    Per-point state is kept by index into `points`, so walks, scans and
+    certification hash and compare no point.  Points stay at the boundary:
+    in the public queries, in each LP's `points` and as each cell's basic
+    points, since cells survive `_extend`, which shifts the indices.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -538,23 +546,23 @@ class IncrementalHull:
         # checked before sorting, which mixed types would fail first
         self.points = sorted({_exact_point(p, dim) for p in points})
         self._images = [_image(q) for q in self.points]
-        self._image_of = dict(zip(self.points, self._images))  # point -> image
         # do all the points lie on the simplex?  Then an LP of a query on it
         # drops the normalization row, and runs on each point's image less d
         self._all_on_simplex = all(map(_on_simplex, self._images))
-        self._column_of = {p: image[:-1] for p, image in self._image_of.items()}
+        self._columns = [image[:-1] for image in self._images]
         self._members = set(self._images)  # the images of the points
-        # the confirmed vertices, in confirmation order, each with its
-        # confirming functional as (D, func), or None for the least point
+        self._position: dict | None = None  # point -> index, built by `_index`
+        # the indices of the confirmed vertices, in confirmation order, each
+        # with its confirming functional as (D, func), or None for the least point
         self._confirmed: dict = {}
         self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
         self._cells: list = []  # final bases of the LPs that ended inside
         self._walked: dict = {}  # _StateImage -> its point, built for a walk that ended outside
-        # a point its own walk confirmed -> that walk's last LP, as its
-        # columns and its final basis (`_phase_one`'s `warm`), for `_certify`
+        # the index of a point its own walk confirmed -> that walk's last LP,
+        # as its columns and its final basis (`_phase_one`'s `warm`), for `_certify`
         self._kept: dict = {}
-        # point -> (D*x, its squared norm), D the lcm of the set's d, built by `_certify`
-        self._scaled: dict | None = None
+        # per point, (D*x, its squared norm), D the lcm of the set's d, built by `_certify`
+        self._scaled: list | None = None
 
     def _extend(self, points) -> list:
         """
@@ -563,9 +571,9 @@ class IncrementalHull:
         its `_StateImage`, as to `contains`: its point is the one its walk
         built, if it walked, else built here.  A new point can hide an old
         vertex and cross an old cut, so the confirmed vertices and the cuts
-        are dropped, and with them the kept walk LPs and the scaled points.
-        The cells stay: what they prove inside the old set is inside the
-        grown one.
+        are dropped, and with them the kept walk LPs, the scaled points and
+        the point -> index map.  The cells stay: what they prove inside the
+        old set is inside the grown one.
         """
         added = []
         for p in points:
@@ -580,17 +588,16 @@ class IncrementalHull:
             i = bisect(self.points, p)
             self.points.insert(i, p)
             self._images.insert(i, image)
-            self._image_of[p] = image
-            self._column_of[p] = image[:-1]
+            self._columns.insert(i, image[:-1])
             self._all_on_simplex = self._all_on_simplex and _on_simplex(image)
             self._members.add(image)
         self._confirmed.clear()
         self._cuts.clear()
         self._kept.clear()
-        self._scaled = None
+        self._scaled = self._position = None
         return added
 
-    def _outside(self, point, point_image=None):
+    def _outside(self, point, point_image=None, q=None):
         """
         Walk to the witness that decides `point` against the hull of the
         set: a combination or a strictly separating functional, from
@@ -601,13 +608,15 @@ class IncrementalHull:
         the last one plus that point, so it resumes from the last one's final
         basis.  When an LP confirms `point` itself, its columns and final
         basis are kept for `_certify`.  `point_image`, if given, is `point`'s
-        `_image`.
+        `_image`, and `q` its index, None if it is not in the set; if not
+        given, both are looked up.
         """
         if point_image is None:
-            point_image = self._image_of_point(point)
+            q = self._index(point)
+            point_image = _image(point) if q is None else self._images[q]
         confirmed = self._confirmed
         warm = []  # the final basis of the walk's last LP
-        while point not in confirmed:
+        while q not in confirmed:
             if confirmed:
                 working = list(confirmed)
                 witness, best, functional = self._decide(point, point_image, working,
@@ -616,73 +625,74 @@ class IncrementalHull:
                     return witness
                 if best in confirmed:  # the LP just separated these points
                     raise AssertionError("support maximization returned a separated point")
-                if best == point:
-                    self._kept[point] = working, warm
+                if best == q:
+                    self._kept[q] = working, warm
             elif self.points:
-                best, functional = self.points[0], None  # the least point is a vertex
+                best, functional = 0, None  # the least point is a vertex
             else:
                 return None
             confirmed[best] = functional
         return None
 
-    def _certify(self, point, working):
+    def _certify(self, q, working):
         """
-        Certify `point`, a point of the set, in one LP against `working`,
-        other points of the set in lexicographic order: a combination of
-        `working`, a functional that separates `point` strictly from every
-        other point of the set, or None if the LP's functional, lowered, does
-        not.  Confirms nothing.
+        Certify point `q` of the set in one LP against `working`, other
+        points of the set in lexicographic order, all given by index: a
+        combination of `working`, a functional that separates the point
+        strictly from every other point of the set, or None if the LP's
+        functional, lowered, does not.  Confirms nothing.
 
         The LP starts near its answer.  It prices `working` nearest first,
-        by exact squared Euclidean distance to `point`, ties in the order
-        given.  If `point`'s own walk confirmed it and `working` holds that
+        by exact squared Euclidean distance to the point, ties in the order
+        given.  If the point's own walk confirmed it and `working` holds that
         walk's columns, they come first, and the LP resumes from the walk's
         last basis.  Only the order and the start change: every answer is
         the exact one, whatever they are.  The lowering scores only the
         points outside `working` (see `_lower`).
         """
-        point_image = self._image_of_point(point)
-        walked, warm = self._kept.get(point, ((), None))
+        walked, warm = self._kept.get(q, ((), None))
         kept = set(walked)
         bounded = set(working)
-        rest = [q for q in working if q not in kept]
+        rest = [i for i in working if i not in kept]
         if len(rest) + len(walked) != len(working):  # not every walk column is in working
             walked, warm, rest = (), None, list(working)
         if self._scaled is None:
             scale = math.lcm(*(image[-1] for image in self._images))
             vectors = ([a * (scale // image[-1]) for a in image[:-1]] for image in self._images)
-            self._scaled = {p: (v, sum(map(mul, v, v))) for p, v in zip(self.points, vectors)}
-        scaled, (origin, _) = self._scaled, self._scaled[point]
+            self._scaled = [(v, sum(map(mul, v, v))) for v in vectors]
+        scaled, (origin, _) = self._scaled, self._scaled[q]
 
-        def distance(q):  # |q - point|^2 less |point|^2, the same for every q
-            v, norm = scaled[q]
+        def distance(i):  # |q_i - q|^2 less |q|^2, the same for every i
+            v, norm = scaled[i]
             return norm - 2 * sum(map(mul, v, origin))
 
         rest.sort(key=distance)
         # a copy of the kept basis, or a fresh list: either way the final basis comes back
-        return self._decide(point, point_image, [*walked, *rest], bounded, list(warm or ()),
-                            skip=point_image)[0]
+        return self._decide(self.points[q], self._images[q], [*walked, *rest], bounded,
+                            list(warm or ()), skip=q)[0]
 
     def _decide(self, point, point_image, working, bounded, warm, skip=None):
         """
-        One `_phase_one` of `point` against `working` (if empty, the constant
-        1 separates), on the cached images, resumed from the list `warm` as
-        there, which the LP leaves its final basis in; with no normalization
-        row, on the cached columns, if `point` and the set lie on the simplex.
-        Inside, returns the nonzero (point, weight) pairs, None and None.
-        Outside, returns `_lower`'s pair for the LP's functional, then that
-        functional as (D, func).  `bounded` holds the points of `working`:
-        unless the final basis is all artificial, `_lower` scores none of them.
+        One `_phase_one` of `point` against the points `working` indexes (if
+        none, the constant 1 separates), on the cached images, resumed from
+        the list `warm` as there, which the LP leaves its final basis in;
+        with no normalization row, on the cached columns, if `point` and the
+        set lie on the simplex.  Inside, returns the nonzero (point, weight)
+        pairs, None and None.  Outside, returns `_lower`'s pair for the LP's
+        functional, then that functional as (D, func).  `bounded` holds the
+        indices in `working`: unless the final basis is all artificial,
+        `_lower` scores none of them.
         """
         if working:
-            images = [self._image_of[q] for q in working]
+            points = [self.points[i] for i in working]
+            images = [self._images[i] for i in working]
             columns = images
             if self._all_on_simplex and _on_simplex(point_image):
-                columns = [self._column_of[q] for q in working]
-            res = _phase_one(point, working, images=images, point_image=point_image,
+                columns = [self._columns[i] for i in working]
+            res = _phase_one(point, points, images=images, point_image=point_image,
                              columns=columns, cells=self._cells, warm=warm)
             if res.inside:
-                return tuple((q, w) for q, w in zip(working, res.coefficients) if w), None, None
+                return tuple((p, w) for p, w in zip(points, res.coefficients) if w), None, None
             den, func = res.functional._den, res.functional._func
             if all(var >= len(working) for var in warm[1]):  # no point column attains 0
                 bounded = ()
@@ -693,9 +703,10 @@ class IncrementalHull:
     def _lower(self, point_image, den, func, skip=None, bounded=()):
         """
         The functional with coefficients and offset `func` / `den`, its
-        offset lowered by its `_support` over the set less `skip` (None if
-        that is not > 0 at the point of `point_image`), and the last point
-        of that support, a vertex if nothing is skipped.
+        offset lowered by its `_support` over the set less the point of index
+        `skip` (None if that is not > 0 at the point of `point_image`), and
+        the index of the last point of that support, a vertex if nothing is
+        skipped.
 
         `bounded`, if not empty, holds the columns of the LP that `func`
         comes from, whose final basis holds a point column.  No column
@@ -717,17 +728,20 @@ class IncrementalHull:
     def _support(self, func, skip=None, bounded=()):
         """
         The best score num / d of the integer functional `func` over the
-        set's points whose image is not `skip`, as num, d and the points that
-        attain it, in lexicographic order.  Image (d*x, d) scores func.image
-        / d; a `func` without an offset is one shorter than the images.
+        set's points but the one of index `skip`, as num, d and the indices
+        that attain it, in order.  Image (d*x, d) scores func.image / d; a
+        `func` without an offset is one shorter than the images.
 
-        Points in `bounded`, which the caller knows to score at most 0, and
-        exactly 0 at one of them at least, are not scored: the best score is
-        then 0 or more, and the points listed are those outside `bounded`.
+        Points indexed in `bounded`, which the caller knows to score at most
+        0, and exactly 0 at one of them at least, are not scored: the best
+        score is then 0 or more, and the points listed are those outside
+        `bounded`, none at once if `bounded` and `skip` cover the set.
         """
+        if len(bounded) + (skip is not None and skip not in bounded) == len(self._images):
+            return 0, 1, []
         best_num, best_d, best = 0, 1, []
-        for q, image in zip(self.points, self._images):
-            if image != skip and q not in bounded:
+        for q, image in enumerate(self._images):
+            if q != skip and q not in bounded:
                 num, d = sum(map(mul, func, image)), image[-1]
                 gap = num * best_d - best_num * d
                 if gap > 0 or not (best or bounded):
@@ -745,19 +759,22 @@ class IncrementalHull:
         *scaled, scale = _image(weights)
         num, d, tied = self._support([-w for w in scaled])
         if len(tied) > 1:  # together they span the optimal face: keep its vertices
-            tied = [p for p in tied if self.is_extreme_in(p)]
-        return Fraction(-num, d * scale), tied
+            tied = [q for q in tied if self.is_extreme_in(self.points[q])]
+        return Fraction(-num, d * scale), [self.points[q] for q in tied]
 
-    def _image_of_point(self, point) -> list[int]:
-        """`point`'s `_image`, cached for the set's points."""
-        return self._image_of.get(point) or _image(point)
+    def _index(self, point) -> int | None:
+        """`point`'s index in `points`, or None; the map is built again after `_extend`."""
+        if self._position is None:
+            self._position = {p: q for q, p in enumerate(self.points)}
+        return self._position.get(point)
 
     def _in_a_cell(self, image, exclude=None) -> bool:
         """
         Does a cell, the most recent first, prove the point of `image` inside
-        the hull of its basic points?  Cells in which `exclude` is basic are
-        passed over: they prove only that `exclude` is itself.  A cell that
-        proves it moves to the most recent end, where the next scan starts.
+        the hull of its basic points?  Cells in which `exclude`, a point of the
+        set, is basic (`is` finds it) are passed over: they prove only that it
+        is itself.  A cell that proves it moves to the most recent end, where
+        the next scan starts.
         """
         cells = self._cells
         for k, (point_rows, artificial_rows, basic) in enumerate(reversed(cells), 1):
@@ -765,8 +782,8 @@ class IncrementalHull:
                 if sum(map(mul, row, image)) < 0:
                     break
             else:
-                if exclude not in basic and not any(sum(map(mul, row, image))
-                                                    for row in artificial_rows):
+                if all(p is not exclude for p in basic) and not any(
+                        sum(map(mul, row, image)) for row in artificial_rows):
                     cells.append(cells.pop(-k))
                     return True
         return False
@@ -776,9 +793,9 @@ class IncrementalHull:
         proves inside the hull of other points is not a vertex, and needs no walk."""
         confirmed = self._confirmed
         return [
-            p for p, image in zip(self.points, self._images)
-            if p in confirmed or (not self._in_a_cell(image, p)
-                                  and not isinstance(self._outside(p, image), tuple))
+            p for q, (p, image) in enumerate(zip(self.points, self._images))
+            if q in confirmed or (not self._in_a_cell(image, p)
+                                  and not isinstance(self._outside(p, image, q), tuple))
         ]
 
     def is_extreme_in(self, point) -> bool:
@@ -805,7 +822,7 @@ class IncrementalHull:
             return True
         if point is None:
             point = image.point()
-        witness = self._outside(point, image)
+        witness = self._outside(point, image)  # not in the set: no index
         if isinstance(witness, SeparatingFunctional):
             self._cuts.append(witness._func)
             if type(image) is _StateImage:
@@ -851,28 +868,25 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
     other vertices; a point that is not a vertex fails the check that
     certification and vertex list agree.
     """
-    if _hull is None:
-        hull = IncrementalHull(points)
-        pts, vertices = hull.points, hull.vertices()
-    else:
-        hull, pts = _hull, list(points)
-        vertices = pts
-    images = [hull._image_of_point(p) for p in pts]
+    hull = IncrementalHull(points) if _hull is None else _hull
+    vertices = [hull._index(p) for p in (hull.vertices() if _hull is None else points)]
+    indices = range(len(hull.points)) if _hull is None else vertices
+    images = hull._images
     certificates = []
-    for i, p in enumerate(pts):
-        image = images[i]
-        others = [v for v in vertices if v is not p]
-        confirming = hull._confirmed.get(p) if _hull is not None else None
-        witness = None if confirming is None else hull._lower(image, *confirming, skip=image)[0]
+    for q in indices:
+        p, image = hull.points[q], images[q]
+        others = [v for v in vertices if v != q]
+        confirming = hull._confirmed.get(q) if _hull is not None else None
+        witness = None if confirming is None else hull._lower(image, *confirming, skip=q)[0]
         if witness is None:
-            witness = hull._certify(p, others)
+            witness = hull._certify(q, others)
         if isinstance(witness, tuple):
             cert = ExtremalityCertificate(point=p, is_extreme=False, combination=witness)
             verified = cert.verify(())  # a reconstruction needs no other point
         else:
             cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
             # cert.verify on the cached images of p and of every other point
-            rest = images[:i] + images[i + 1:]
+            rest = [images[i] for i in indices if i != q]
             verified = witness is not None and witness._separates(image, rest)
         if cert.is_extreme != (len(others) < len(vertices)):
             raise AssertionError("certification disagrees with the vertex scan")

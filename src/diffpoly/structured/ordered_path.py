@@ -248,7 +248,7 @@ def pn_polytope(rho0: Sequence[Fraction]) -> PnPolytope:
         )
     return PnPolytope(
         rho0=rho0,
-        vertices=tuple(_pn_vertex(p, chosen[p]) for p in sorted(chosen)),
+        vertices=tuple(_pn_vertex(c.point, chosen[c.point]) for c in certs),  # in point order
         generic_count=2 ** (len(rho0) - 1),
         certificates=tuple(certs),
     )

@@ -1,3 +1,4 @@
+import operator
 import pickle
 import random
 from dataclasses import replace
@@ -167,15 +168,15 @@ class TestExtremePoints:
         certified = []
         step = IncrementalHull._certify
 
-        def certify(hull, point, working):
-            certified.append(point)
-            return step(hull, point, working)
+        def certify(hull, q, working):
+            certified.append(hull.points[q])
+            return step(hull, q, working)
 
         monkeypatch.setattr(IncrementalHull, "_certify", certify)
         triangle = [(0, 0), (0, 2), (2, 0)]
         hull = IncrementalHull(triangle)
         assert hull.vertices() == triangle
-        assert hull._confirmed[(2, 0)] == (1, (1, 1, 0))
+        assert hull._confirmed[hull.points.index((2, 0))] == (1, (1, 1, 0))
         certs = extreme_points(triangle, _hull=hull)
         assert certified == [(0, 0), (2, 0)]
         for c in certs:
@@ -230,8 +231,8 @@ class TestExtremePoints:
             SeparatingFunctional((Fraction(0), Fraction(1)), -half),
             SeparatingFunctional((Fraction(0), Fraction(-1)), half),
         ):
-            def certify(hull, point, working, wrong=wrong):
-                return wrong if point == (0, 1) else step(hull, point, working)
+            def certify(hull, q, working, wrong=wrong):
+                return wrong if hull.points[q] == (0, 1) else step(hull, q, working)
 
             monkeypatch.setattr(IncrementalHull, "_certify", certify)
             with pytest.raises(AssertionError, match="direct substitution"):
@@ -336,7 +337,7 @@ class TestIncrementalHull:
         line = [pv("0", "1"), pv("1/2", "1/2"), pv("1", "0")]
         hull = IncrementalHull(line)
         assert hull.is_extreme_in(line[2]) and not hull.is_extreme_in(line[1])
-        assert set(hull._confirmed) <= {line[0], line[2]}
+        assert set(confirmed_points(hull)) <= {line[0], line[2]}
 
         rnd = random.Random(41)
         clouds = [[random_population(rnd, dim, bound=6) for _ in range(18)] for dim in (3, 4)]
@@ -351,9 +352,9 @@ class TestIncrementalHull:
                     hull.contains(q)
                 else:
                     hull.is_extreme_in(q)
-                assert set(hull._confirmed) <= set(slow)
+                assert set(confirmed_points(hull)) <= set(slow)
             assert hull.vertices() == slow
-            assert set(hull._confirmed) == set(slow)
+            assert set(confirmed_points(hull)) == set(slow)
 
     def test_extend_matches_a_fresh_hull(self):
         # the set grows in three batches (with repeats); after each, every
@@ -811,6 +812,11 @@ def test_integer_kernel_matches_fraction_reference():
     assert simplex_cases >= 60
 
 
+def confirmed_points(hull):
+    """The hull's confirmed vertices, in confirmation order, as points."""
+    return [hull.points[q] for q in hull._confirmed]
+
+
 def reference_value(func, point):
     """A functional's value at a point, in `Fraction` arithmetic."""
     return sum(c * x for c, x in zip(func.coefficients, point)) + func.offset
@@ -836,22 +842,23 @@ def reference_outside(hull, point):
     """
     `IncrementalHull._outside` with every score a `Fraction`: the reference
     the integer scoring must agree with, witness by witness and in the order
-    it confirms points.
+    it confirms points, each by its index in `hull.points`.
     """
-    while point not in hull._confirmed:
-        working = list(hull._confirmed)
+    index = hull.points.index(point) if point in hull.points else None
+    while index not in hull._confirmed:
+        working = confirmed_points(hull)
         if working:
             res = hull_lp(hull, point, working)
             if res.inside:
                 return tuple((q, w) for q, w in zip(working, res.coefficients) if w)
             func = res.functional
-            score, best = max((reference_value(func, q), q) for q in hull.points)
+            score, best = max((reference_value(func, q), i) for i, q in enumerate(hull.points))
             if score < reference_value(func, point):
                 return SeparatingFunctional(func.coefficients, func.offset - score)
-            if best in working:
+            if best in hull._confirmed:
                 raise AssertionError("support maximization returned a separated point")
         elif hull.points:
-            best = hull.points[0]
+            best = 0
         else:
             return None
         hull._confirmed[best] = None
@@ -931,7 +938,7 @@ def test_walk_matches_fraction_reference(certification_lps):
         for p in pts:
             others = [v for v in vertices if v != p]
             certification_lps.clear()
-            witness = fast._certify(p, others)
+            witness = fast._certify(pts.index(p), [pts.index(v) for v in others])
             if certification_lps and certification_lps[0][3]:
                 assert_certification_lps_match_cold_ones(certification_lps)
                 assert reference_separates(witness, p, [q for q in pts if q != p])
@@ -941,7 +948,7 @@ def test_walk_matches_fraction_reference(certification_lps):
             assert isinstance(witness, tuple) == (p not in vertices)
             witnesses += 1
         assert list(fast._confirmed) == list(slow._confirmed)
-        assert sorted(fast._confirmed) == vertices
+        assert [pts[i] for i in sorted(fast._confirmed)] == vertices
     assert witnesses > 1000 and resumed > 50
     assert kinds == {tuple, SeparatingFunctional, type(None)}
 
@@ -952,13 +959,14 @@ def test_certify_returns_none_without_strict_separation():
     square = [(0, 0), (0, 1), (1, 0), (1, 1)]
     hull = IncrementalHull(square)
     working = [(0, 0), (1, 0)]
-    assert hull._certify((0, 1), working) is None is reference_certify(hull, (0, 1), working)
+    q, indices = hull.points.index((0, 1)), [hull.points.index(p) for p in working]
+    assert hull._certify(q, indices) is None is reference_certify(hull, (0, 1), working)
     assert hull._confirmed == {}  # certification confirms nothing
     # after the vertex scan, the last LP of (0, 1)'s own walk ran against
     # (0, 0) and (1, 1): without (1, 1) in the working set it is not resumed
     hull.vertices()
-    assert hull._kept[(0, 1)][0] == [(0, 0), (1, 1)]
-    assert hull._certify((0, 1), working) is None
+    assert [hull.points[i] for i in hull._kept[q][0]] == [(0, 0), (1, 1)]
+    assert hull._certify(q, indices) is None
 
 
 def scan_and_certify(cloud):
@@ -966,8 +974,11 @@ def scan_and_certify(cloud):
     witness against the other vertices, and `extreme_points`' certificates."""
     hull = IncrementalHull(cloud)
     vertices = hull.vertices()
-    witnesses = [hull._certify(p, [v for v in vertices if v != p]) for p in hull.points]
-    return list(hull._confirmed.items()), witnesses, extreme_points(cloud)
+    index = hull.points.index
+    witnesses = [hull._certify(index(p), [index(v) for v in vertices if v != p])
+                 for p in hull.points]
+    confirmed = [(hull.points[q], functional) for q, functional in hull._confirmed.items()]
+    return confirmed, witnesses, extreme_points(cloud)
 
 
 def test_bounded_support_scan_matches_full_scan(monkeypatch):
@@ -1162,10 +1173,10 @@ def certification_lps(monkeypatch):
     calls, walked = [], []
     certify, phase_one = IncrementalHull._certify, geometry._phase_one
 
-    def certifying(hull, point, working):
-        walked.append(hull._kept.get(point, ((),))[0])
+    def certifying(hull, q, working):
+        walked.append([hull.points[i] for i in hull._kept.get(q, ((),))[0]])
         try:
-            return certify(hull, point, working)
+            return certify(hull, q, working)
         finally:
             walked.pop()
 
@@ -1263,8 +1274,8 @@ def test_pn_certification_scores_no_point(monkeypatch):
             certifying.pop()
 
     def counted_support(hull, func, skip=None, bounded=()):
-        scored[bool(certifying)] += sum(image != skip and q not in bounded
-                                        for q, image in zip(hull.points, hull._images))
+        scored[bool(certifying)] += sum(q != skip and q not in bounded
+                                        for q in range(len(hull.points)))
         return support(hull, func, skip, bounded)
 
     monkeypatch.setattr(IncrementalHull, "_certify", counted_certify)
@@ -1272,6 +1283,85 @@ def test_pn_certification_scores_no_point(monkeypatch):
     pn_polytope(PopulationVector.normalized(
         sorted(random.Random(7).sample(range(100000, 1000000), 7))))
     assert scored == [2016, 0]
+
+
+def rho_7():
+    return PopulationVector.normalized(sorted(random.Random(7).sample(range(100000, 1000000), 7)))
+
+
+def test_walks_scans_and_certification_hash_and_compare_no_point(monkeypatch):
+    # per-point state is keyed by position: once the hull is built, the
+    # vertex scan and one certification LP per point against the other
+    # vertices neither hash nor compare a `PopulationVector`; the K_4
+    # candidates come with points inside, some of which a cell hides
+    rnd = random.Random(2)
+    candidates = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
+    clouds = [[subset_point(a, rho_7()) for k in range(7) for a in combinations(range(1, 7), k)],
+              candidates + [PopulationVector(_combination(rnd, rnd.sample(candidates, 3)))
+                            for _ in range(8)]]
+    calls, sizes, hidden = [], [], []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    in_a_cell = IncrementalHull._in_a_cell
+
+    def hiding(hull, image, exclude=None):
+        hidden.append(in_a_cell(hull, image, exclude))
+        return hidden[-1]
+
+    for cloud in clouds:
+        hull = IncrementalHull(cloud)
+        assert all(type(p) is PopulationVector for p in hull.points)
+        monkeypatch.setattr(IncrementalHull, "_in_a_cell", hiding)
+        monkeypatch.setattr(PopulationVector, "__hash__", counted("hash", PopulationVector.__hash__))
+        monkeypatch.setattr(PopulationVector, "__eq__", counted("eq", tuple.__eq__))
+        vertices = hull.vertices()
+        listed = {id(v) for v in vertices}
+        indices = [q for q, p in enumerate(hull.points) if id(p) in listed]
+        witnesses = [hull._certify(q, [v for v in indices if v != q])
+                     for q in range(len(hull.points))]
+        monkeypatch.undo()
+        assert calls == []
+        assert vertices == hull_vertices(cloud)
+        assert [not isinstance(w, tuple) for w in witnesses] == [id(p) in listed for p in hull.points]
+        sizes.append((len(hull.points), len(vertices)))
+    assert sizes[0] == (64, 64) and sizes[1][1] < sizes[1][0] and any(hidden)
+
+
+def reference_support(hull, func, skip, bounded):
+    """`IncrementalHull._support` as a full loop in `Fraction`s: the best
+    score over the points neither skipped nor bounded, at least 0 if any is
+    bounded, and the indices of the points that attain it."""
+    scores = {q: Fraction(sum(map(operator.mul, func, image)), image[-1])
+              for q, image in enumerate(hull._images) if q != skip and q not in bounded}
+    best = max([*scores.values(), *([0] if bounded else [])], default=0)
+    return best, [q for q, score in scores.items() if score == best]
+
+
+def test_support_that_scores_no_point_returns_at_once(monkeypatch):
+    # a certification LP of the ordered path runs against every other
+    # point, which then bounds them all, and skips the point itself:
+    # `_support` returns (0, 1, []) without its loop; every scan, that one
+    # or not, gives what a full loop gives
+    support, covered = IncrementalHull._support, []
+
+    def checked(hull, func, skip=None, bounded=()):
+        num, d, best = result = support(hull, func, skip, bounded)
+        assert (Fraction(num, d), best) == reference_support(hull, func, skip, bounded)
+        covered.append({*bounded, skip} >= set(range(len(hull.points))))
+        assert result == (0, 1, []) or not covered[-1]
+        return result
+
+    monkeypatch.setattr(IncrementalHull, "_support", checked)
+    pn_polytope(rho_7())
+    assert sum(covered) == 64  # one certification LP per subset point; no walk LP
+    for cloud in walk_clouds()[1]:
+        scan_and_certify(cloud)
+    assert 64 < sum(covered) < len(covered)
 
 
 def test_functional_from_integers_matches_fraction_form():
