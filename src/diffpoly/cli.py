@@ -10,6 +10,8 @@ input files, a `verify --n` below 3 and search knobs given to
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -90,13 +92,13 @@ def canonical_json(data) -> str:
 
 
 def render_csv(result: PolytopeResult) -> str:
-    n = result.graph.n
-    header = [f"rho{i}" for i in range(1, n + 1)] + ["kind", "sequence"]
-    lines = [",".join(header)]
-    for v in result.vertices:
-        row = [format_rational(c) for c in v.point] + [v.kind, str(v.sequence)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    """One row per vertex; a cell holding a comma, such as ``B(9,10)``, is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"rho{i}" for i in result.graph.vertices()] + ["kind", "sequence"])
+    writer.writerows([*map(format_rational, v.point), v.kind, str(v.sequence)]
+                     for v in result.vertices)
+    return out.getvalue()
 
 
 def _require_three_levels(graph: DiffusionGraph) -> None:

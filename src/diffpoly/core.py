@@ -43,7 +43,6 @@ __all__ = [
     "helium_p5",
     "grid_composition",
     "connected_blocks",
-    "sweep_word",
     "uniform_vector",
 ]
 
@@ -486,45 +485,3 @@ def _connected(adj: dict[int, set[int]], subset: Iterable[int]) -> bool:
     """Is `subset` non-empty and connected in the graph with neighbour map `adj`?"""
     sub = set(subset)
     return bool(sub) and len(_tree_walk(adj, sub)) == len(sub) - 1
-
-
-def _spanning_walk(graph: DiffusionGraph, subset: tuple[int, ...]) -> list[tuple[int, int]]:
-    """
-    An edge word inside `subset` whose repeated application converges to the
-    block average: a spanning path if one exists, else the depth-first tree.
-    """
-    members = set(subset)
-    adj = graph.adjacency()
-
-    # a Hamiltonian path: from each start in turn, a depth-first search that
-    # extends the path by its last vertex's neighbours in increasing order and
-    # keeps its own stack, so long paths do not recurse
-    for start in sorted(members):
-        walk, on_walk = [start], {start}
-        stack = [iter(sorted(adj[start] & members))]
-        while len(walk) < len(members) and stack:
-            for w in stack[-1]:
-                if w not in on_walk:
-                    walk.append(w)
-                    on_walk.add(w)
-                    stack.append(iter(sorted(adj[w] & members)))
-                    break
-            else:
-                stack.pop()
-                on_walk.discard(walk.pop())
-        if len(walk) == len(members):
-            return list(zip(walk, walk[1:]))
-
-    return _tree_walk(adj, members)
-
-
-def sweep_word(graph: DiffusionGraph, block: BlockOp) -> OperationSequence:
-    """
-    One relaxation sweep approximating `block` by pair operators: the walk
-    edges applied from the far end back toward the start.  Iterating the
-    sweep converges (geometrically) to the exact block average.
-    """
-    block.validate(graph)
-    walk = _spanning_walk(graph, block.vertices)
-    ops = [PairOp.of(i, j) for (i, j) in reversed(walk)]
-    return OperationSequence(ops)

@@ -4,8 +4,8 @@ Closed-form and theorem-backed solvers.
 * ``complete`` -- extreme points of the complete-graph polytope generated
   from commutation classes and certified exactly.
 * ``ordered_path`` -- the ordered path-graph polytope: its 2^(n-1) vertices
-  indexed by subsets, the hypercube adjacency, the closed form of the
-  polytope as 2(n-1) inequalities, and the Fibonacci counting formulas.
+  indexed by subsets, the closed form of the polytope as 2(n-1)
+  inequalities, and the Fibonacci counting formulas.
 """
 from .complete import kn_candidate_points, kn_extreme_points
 from .ordered_path import (
@@ -15,7 +15,6 @@ from .ordered_path import (
     pn_polytope,
     subset_point,
     subset_sequence,
-    counts_csv,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "pn_polytope",
     "subset_point",
     "subset_sequence",
-    "counts_csv",
 ]

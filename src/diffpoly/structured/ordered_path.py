@@ -68,7 +68,6 @@ __all__ = [
     "triangular",
     "count_commuting_subsets",
     "fibonacci_nonlocal_count",
-    "counts_csv",
 ]
 
 
@@ -149,30 +148,6 @@ class PnPolytope:
     generic_count: int  # 2^(n-1): attained exactly when rho0 is strictly increasing
     certificates: tuple[ExtremalityCertificate, ...]
     completeness: str = "proven"
-
-    @property
-    def n(self) -> int:
-        return len(self.rho0)
-
-    def vertex_by_subset(self, subset: Iterable[int]) -> PnVertex:
-        target = subset_point(subset, self.rho0)
-        for v in self.vertices:
-            if v.point == target:
-                return v
-        raise KeyError(f"no vertex for subset {sorted(set(subset))}")
-
-    def neighbors(self, subset: Iterable[int]) -> list[frozenset[int]]:
-        """The n-1 subsets differing from `subset` in exactly one element."""
-        base = frozenset(subset)
-        return [base ^ {a} for a in range(1, self.n)]
-
-    def hypercube_edges(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        labels = [v.subset for v in self.vertices]
-        return [
-            (a, b)
-            for a, b in combinations(labels, 2)
-            if len(a ^ b) == 1
-        ]
 
     def to_json(self) -> dict:
         return {
@@ -307,18 +282,3 @@ def fibonacci_nonlocal_count(n: int) -> int:
     if total != fibonacci(n + 1):
         raise AssertionError(f"commuting-subset count {total} is not F({n + 1})")
     return total
-
-
-def counts_csv(n_max: int) -> str:
-    """CSV table of the commuting-subset counts A_k(n) and their Fibonacci totals."""
-    k_max = n_max // 2
-    header = ["n"] + [f"A{k}" for k in range(0, k_max + 1)] + ["total", "fibonacci"]
-    lines = [",".join(header)]
-    for n in range(3, n_max + 1):
-        row = [str(n)]
-        for k in range(0, k_max + 1):
-            row.append(str(count_commuting_subsets(n, k)) if k <= n // 2 else "")
-        row.append(str(fibonacci_nonlocal_count(n)))
-        row.append(str(fibonacci(n + 1)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

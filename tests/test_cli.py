@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 
@@ -5,7 +7,8 @@ import pytest
 
 from diffpoly import cli
 from diffpoly import verify as verify_mod
-from diffpoly.core import DiffusionGraph, PopulationVector, helium_p5
+from diffpoly.core import DiffusionGraph, PopulationVector, helium_p5, path
+from diffpoly.enumeration import PolytopeConfig, polytope
 from diffpoly.optimize import exponential_populations
 from diffpoly.verify import CheckResult
 
@@ -80,6 +83,21 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert lines[0] == "rho1,rho2,rho3,kind,sequence"
         assert len(lines) == 5
+
+    def test_csv_rows_keep_their_width_beyond_nine_levels(self, capsys):
+        # B(9,10) holds a comma: its cell is quoted, not split across two fields
+        rho = [f"{i}/55" for i in range(1, 11)]
+        code, out, _ = run_cli(capsys, "enumerate", "--graph", "path:10", "--rho", ",".join(rho),
+                               "--depth", "1", "--blocks", "off", "--classify", "off",
+                               "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(header) == 12
+        assert all(len(row) == len(header) for row in rows)
+        config = PolytopeConfig(max_depth=1, use_blocks=False, classify=False)
+        vertices = polytope(path(10), PopulationVector(rho), config).vertices
+        assert [row[-1] for row in rows] == [str(v.sequence) for v in vertices]
+        assert "B(9,10)" in {row[-1] for row in rows}
 
     def test_svg_projection(self, capsys, tmp_path):
         out_file = tmp_path / "hull.svg"

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from diffpoly import enumeration
 from diffpoly.cli import canonical_json
 from diffpoly.core import (
     BlockOp,
@@ -203,6 +204,13 @@ class TestTriangleDecomposition:
         with pytest.raises(ValueError):
             triangle_decomposition(Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
 
+    def test_identity_is_verified_exactly(self, monkeypatch):
+        # another centre than the uniform state breaks the identity
+        monkeypatch.setattr(enumeration, "uniform_vector",
+                            lambda n: PopulationVector(["1/2", "1/4", "1/4"]))
+        with pytest.raises(AssertionError, match="triangle identity failed exact verification"):
+            triangle_decomposition(Fraction(1, 7), Fraction(2, 7), Fraction(4, 7))
+
 
 class TestPolytope:
     def test_uniform_start_is_a_point(self):
@@ -363,7 +371,8 @@ class TestAsymptoticApproach:
     def test_asymptotic_vertices_are_pair_word_limits(self):
         # replace every block in an asymptotic vertex's word by repeated
         # relaxation sweeps: the pair-only word converges to the vertex
-        from diffpoly.core import spread, sweep_word
+        from diffpoly.core import spread
+        from word_oracle import sweep_word
 
         rho = pv("1/10", "2/10", "3/10", "4/10")
         graph = cycle(4)

@@ -1479,3 +1479,31 @@ def test_combination_check_rejects_points_of_another_dimension():
         cert = ExtremalityCertificate(point=point, is_extreme=False,
                                       combination=((points[0], Fraction(1)),))
         assert not cert.verify(())
+
+
+def test_hull_membership_refuses_an_lp_answer_that_fails_substitution(monkeypatch):
+    # the LP's weights, reversed, combine the two points to another point
+    def reversed_weights(point, points, **kwargs):
+        res = _phase_one(point, points, **kwargs)
+        return replace(res, coefficients=res.coefficients[::-1])
+
+    monkeypatch.setattr(geometry, "_phase_one", reversed_weights)
+    with pytest.raises(AssertionError, match="LP produced an invalid certificate"):
+        hull_membership((Fraction(1, 3), Fraction(2, 3)), [(1, 0), (0, 1)])
+
+
+def test_walk_refuses_a_support_point_that_the_lp_separated(monkeypatch):
+    # a support scan that also lists a confirmed point, which the walk's LP
+    # has just separated from the point it walks to
+    support = IncrementalHull._support
+
+    def with_a_confirmed_point(self, func, skip=None, bounded=()):
+        num, d, best = support(self, func, skip, bounded)
+        if self._confirmed:
+            best = best + [next(iter(self._confirmed))]
+        return num, d, best
+
+    monkeypatch.setattr(IncrementalHull, "_support", with_a_confirmed_point)
+    hull = IncrementalHull([pv("1", "0", "0"), pv("0", "1", "0"), pv("0", "0", "1")])
+    with pytest.raises(AssertionError, match="support maximization returned a separated point"):
+        hull.vertices()

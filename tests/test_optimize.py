@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -16,7 +17,7 @@ from diffpoly.core import (
     path,
     uniform_vector,
 )
-from diffpoly import enumeration, geometry
+from diffpoly import enumeration, geometry, optimize
 from diffpoly.enumeration import ClassifiedVertex, PolytopeConfig, polytope
 from diffpoly.geometry import IncrementalHull
 from diffpoly.optimize import (
@@ -126,8 +127,25 @@ class TestExponentialPopulations:
         with pytest.raises(ValueError):
             exponential_populations(4, digits=10)
 
+    def test_minimum_levels(self):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            exponential_populations(0)
+
 
 class TestOptimizeOver:
+    def test_report_refuses_energies_out_of_order(self, monkeypatch, rho3):
+        # a Gardner bound above the optimum breaks gardner <= optimal <= initial
+        monkeypatch.setattr(optimize, "gardner_limit", lambda w, rho0: energy(w, rho0) + 1)
+        with pytest.raises(AssertionError, match="energy ordering violated"):
+            optimize_over(path(3), rho3, (1, 2, 3))
+
+    def test_report_refuses_a_recovered_fraction_outside_the_unit_interval(self, rho3):
+        # energies in order give optimize_over a fraction in [0, 1]: only a
+        # report built with another fraction reaches this check
+        report = optimize_over(path(3), rho3, (1, 2, 3))
+        with pytest.raises(AssertionError, match=r"recovered fraction out of \[0, 1\]"):
+            replace(report, recovered_fraction=Fraction(3, 2))
+
     def test_uniform_start_recovers_nothing(self):
         report = optimize_over(complete(3), uniform_vector(3), (1, 2, 3))
         assert report.recovered_fraction == 0

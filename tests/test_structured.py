@@ -28,11 +28,10 @@ from diffpoly.enumeration import PolytopeConfig, _average, polytope
 from diffpoly.geometry import _image, _StateImage, hull_membership, hull_vertices
 from diffpoly.structured import (
     count_commuting_subsets,
-    counts_csv,
-    fibonacci,
     fibonacci_nonlocal_count,
     kn_candidate_points,
     kn_extreme_points,
+    ordered_path,
     pn_polytope,
     subset_point,
     subset_sequence,
@@ -307,10 +306,19 @@ class TestPnPolytope:
         pn = pn_polytope(rho)
         assert len(pn.vertices) == 8
         labels = {v.subset for v in pn.vertices}
-        for v in pn.vertices:
-            neighbors = [s for s in pn.neighbors(v.subset) if s in labels]
-            assert len(neighbors) == 3
-        assert len(pn.hypercube_edges()) == 8 * 3 // 2
+        assert labels == {frozenset(sub) for k in range(4) for sub in combinations((1, 2, 3), k)}
+
+    def test_refuses_a_subset_point_that_is_not_extreme(self, monkeypatch):
+        # the midpoint of two subset points, slipped in among them
+        def with_a_midpoint(rho0):
+            chosen = _subset_points(rho0)
+            a, b = list(chosen)[:2]
+            chosen[PopulationVector((x + y) / 2 for x, y in zip(a, b))] = frozenset()
+            return chosen
+
+        monkeypatch.setattr(ordered_path, "_subset_points", with_a_midpoint)
+        with pytest.raises(AssertionError, match="subset points failed extremality"):
+            pn_polytope(random_sorted_population(random.Random(6), 4))
 
     def test_vertex_sequences_replay(self):
         rnd = random.Random(61)
@@ -558,16 +566,20 @@ class TestCounts:
         rnd = random.Random(66)
         rho = random_sorted_population(rnd, 6)
         pn = pn_polytope(rho)
-        triple = pn.vertex_by_subset({1, 3, 5})
+        triple = next(v for v in pn.vertices if v.subset == {1, 3, 5})
         assert triple.kind == "nonlocal"
         assert list(triple.sequence) == [PairOp.of(1, 2), PairOp.of(3, 4), PairOp.of(5, 6)]
 
-    def test_csv_table(self):
-        table = counts_csv(8)
-        lines = table.strip().splitlines()
-        assert lines[0].startswith("n,A0,A1,")
-        last = lines[-1].split(",")
-        assert last[0] == "8" and last[-1] == str(fibonacci(9)) == last[-2]
+    @pytest.mark.parametrize("n", [2, -2])
+    def test_nonlocal_count_needs_three_levels(self, n):
+        # at n = -2 the sum over k is empty and F(n+1) is 0: only the guard refuses it
+        with pytest.raises(ValueError, match="counting needs n > 2"):
+            fibonacci_nonlocal_count(n)
+
+    def test_nonlocal_count_is_checked_against_fibonacci(self, monkeypatch):
+        monkeypatch.setattr(ordered_path, "fibonacci", lambda m: -1)
+        with pytest.raises(AssertionError, match=r"commuting-subset count 8 is not F\(6\)"):
+            fibonacci_nonlocal_count(5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

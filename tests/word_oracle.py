@@ -1,6 +1,8 @@
 """
-Test oracles for `diffpoly.structured.complete`: reduced words in the
-symmetric group, their commutation classes, and the rank-word replay.
+Test oracles: for `diffpoly.structured.complete`, reduced words in the
+symmetric group, their commutation classes and the rank-word replay; for
+block operators, `sweep_word`, a pair word whose repetition converges to
+the block average.
 
 Permutations are tuples in one-line notation over 1..n.  A word is a tuple
 of letter indices (i_1, ..., i_m), each letter i meaning the adjacent
@@ -16,7 +18,7 @@ reduced words), and `word_sequence` replays one word from a population.
 Together they are the reference for `complete.kn_candidate_points`, which
 generates the least word of each class directly, and for the K_n tie pass,
 which reorders that word's operators instead of walking the class.  The
-library calls none of them.
+library calls none of these oracles.
 """
 from __future__ import annotations
 
@@ -24,7 +26,14 @@ from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator, Sequence
 
-from diffpoly.core import OperationSequence, PairOp, PopulationVector
+from diffpoly.core import (
+    BlockOp,
+    DiffusionGraph,
+    OperationSequence,
+    PairOp,
+    PopulationVector,
+    _tree_walk,
+)
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -169,3 +178,15 @@ def word_sequence(word: Sequence[int], rho0: Sequence[Fraction]) -> tuple[Popula
             ops.append(op)
         ranking[letter - 1], ranking[letter] = ranking[letter], ranking[letter - 1]
     return state, OperationSequence(ops)
+
+
+def sweep_word(graph: DiffusionGraph, block: BlockOp) -> OperationSequence:
+    """
+    One relaxation sweep approximating `block` by pair operators: the edges
+    of the depth-first tree inside the block, applied from the last found
+    back to the first.  Iterating the sweep converges (geometrically) to
+    the exact block average.
+    """
+    block.validate(graph)
+    walk = _tree_walk(graph.adjacency(), set(block.vertices))
+    return OperationSequence(PairOp.of(i, j) for i, j in reversed(walk))
