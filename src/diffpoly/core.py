@@ -447,14 +447,13 @@ def grid_composition(m: int, n: int) -> DiffusionGraph:
     return DiffusionGraph.from_edges(m * n, edges)
 
 
-def connected_blocks(graph: DiffusionGraph, min_size: int = 3) -> list[BlockOp]:
+def connected_blocks(graph: DiffusionGraph) -> list[BlockOp]:
     """
-    All block operators on connected vertex subsets of the graph, smallest
-    first.  Size-2 blocks coincide with pair operators and are skipped by
-    default.
+    All block operators on connected vertex subsets of three or more
+    vertices, smallest first: a block of two is a pair operator.
     """
     adj = graph.adjacency()
-    return [BlockOp(sub) for size in range(max(min_size, 2), graph.n + 1)
+    return [BlockOp(sub) for size in range(3, graph.n + 1)
             for sub in combinations(graph.vertices(), size) if _connected(adj, sub)]
 
 

@@ -9,13 +9,12 @@ run, the slow, trustworthy oracle.
 
 The search holds each state as its integer image (d*x_1, ..., d*x_n, d),
 d > 0, primitive: its entries have gcd 1, so equal states have equal
-images.  Averaging a block of k entries with sum s is one integer step
-(``_average``): every entry times k / gcd(s, k), the block's entries
-s / gcd(s, k), then the whole divided by its gcd.  Deduplication, triangle
-pruning, the hull query and the majorization test all read the image.  A
-state becomes a ``PopulationVector`` of ``Fraction``s only where it is
-needed: for a hull query that takes an LP, when it joins the hull of
-``polytope``'s search, and at the end of ``explore``.
+images.  Averaging a block is one integer step on the image,
+``geometry._average``.  Deduplication, triangle pruning, the hull query,
+the majorization test and the map from a state to its word all read the
+image.  A state becomes a ``PopulationVector`` of ``Fraction``s only where
+it is needed: for a hull query that takes an LP, when it joins the hull
+of ``polytope``'s search, and at the end of ``explore``.
 
 ``polytope`` finds the vertices of the diffusion polytope with a pruned
 search that exploits linearity: every averaging operator is a linear map,
@@ -56,12 +55,14 @@ from .core import (
 from .geometry import (
     ExtremalityCertificate,
     IncrementalHull,
+    _average,
     _image,
     _is_convex_combination,
     _StateImage,
     extreme_points,
     hull_vertices,  # unused here, but perfbench/tracing.py wraps it by this name
 )
+from .structured import complete
 
 __all__ = [
     "ReachableSet",
@@ -81,7 +82,7 @@ def graph_ops(graph: DiffusionGraph, use_blocks: bool) -> list[AveragingOp]:
     """All operators of the graph in canonical order: pairs, then blocks."""
     ops: list[AveragingOp] = [PairOp(i, j) for i, j in sorted(graph.edges)]
     if use_blocks:
-        ops.extend(connected_blocks(graph, min_size=3))
+        ops.extend(connected_blocks(graph))
     return sorted(ops, key=op_sort_key)
 
 
@@ -113,25 +114,6 @@ class ReachableSet:
             apply_sequence(seq, self.rho0) == point
             for point, seq in self.states.items()
         )
-
-
-def _average(image: _StateImage, block: tuple[int, ...]) -> _StateImage:
-    """The primitive image of the state of `image` after averaging the
-    entries at the 0-based indices `block`: the integer step of the module
-    docstring."""
-    k = len(block)
-    s = 0
-    for v in block:  # a plain loop costs less than sum() on a generator
-        s += image[v]
-    g = gcd(s, k)
-    mean, scale = s // g, k // g
-    out = list(image) if scale == 1 else [a * scale for a in image]
-    for v in block:
-        out[v] = mean
-    if gcd(mean, out[-1]) > 1:  # a common divisor divides both
-        h = gcd(*out)
-        out = [a // h for a in out]
-    return _StateImage(out)
 
 
 def _layers(graph: DiffusionGraph, start: _StateImage, ops: Sequence[AveragingOp],
@@ -359,13 +341,12 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     search is provably complete ("saturated").  Every state found outside
     joins one hull, grown in place after each layer, whose points span the
     current hull: `IncrementalHull._extend` takes the layer's images and
-    returns their points, each built once, by its walk in
-    `IncrementalHull.contains` if it walked.  Returns the provenance of
-    every point of that hull, whether the search saturated, and the hull
-    itself, unscanned.
+    builds each point once, or takes the one that its walk in
+    `IncrementalHull.contains` built.  Returns the word of every point of
+    that hull, keyed by the point's `_image`, whether the search saturated,
+    and the hull itself, unscanned.
     """
     hull = IncrementalHull([rho0])
-    provenance: dict[PopulationVector, OperationSequence] = {rho0: OperationSequence()}
     start = _StateImage(_image(rho0))
     words = {start: OperationSequence()}
     saturated = not ops
@@ -374,8 +355,8 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
         if not layer:
             saturated = True
             break
-        provenance.update((p, words[t]) for p, t in zip(hull._extend(layer), layer))
-    return provenance, saturated, hull
+        hull._extend(layer)
+    return words, saturated, hull
 
 
 def _search(graph: DiffusionGraph, rho0: PopulationVector, cfg: PolytopeConfig):
@@ -383,26 +364,23 @@ def _search(graph: DiffusionGraph, rho0: PopulationVector, cfg: PolytopeConfig):
     The hull-pruned search of `cfg`, at its resolved depth and operators.
     Returns the search's hull, unscanned, whether the search saturated, and
     a function that labels chosen points of the hull as `ClassifiedVertex`
-    with their words and, if `cfg` classifies, their kinds: `polytope`
-    labels the hull's vertices, where the cells of the search's inside LPs
-    decide most hidden states with no walk, and `optimize_over` labels its
-    least vertices, found with no vertex list.  The search and the
+    with their words, found by their images, and, if `cfg` classifies,
+    their kinds: `polytope` labels the hull's vertices, where the cells of
+    the search's inside LPs decide most hidden states with no walk, and
+    `optimize_over` labels its least vertices, found with no vertex list.  The search and the
     classification are looked up as module globals at call time, so that a
     wrapper installed on this module sees them.
     """
     depth = cfg.resolved_depth(graph.n)
-    provenance, saturated, hull = _saturating_bfs(
+    words, saturated, hull = _saturating_bfs(
         graph, rho0, graph_ops(graph, cfg.use_blocks), depth, cfg.triangle_pruning
     )
 
     def label(points: Sequence[PopulationVector]) -> tuple[ClassifiedVertex, ...]:
-        kinds: dict[PopulationVector, str] = {}
-        if cfg.resolved_classify(graph.n):
-            kinds = _classify(graph, rho0, points, provenance, depth, cfg)
-        return tuple(
-            ClassifiedVertex(point=p, sequence=provenance[p], kind=kinds.get(p, "unclassified"))
-            for p in points
-        )
+        sequences = [words[_image(p)] for p in points]
+        kinds = (_classify(graph, rho0, points, sequences, depth, cfg)
+                 if cfg.resolved_classify(graph.n) else ["unclassified"] * len(points))
+        return tuple(map(ClassifiedVertex, points, sequences, kinds))
 
     return hull, saturated, label
 
@@ -461,42 +439,34 @@ def _pair_word_possible(point: PopulationVector, rho0: PopulationVector) -> bool
 
 
 def _classify(graph: DiffusionGraph, rho0: PopulationVector,
-              points: Sequence[PopulationVector],
-              provenance: dict[PopulationVector, OperationSequence],
-              depth: int, cfg: PolytopeConfig) -> dict[PopulationVector, str]:
+              points: Sequence[PopulationVector], sequences: Sequence[OperationSequence],
+              depth: int, cfg: PolytopeConfig) -> list[str]:
+    """The kind of each of `points`, in order; `sequences` holds their words."""
     n = graph.n
     if len(graph.edges) == comb(n, 2):
-        return {p: "nonlocal" for p in points}
+        return ["nonlocal"] * len(points)
 
     # complete-graph reference: the hull of the candidate points, DP(K_n),
     # ties included (a tied rho0 is the limit of distinct ones ranked alike);
     # every vertex of that hull is a candidate, so only candidates need an LP
-    from .structured import complete
-
     kn_hull, _ = complete._kn_hull(rho0)
-    kn_extreme = {p for p in points if kn_hull._index(p) is not None and kn_hull.is_extreme_in(p)}
-
-    out = {}
-    unresolved = []
-    for p in points:
-        if p in kn_extreme:
-            out[p] = "nonlocal"
-        elif all(isinstance(op, PairOp) for op in provenance[p]):
-            out[p] = "local_finite"
-        elif not _pair_word_possible(p, rho0):
-            out[p] = "asymptotic"  # proven for every depth, not just this bound
-        else:
-            unresolved.append(p)
-
+    kinds = [
+        "nonlocal" if _image(p) in kn_hull._index_of and kn_hull.is_extreme_in(p)
+        else "local_finite" if all(isinstance(op, PairOp) for op in seq)
+        else None if _pair_word_possible(p, rho0)  # unresolved: searched below
+        else "asymptotic"  # proven for every depth, not just this bound
+        for p, seq in zip(points, sequences)
+    ]
+    unresolved = [p for p, kind in zip(points, kinds) if kind is None]
     if unresolved:
         # mostly power-of-two block means: the lattice test cannot exclude
         # them, so search pair words directly, pruned by majorization
         found = _pair_reachable_targets(
             graph, rho0, unresolved, min(depth, comb(n, 2)), cfg.triangle_pruning,
         )
-        for p in unresolved:
-            out[p] = "local_finite" if p in found else "asymptotic"
-    return out
+        kinds = [kind or ("local_finite" if p in found else "asymptotic")
+                 for p, kind in zip(points, kinds)]
+    return kinds
 
 
 def _prefix_sums(v: Sequence[Fraction]) -> list[Fraction]:

@@ -48,13 +48,13 @@ Everything is decided in integers.  A point is checked once, where it
 enters (ints and Fractions, as many as the set's points have), and
 enters as its image (d*x, d), with d the lcm of its denominators, made
 once per hull; a search state may come as that image already, a
-`_StateImage`, and then needs no check and no `Fraction`s unless a walk
-runs.  A functional holds only its coefficients and offset times the lcm
-D of theirs, with D beside them.  Every sign and every comparison
-of two values is then an integer dot product or a cross-multiplication,
-with the same ties as in rationals, and two points are equal exactly
-when their images are.  A convex combination is checked in `Fraction`s,
-by `_is_convex_combination` alone.
+`_StateImage`, stepped by `_average`, and then needs no check and no
+`Fraction`s unless a walk runs.  A functional holds only its coefficients
+and offset times the lcm D of theirs, with D beside them.  Every sign and
+every comparison of two values is then an integer dot product or a
+cross-multiplication, with the same ties as in rationals, and two points
+are equal exactly when their images are.  A convex combination is checked
+in `Fraction`s, by `_is_convex_combination` alone.
 
 The LP solver is a phase-one simplex with Bland's rule, which cannot
 cycle, in revised form: the LPs are short and wide (dimension <= 10
@@ -127,7 +127,8 @@ class _StateImage(tuple):
     """
     A search state held as its `_image`: the primitive integer tuple
     (d*x_1, ..., d*x_n, d), d > 0.  `IncrementalHull.contains` takes one as
-    it is, with no check and no `Fraction`s; `point` builds the state.
+    it is, with no check and no `Fraction`s; `_average` steps it, and
+    `point` builds the state.
     """
 
     __slots__ = ()
@@ -135,6 +136,26 @@ class _StateImage(tuple):
     def point(self) -> PopulationVector:
         *numerators, d = self
         return PopulationVector._trusted([Fraction(a, d) for a in numerators])
+
+
+def _average(image: _StateImage, block: tuple[int, ...]) -> _StateImage:
+    """The primitive image of the state of `image` after averaging the entries
+    at the 0-based indices `block`, the block of size k and sum s: every entry
+    times k / gcd(s, k), the block's entries s / gcd(s, k), then the whole
+    divided by its gcd.  The one integer step of the search and the ordered path."""
+    k = len(block)
+    s = 0
+    for v in block:  # a plain loop costs less than sum() on a generator
+        s += image[v]
+    g = math.gcd(s, k)
+    mean, scale = s // g, k // g
+    out = list(image) if scale == 1 else [a * scale for a in image]
+    for v in block:
+        out[v] = mean
+    if math.gcd(mean, out[-1]) > 1:  # a common divisor divides both
+        h = math.gcd(*out)
+        out = [a // h for a in out]
+    return _StateImage(out)
 
 
 @dataclass(frozen=True, init=False)
@@ -534,10 +555,11 @@ class IncrementalHull:
     A state's point is built once: by the walk that finds it outside, kept
     until `_extend` takes it, or else by `_extend`.
 
-    Per-point state is kept by index into `points`, so walks, scans and
-    certification hash and compare no point.  Points stay at the boundary:
-    in the public queries, in each LP's `points` and as each cell's basic
-    points, since cells survive `_extend`, which shifts the indices.
+    Per-point state is kept by index into `points`, and a point is found by
+    its image, in `_index_of`, so walks, scans and certification hash and
+    compare no point.  Points stay at the boundary: in the public queries,
+    in each LP's `points` and as each cell's basic points, since cells
+    survive `_extend`, which shifts the indices.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -550,8 +572,6 @@ class IncrementalHull:
         # drops the normalization row, and runs on each point's image less d
         self._all_on_simplex = all(map(_on_simplex, self._images))
         self._columns = [image[:-1] for image in self._images]
-        self._members = set(self._images)  # the images of the points
-        self._position: dict | None = None  # point -> index, built by `_index`
         # the indices of the confirmed vertices, in confirmation order, each
         # with its confirming functional as (D, func), or None for the least point
         self._confirmed: dict = {}
@@ -563,39 +583,39 @@ class IncrementalHull:
         self._kept: dict = {}
         # per point, (D*x, its squared norm), D the lcm of the set's d, built by `_certify`
         self._scaled: list | None = None
+        # each point's index, by its image; `_extend` rebuilds it
+        self._index_of = {image: q for q, image in enumerate(self._images)}
 
-    def _extend(self, points) -> list:
+    def _extend(self, points) -> None:
         """
-        Add `points` to the set, keeping it in lexicographic order, and
-        return them as exact points, in order.  A search state may come as
-        its `_StateImage`, as to `contains`: its point is the one its walk
-        built, if it walked, else built here.  A new point can hide an old
-        vertex and cross an old cut, so the confirmed vertices and the cuts
-        are dropped, and with them the kept walk LPs, the scaled points and
-        the point -> index map.  The cells stay: what they prove inside the
-        old set is inside the grown one.
+        Add `points` to the set, keeping it in lexicographic order.  A
+        search state may come as its `_StateImage`, as to `contains`: its
+        point is the one its walk built, if it walked, else built here.  A
+        point already in the set sorts just after its equal, and is skipped.
+        A new point can hide an old vertex and cross an old cut, so the
+        confirmed vertices and the cuts are dropped, and with them the kept
+        walk LPs and the scaled points; the image -> index map is rebuilt.
+        The cells stay: what they prove inside the old set is inside the
+        grown one.
         """
-        added = []
         for p in points:
             if type(p) is _StateImage:
                 image, p = p, self._walked.pop(p, None) or p.point()
             else:
                 p = self._query(p)
                 image = _image(p)
-            added.append(p)
-            if image in self._members:
-                continue
             i = bisect(self.points, p)
+            if i and self._images[i - 1] == image:
+                continue
             self.points.insert(i, p)
             self._images.insert(i, image)
             self._columns.insert(i, image[:-1])
             self._all_on_simplex = self._all_on_simplex and _on_simplex(image)
-            self._members.add(image)
         self._confirmed.clear()
         self._cuts.clear()
         self._kept.clear()
-        self._scaled = self._position = None
-        return added
+        self._scaled = None
+        self._index_of = {image: q for q, image in enumerate(self._images)}
 
     def _outside(self, point, point_image=None, q=None):
         """
@@ -609,11 +629,11 @@ class IncrementalHull:
         basis.  When an LP confirms `point` itself, its columns and final
         basis are kept for `_certify`.  `point_image`, if given, is `point`'s
         `_image`, and `q` its index, None if it is not in the set; if not
-        given, both are looked up.
+        given, both are found.
         """
         if point_image is None:
-            q = self._index(point)
-            point_image = _image(point) if q is None else self._images[q]
+            point_image = _image(point)
+            q = self._index_of.get(point_image)
         confirmed = self._confirmed
         warm = []  # the final basis of the walk's last LP
         while q not in confirmed:
@@ -762,12 +782,6 @@ class IncrementalHull:
             tied = [q for q in tied if self.is_extreme_in(self.points[q])]
         return Fraction(-num, d * scale), [self.points[q] for q in tied]
 
-    def _index(self, point) -> int | None:
-        """`point`'s index in `points`, or None; the map is built again after `_extend`."""
-        if self._position is None:
-            self._position = {p: q for q, p in enumerate(self.points)}
-        return self._position.get(point)
-
     def _in_a_cell(self, image, exclude=None) -> bool:
         """
         Does a cell, the most recent first, prove the point of `image` inside
@@ -814,7 +828,7 @@ class IncrementalHull:
         else:
             point = self._query(point)
             image = _image(point)
-        if image in self._members:
+        if image in self._index_of:
             return True
         if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):
             return False
@@ -869,7 +883,7 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
     certification and vertex list agree.
     """
     hull = IncrementalHull(points) if _hull is None else _hull
-    vertices = [hull._index(p) for p in (hull.vertices() if _hull is None else points)]
+    vertices = [hull._index_of[_image(p)] for p in (hull.vertices() if _hull is None else points)]
     indices = range(len(hull.points)) if _hull is None else vertices
     images = hull._images
     certificates = []

@@ -55,8 +55,7 @@ from ..core import (
     PopulationVector,
     apply_sequence,
 )
-from ..enumeration import _average
-from ..geometry import ExtremalityCertificate, _image, _StateImage, extreme_points
+from ..geometry import ExtremalityCertificate, _average, _image, _StateImage, extreme_points
 
 __all__ = [
     "subset_point",
@@ -239,6 +238,8 @@ def fibonacci(m: int) -> int:
     >>> [fibonacci(m) for m in range(8)]
     [0, 1, 1, 2, 3, 5, 8, 13]
     """
+    if m < 0:
+        raise ValueError("m must be non-negative")
     a, b = 0, 1
     for _ in range(m):
         a, b = b, a + b
@@ -247,6 +248,8 @@ def fibonacci(m: int) -> int:
 
 def triangular(m: int) -> int:
     """The m-th triangular number m(m+1)/2."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
     return m * (m + 1) // 2
 
 

@@ -49,13 +49,12 @@ from .core import (
 )
 from .enumeration import (
     PolytopeConfig,
-    _average,
     explore,
     graph_ops,
     polytope,
     triangle_decomposition,
 )
-from .geometry import _image, hull_membership
+from .geometry import _average, _image, hull_membership
 from .optimize import (
     energy,
     exponential_populations,

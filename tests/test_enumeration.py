@@ -27,7 +27,7 @@ from diffpoly.enumeration import (
     triangle_prune,
 )
 from diffpoly.geometry import IncrementalHull, hull_membership, hull_vertices
-from diffpoly.optimize import exponential_populations
+from diffpoly.optimize import exponential_populations, optimize_over
 from diffpoly.structured import kn_candidate_points
 
 from conftest import random_population, random_sorted_population
@@ -452,6 +452,30 @@ class TestDyadicScreen:
         pat_kinds = {v.point: v.kind for v in pat.vertices}
         assert pat_kinds[target] == "asymptotic"
 
+    def test_pair_search_finds_a_block_vertex(self, monkeypatch):
+        # the uniform vertex comes from the block word B1234, which the
+        # lattice screen cannot rule out; only the pair search finds that
+        # B13 and then B24 reach it, which makes it local_finite
+        searched = []
+        search = enumeration._pair_reachable_targets
+
+        def recorded(*args):
+            found = search(*args)
+            searched.append(found)
+            return found
+
+        monkeypatch.setattr(enumeration, "_pair_reachable_targets", recorded)
+        graph = DiffusionGraph.from_edges(4, [(1, 3), (1, 4), (2, 4)])
+        rho = PopulationVector.normalized([2, 1, 5, 6])
+        res = polytope(graph, rho)
+        assert res.completeness == "proven" and len(res.vertices) == 12
+        assert res.kinds() == {"nonlocal": 3, "local_finite": 9}
+        (uniform,) = [v for v in res.vertices if v.point == uniform_vector(4)]
+        assert list(uniform.sequence) == [BlockOp((1, 2, 3, 4))]
+        assert uniform.kind == "local_finite"
+        assert searched == [{uniform_vector(4)}]
+        assert apply_sequence([PairOp.of(1, 3), PairOp.of(2, 4)], rho) == uniform_vector(4)
+
 
 class TestGoldenOutput:
     """Canonical-JSON digests pinned across versions, default config."""
@@ -561,6 +585,26 @@ def test_search_builds_each_state_point_once(monkeypatch):
     _, saturated, hull = _saturating_bfs(graph, rho, graph_ops(graph, True), 15, True)
     assert saturated and hull._walked == {}
     assert len(built) == len(set(built)) >= len(hull.points) - 1  # all but rho
+
+
+@pytest.mark.parametrize("run", [
+    lambda: polytope(cycle(6), PopulationVector.normalized([1, 2, 3, 5, 8, 13]),
+                     PolytopeConfig(classify=False)),
+    lambda: optimize_over(cycle(4), PopulationVector.normalized([1, 2, 3, 4]), (1, 2, 3, 4)),
+], ids=["polytope-c6", "optimize-c4"])
+def test_search_keys_states_by_image(monkeypatch, run):
+    # the search and its hull find a state by its integer image, never by
+    # its point: only rho0 is hashed, once, when the hull is built
+    hashed = []
+    point_hash = PopulationVector.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return point_hash(self)
+
+    monkeypatch.setattr(PopulationVector, "__hash__", counted)
+    run()
+    assert len(hashed) <= 1
 
 
 class TestLPCounts:

@@ -380,7 +380,7 @@ class TestIncrementalHull:
 
     def test_state_images_answer_as_their_points(self):
         # a search state comes to `contains` and `_extend` as its
-        # `_StateImage`, and `_extend` returns its point; members, points a
+        # `_StateImage`, and joins the set as its point; members, points a
         # cut or a cell decides and walked points all get the LP's answer
         rnd = random.Random(71)
         for dim in (3, 4):
@@ -389,9 +389,10 @@ class TestIncrementalHull:
             probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(12)] + cloud
             by_image, by_point, seen = IncrementalHull([]), IncrementalHull([]), []
             for batch in (cloud[:8], cloud[8:16], cloud[16:]):
-                assert by_image._extend([_StateImage(_image(p)) for p in batch]) == batch
-                assert by_point._extend(batch) == batch
+                by_image._extend([_StateImage(_image(p)) for p in batch])
+                by_point._extend(batch)
                 seen += batch
+                assert by_image.points == by_point.points == sorted(set(seen))
                 answers = [hull_membership(q, seen).inside for q in probes]
                 assert [by_image.contains(_StateImage(_image(q))) for q in probes] == answers
                 assert [by_point.contains(q) for q in probes] == answers

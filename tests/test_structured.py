@@ -28,6 +28,7 @@ from diffpoly.enumeration import PolytopeConfig, _average, polytope
 from diffpoly.geometry import _image, _StateImage, hull_membership, hull_vertices
 from diffpoly.structured import (
     count_commuting_subsets,
+    fibonacci,
     fibonacci_nonlocal_count,
     kn_candidate_points,
     kn_extreme_points,
@@ -580,6 +581,16 @@ class TestCounts:
         monkeypatch.setattr(ordered_path, "fibonacci", lambda m: -1)
         with pytest.raises(AssertionError, match=r"commuting-subset count 8 is not F\(6\)"):
             fibonacci_nonlocal_count(5)
+
+    @pytest.mark.parametrize("m", [-1, -5])
+    def test_fibonacci_refuses_a_negative_index(self, m):
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            fibonacci(m)
+
+    @pytest.mark.parametrize("m", [-1, -3])
+    def test_triangular_refuses_a_negative_index(self, m):
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            triangular(m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
