@@ -176,7 +176,8 @@ class DiffusionGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "DiffusionGraph":
-        canon = frozenset((min(i, j), max(i, j)) for i, j in edges)
+        # labels that are not ints are left unordered, for the constructor to refuse
+        canon = frozenset((min(i, j), max(i, j)) if _ints((i, j)) else (i, j) for i, j in edges)
         if any(i == j for i, j in canon):
             raise ValueError("self-loops are not allowed")
         return cls(n, canon)
@@ -205,7 +206,7 @@ class DiffusionGraph:
     def from_json(cls, data: dict) -> "DiffusionGraph":
         edges = data.get("edges") if isinstance(data, dict) else None
         if not (isinstance(edges, list) and type(data.get("n")) is int
-                and all(isinstance(e, list) and len(e) == 2 and _ints(e) for e in edges)):
+                and all(isinstance(e, list) and len(e) == 2 for e in edges)):
             raise ValueError('expected {"n": int, "edges": [[i, j], ...]}')
         return cls.from_edges(data["n"], edges)
 
@@ -225,7 +226,8 @@ class PairOp:
 
     @classmethod
     def of(cls, i: int, j: int) -> "PairOp":
-        return cls(min(i, j), max(i, j))
+        # labels that are not ints are left unordered, for the constructor to refuse
+        return cls(min(i, j), max(i, j)) if _ints((i, j)) else cls(i, j)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -303,9 +305,9 @@ AveragingOp = PairOp | BlockOp
 def op_from_json(data: list) -> AveragingOp:
     """The operator that ``to_json`` wrote as ``["pair", i, j]`` or ``["block", [v, ...]]``."""
     kind = data[0] if isinstance(data, list) and data else None
-    if kind == "pair" and len(data) == 3 and _ints(data[1:]):
+    if kind == "pair" and len(data) == 3:
         return PairOp.of(data[1], data[2])
-    if kind == "block" and len(data) == 2 and isinstance(data[1], list) and _ints(data[1]):
+    if kind == "block" and len(data) == 2 and isinstance(data[1], list):
         return BlockOp(tuple(data[1]))
     raise ValueError(f'expected ["pair", i, j] or ["block", [v, ...]], got {data!r}')
 

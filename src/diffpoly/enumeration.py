@@ -13,8 +13,8 @@ images.  Averaging a block is one integer step on the image,
 ``geometry._average``.  Deduplication, triangle pruning, the hull query,
 the majorization test and the map from a state to its word all read the
 image.  A state becomes a ``PopulationVector`` of ``Fraction``s only where
-it is needed: for a hull query that takes an LP, when it joins the hull
-of ``polytope``'s search, and at the end of ``explore``.
+it is needed: as a vertex or least point of the search's hull, and at the
+end of ``explore``.
 
 ``polytope`` finds the vertices of the diffusion polytope with a pruned
 search that exploits linearity: every averaging operator is a linear map,
@@ -24,7 +24,9 @@ frontier therefore keeps only states that fall outside the current hull.
 When a whole layer produces nothing new outside the hull, the hull is
 forward-invariant under every operator and provably contains the entire
 attainable set: the vertex list is then complete ("proven"), no matter
-the graph.  Otherwise the result is labeled "depth-bounded".
+the graph.  Otherwise the result is labeled "depth-bounded".  The hull is
+a ``geometry.FacetHull``, held as its facets: a query is a substitution,
+and the vertices and their certificates come from the facets, with no LP.
 
 Triangle pruning (``PolytopeConfig(triangle_pruning=True)``) skips the
 outer-pair average of a graph triangle whose third population lies
@@ -54,13 +56,13 @@ from .core import (
 )
 from .geometry import (
     ExtremalityCertificate,
-    IncrementalHull,
+    FacetHull,
     _average,
     _image,
     _is_convex_combination,
     _StateImage,
-    extreme_points,
-    hull_vertices,  # unused here, but perfbench/tracing.py wraps it by this name
+    extreme_points,  # unused here, as is hull_vertices, but perfbench/tracing.py
+    hull_vertices,   # wraps both by these names
 )
 from .structured import complete
 
@@ -339,15 +341,13 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
     their images: only states outside the current hull are expanded.  If a
     layer adds nothing outside, the hull absorbs every operator and the
     search is provably complete ("saturated").  Every state found outside
-    joins one hull, grown in place after each layer, whose points span the
-    current hull: `IncrementalHull._extend` takes the layer's images and
-    builds each point once, or takes the one that its walk in
-    `IncrementalHull.contains` built.  Returns the word of every point of
-    that hull, keyed by the point's `_image`, whether the search saturated,
-    and the hull itself, unscanned.
+    joins one `FacetHull`, grown after each layer, so its facets are those
+    of the hull of every state kept so far.  Returns the word of every state
+    of that hull, keyed by the state's `_image`, whether the search
+    saturated, and the hull itself.
     """
-    hull = IncrementalHull([rho0])
     start = _StateImage(_image(rho0))
+    hull = FacetHull([start])
     words = {start: OperationSequence()}
     saturated = not ops
     layers = _layers(graph, start, ops, triangle_pruning, lambda t: not hull.contains(t), words)
@@ -355,21 +355,21 @@ def _saturating_bfs(graph: DiffusionGraph, rho0: PopulationVector,
         if not layer:
             saturated = True
             break
-        hull._extend(layer)
+        for t in layer:
+            hull.add(t)
     return words, saturated, hull
 
 
 def _search(graph: DiffusionGraph, rho0: PopulationVector, cfg: PolytopeConfig):
     """
     The hull-pruned search of `cfg`, at its resolved depth and operators.
-    Returns the search's hull, unscanned, whether the search saturated, and
-    a function that labels chosen points of the hull as `ClassifiedVertex`
+    Returns the search's `FacetHull`, whether the search saturated, and a
+    function that labels chosen points of the hull as `ClassifiedVertex`
     with their words, found by their images, and, if `cfg` classifies,
-    their kinds: `polytope` labels the hull's vertices, where the cells of
-    the search's inside LPs decide most hidden states with no walk, and
-    `optimize_over` labels its least vertices, found with no vertex list.  The search and the
-    classification are looked up as module globals at call time, so that a
-    wrapper installed on this module sees them.
+    their kinds: `polytope` labels the hull's vertices, and `optimize_over`
+    labels its least vertices, found with no vertex list.  The search and
+    the classification are looked up as module globals at call time, so
+    that a wrapper installed on this module sees them.
     """
     depth = cfg.resolved_depth(graph.n)
     words, saturated, hull = _saturating_bfs(
@@ -406,12 +406,12 @@ def polytope(graph: DiffusionGraph, rho0: Sequence[Fraction],
     cfg = config or PolytopeConfig()
     rho0 = _population(graph, rho0)
     hull, saturated, label = _search(graph, rho0, cfg)
-    points = hull.vertices()
+    certificates = hull.certificates()
     return PolytopeResult(
         graph=graph,
         rho0=rho0,
-        vertices=label(points),
-        certificates=tuple(extreme_points(points, _hull=hull)),
+        vertices=label([c.point for c in certificates]),
+        certificates=tuple(certificates),
         completeness="proven" if saturated else "depth-bounded",
         truncated=not saturated,
         max_depth=cfg.resolved_depth(graph.n),

@@ -12,92 +12,60 @@ certificates:
   reconstruction over the vertices.
 
 ``hull_membership`` runs one phase-one LP over all the points, on
-purpose: it is the independent reference that the tests check
-``IncrementalHull.contains`` against.  ``extreme_points`` comes from the
-engine, ``IncrementalHull``: a Clarkson walk that confirms only hull
-vertices and returns the witness that decided each answer, and a
-certification step that decides a point in one LP against a working
-set, such as the other vertices.  Its point set can grow in
-place, by points from outside its hull, and its membership queries reuse
-earlier witnesses to skip the LP.  The final basis of every LP that ended
-inside is kept as a cell, which proves a later query inside with one
-integer matrix-vector product, and a point of the set hidden by other
-points, which the vertex scan then drops with no walk; cells survive the
-growth of the set.  The functionals that separated earlier queries are
-kept as cuts, which decide later ones outside; a new point can cross a
-cut, so growth drops them.  Each confirmed vertex keeps the functional
-that confirmed it: given the hull of a search, ``extreme_points`` lowers
-that functional over the other points to certify the vertex, and runs
-the certification LP only where that fails.  Its per-point state is kept
-by index into its sorted points: a walk, scan or certification LP hashes
-and compares no point.
+purpose: it is the independent reference that the tests check both
+engines against.
 
-A support scan scores the set's points against a functional: for the
-next vertex of a walk, and to lower a functional into a certificate.
-After an LP that ends outside, it scores only the points that are not
-the LP's columns.  No column prices in at the end, so the LP's
-functional is <= 0 on each of them, and exactly 0 on a basic one: their
-best score is 0.  So a walk's LP scores only the points not yet
-confirmed, and a certification LP against every other point of the set
-scores none.  Only an LP with the query or a column off the simplex can
-end with every basic variable artificial (on it, every point column
-prices in at that basis); it has no such column, and its scan scores
-every point.
+``IncrementalHull`` is a Clarkson walk over a fixed point set: it
+confirms only hull vertices and returns the witness that decided each
+answer, and a certification step decides a point in one LP against a
+working set, such as the other vertices.  ``extreme_points``, the ordered
+path and the complete-graph reference run on it.  Its per-point state is
+kept by index into its sorted points: a walk, scan or certification LP
+hashes and compares no point.
+
+``FacetHull`` holds the hull of a polytope search's states as its facets,
+grown state by state by the double-description step.  Membership is
+substitution, a vertex is a state alone in the meet of the tight sets
+that contain it, and a vertex's certificate is the sum of its facets,
+lowered below every other state.  It runs no LP.
+
+A support scan (`IncrementalHull._support`, which both engines share)
+scores the set's points against a functional: for the next vertex of a
+walk, to lower a functional into a certificate, and for the least points
+of an objective.  After an LP that ends outside, it skips the LP's
+columns, on which the LP's functional is at most 0 (see `_lower`).
 
 Everything is decided in integers.  A point is checked once, where it
 enters (ints and Fractions, as many as the set's points have), and
 enters as its image (d*x, d), with d the lcm of its denominators, made
-once per hull; a search state may come as that image already, a
+once per hull; a search state comes as that image already, a
 `_StateImage`, stepped by `_average`, and then needs no check and no
-`Fraction`s unless a walk runs.  A functional holds only its coefficients
+`Fraction`s unless it is listed.  A functional holds only its coefficients
 and offset times the lcm D of theirs, with D beside them.  Every sign and
 every comparison of two values is then an integer dot product or a
 cross-multiplication, with the same ties as in rationals, and two points
 are equal exactly when their images are.  A convex combination is checked
 in `Fraction`s, by `_is_convex_combination` alone.
 
-The LP solver is a phase-one simplex with Bland's rule, which cannot
-cycle, in revised form: the LPs are short and wide (dimension <= 10
-rows, up to hundreds of point columns), so its rows hold only the basis
-inverse, as the integer matrix det*B^-1, and the right-hand side, pivoted
-fraction-free (Edmonds/Bareiss, as in lrs), where every division is exact.
-On the simplex, where every state lies, the normalization row
-sum(lam) = 1 is the sum of the coordinate rows, so the LP drops it and
-takes the same pivots; off the simplex it has dimension + 1 rows.
-One dual row u, det minus the reduced costs of the artificial columns,
-rides along under the same step.  The point images are sign-flipped once
-per LP, only for a query with a negative coordinate, and priced in index
-order against u, the basic ones skipped (their price is 0); only the
-entering column is built.  These are the entries a full integer tableau
-would hold, and positive column scalings leave every Bland choice, so
-every answer is the one a rational tableau gives.  Rationals are built
-only for a convex combination; an infeasible LP's functional is u with
-the row signs folded back in.
-
-An LP of a point can resume from the final basis of an earlier LP of the
-same point against a prefix of its columns: a phase-one basis stays
-feasible when columns are added, and Bland's rule terminates from any
-feasible basis.  Within one walk, each LP after the first is the last one
-plus one column, the vertex that the last one's functional confirmed, so
-it resumes from the last one's final basis: the new column is the only one
-that prices in, and it enters first.  A certification LP starts near its
-answer: it prices the other points nearest first, by exact squared
-Euclidean distance in integers, and a vertex that its own walk confirmed
-resumes from that walk's last LP, whose columns come first.  Column order
-and start change only which pivots Bland's rule takes, not an answer.
-An LP that ends inside then pivots every artificial variable still
-basic, at level 0, out for a point column where one has a nonzero entry
-in its row.  These degenerate pivots leave the combination as it is and
-add a basic point to its cell each, which then proves more points inside.
+The LP solver, `_phase_one`, is a phase-one simplex with Bland's rule,
+which cannot cycle, in revised form, pivoted fraction-free (Edmonds/
+Bareiss, as in lrs): every entry is one a rational tableau gives, times
+a positive integer, so every answer is the rational one.  On the
+simplex, where every state lies, it drops the normalization row.  An LP
+of a point can resume from the final basis of an earlier LP of the same
+point against a prefix of its columns: each LP of a walk resumes from the
+walk's last one, and a certification LP, its columns nearest first, from
+the last LP of its point's own walk.  Column order and start change only
+which pivots Bland's rule takes, not an answer.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from numbers import Rational
-from operator import mul
+from operator import and_, mul
 from typing import Sequence
 
 from .core import PopulationVector, format_rational
@@ -126,9 +94,9 @@ def _image(values: Sequence[Fraction]) -> tuple[int, ...]:
 class _StateImage(tuple):
     """
     A search state held as its `_image`: the primitive integer tuple
-    (d*x_1, ..., d*x_n, d), d > 0.  `IncrementalHull.contains` takes one as
-    it is, with no check and no `Fraction`s; `_average` steps it, and
-    `point` builds the state.
+    (d*x_1, ..., d*x_n, d), d > 0.  `FacetHull` takes one as it is, with no
+    check and no `Fraction`s; `_average` steps it, and `point` builds the
+    state.
     """
 
     __slots__ = ()
@@ -252,7 +220,6 @@ def _phase_one(
     images: Sequence[list[int]] | None = None,
     point_image: list[int] | None = None,
     columns: Sequence[list[int]] | None = None,
-    cells: list | None = None,
     warm: list | None = None,
 ) -> HullMembership:
     """
@@ -273,18 +240,6 @@ def _phase_one(
     columns: `images`, which must then be given too, or, when the LP drops
     the normalization row, the images less d; a caller that holds them
     decides the form once per point rather than once per LP.
-
-    `cells`, if given, is a list that an LP ending inside appends its final
-    basis to, as one cell: det*B^-1 with the row signs folded in, split into
-    the rows whose basic variable is a point column and the rows whose basic
-    variable is artificial, and the basic points.  For any image b', row . b'
-    is det times that basic variable in the solution of the same basis for
-    b'; if it is >= 0 on every point row and 0 on every artificial row, b'
-    is a non-negative combination of the basic points' images.  The
-    normalization row's artificial makes it a convex combination: in the
-    n + 1-row form its row is one of the artificial rows, and an LP that
-    dropped it appends its check, sum(b'[:-1]) - b'[-1], as one more.  So
-    b' is inside the hull of the basic points.
 
     The LP is held in integers.  Column j of the constraint matrix is the
     image (d_j*s_j, d_j) of point j, less d_j if the LP dropped the
@@ -327,14 +282,6 @@ def _phase_one(
     rule goes on from there, where a cold start would first redo the last
     LP's pivots; a certification LP adds the other vertices to the last LP
     of the point's own walk (`IncrementalHull._certify`).
-
-    An LP that ends inside keeps no artificial basic that a point column can
-    replace: each artificial row, in row order, pivots out for the first
-    nonbasic point column, in index order, with a nonzero entry in it.  Its
-    level is 0, so the pivot is degenerate and lam does not change, and a
-    negative pivot negates the whole tableau, to keep det > 0.  Each such
-    pivot adds a basic point to the cell, which then proves inside the cone
-    of one more point column.
     """
     m = len(points)
     if images is None:
@@ -395,31 +342,6 @@ def _phase_one(
         basis[leave] = enter
 
     if dual[rows] == 0:
-        # each artificial still basic is at level 0: pivot it out, degenerately,
-        # for the first nonbasic point column with a nonzero entry in its row
-        for leave, var in enumerate(basis):
-            if var >= m:
-                row = tab[leave]
-                for enter, a in enumerate(columns):
-                    if enter not in basic and sum(map(mul, row, a)):
-                        det = _pivot(tab, [sum(map(mul, r, a)) for r in tab], leave, det)
-                        if det < 0:  # keep det > 0: the same rationals, every sign flipped
-                            tab[:] = [[-v for v in r] for r in tab]
-                            det = -det
-                        basic.remove(var)
-                        basic.add(enter)
-                        basis[leave] = enter
-                        break
-        if cells is not None:
-            inverse = [list(map(mul, row, sign)) for row in tab[:rows]]
-            artificial_rows = [row for row, var in zip(inverse, basis) if var >= m]
-            if rows < len(image):  # the dropped normalization row, as its check
-                artificial_rows.append([1] * rows + [-1])
-            cells.append((
-                [row for row, var in zip(inverse, basis) if var < m],
-                artificial_rows,
-                [points[var] for var in basis if var < m],
-            ))
         lam = [Fraction(0)] * m
         for r, var in enumerate(basis):
             if var < m:
@@ -523,43 +445,20 @@ class IncrementalHull:
     is all artificial (see `_lower`).
     Answers are identical to testing against the full set, and the walk
     that decides an answer also yields its witness: a separating functional
-    or a convex combination.  Each confirmed vertex keeps the functional
-    that confirmed it, which it maximizes over the set.
+    or a convex combination.
 
     The hull knows whether all its points lie on the simplex, and keeps
     each point's image less d beside its image: an LP of a query on the
     simplex then drops the normalization row and runs on those columns.
 
-    Both kinds of witness are reused.  Every LP that ends inside leaves a
-    cell, the final basis of its LP (see `_phase_one`): a later query that a
-    cell proves inside is inside with one integer matrix-vector product and
-    no LP, and a point of the set that a cell proves inside the hull of
-    other basic points is hidden by them, so `vertices` drops it with no
-    walk.  A cell of an LP without the normalization row keeps that row's
-    check: without it, the cell would prove inside every query in the cone
-    of its basic points, 2p for each p it proves.  The cells prove
-    combinations of points of the set, which only grows, so they survive
-    `_extend`.  A point is checked once, when it joins; the search adds
-    only points from outside the hull, which no older cell proves hidden.
-    `contains` also keeps the functional of every query it finds outside,
-    as a cut: each is <= 0 on the whole set, so a later query that one of
-    them scores > 0 is outside with no LP.  A new point can cross a cut, so
-    `_extend` drops the cuts.
-
     A walk whose last LP confirms the queried point itself keeps that LP,
     its columns and final basis, in `_kept`: the certification LP of the
-    point (`_certify`) resumes from it.  `_extend` drops the kept LPs, as it
-    drops the confirmed vertices.
-
-    The search hands `contains` and `_extend` its states as `_StateImage`s.
-    A state's point is built once: by the walk that finds it outside, kept
-    until `_extend` takes it, or else by `_extend`.
+    point (`_certify`) resumes from it.
 
     Per-point state is kept by index into `points`, and a point is found by
     its image, in `_index_of`, so walks, scans and certification hash and
-    compare no point.  Points stay at the boundary: in the public queries,
-    in each LP's `points` and as each cell's basic points, since cells
-    survive `_extend`, which shifts the indices.
+    compare no point.  Points stay at the boundary: in the public queries
+    and in each LP's `points`.
     """
 
     def __init__(self, points: Sequence[Sequence[Fraction]]):
@@ -572,49 +471,12 @@ class IncrementalHull:
         # drops the normalization row, and runs on each point's image less d
         self._all_on_simplex = all(map(_on_simplex, self._images))
         self._columns = [image[:-1] for image in self._images]
-        # the indices of the confirmed vertices, in confirmation order, each
-        # with its confirming functional as (D, func), or None for the least point
-        self._confirmed: dict = {}
-        self._cuts: list[tuple[int, ...]] = []  # integer functionals <= 0 on the set
-        self._cells: list = []  # final bases of the LPs that ended inside
-        self._walked: dict = {}  # _StateImage -> its point, built for a walk that ended outside
+        self._confirmed: dict = {}  # the confirmed vertices' indices, in order, as keys
         # the index of a point its own walk confirmed -> that walk's last LP,
         # as its columns and its final basis (`_phase_one`'s `warm`), for `_certify`
         self._kept: dict = {}
         # per point, (D*x, its squared norm), D the lcm of the set's d, built by `_certify`
         self._scaled: list | None = None
-        # each point's index, by its image; `_extend` rebuilds it
-        self._index_of = {image: q for q, image in enumerate(self._images)}
-
-    def _extend(self, points) -> None:
-        """
-        Add `points` to the set, keeping it in lexicographic order.  A
-        search state may come as its `_StateImage`, as to `contains`: its
-        point is the one its walk built, if it walked, else built here.  A
-        point already in the set sorts just after its equal, and is skipped.
-        A new point can hide an old vertex and cross an old cut, so the
-        confirmed vertices and the cuts are dropped, and with them the kept
-        walk LPs and the scaled points; the image -> index map is rebuilt.
-        The cells stay: what they prove inside the old set is inside the
-        grown one.
-        """
-        for p in points:
-            if type(p) is _StateImage:
-                image, p = p, self._walked.pop(p, None) or p.point()
-            else:
-                p = self._query(p)
-                image = _image(p)
-            i = bisect(self.points, p)
-            if i and self._images[i - 1] == image:
-                continue
-            self.points.insert(i, p)
-            self._images.insert(i, image)
-            self._columns.insert(i, image[:-1])
-            self._all_on_simplex = self._all_on_simplex and _on_simplex(image)
-        self._confirmed.clear()
-        self._cuts.clear()
-        self._kept.clear()
-        self._scaled = None
         self._index_of = {image: q for q, image in enumerate(self._images)}
 
     def _outside(self, point, point_image=None, q=None):
@@ -622,9 +484,8 @@ class IncrementalHull:
         Walk to the witness that decides `point` against the hull of the
         set: a combination or a strictly separating functional, from
         `_decide` against the confirmed vertices with every point scored.
-        Otherwise its best-scoring point is confirmed, with the LP's
-        functional, and the walk goes on, until it ends with None: `point`
-        is confirmed, or the set is empty.  Each LP after the walk's first is
+        Otherwise its best-scoring point is confirmed, and the walk goes on,
+        until it ends with None: `point` is confirmed, or the set is empty.  Each LP after the walk's first is
         the last one plus that point, so it resumes from the last one's final
         basis.  When an LP confirms `point` itself, its columns and final
         basis are kept for `_certify`.  `point_image`, if given, is `point`'s
@@ -639,8 +500,7 @@ class IncrementalHull:
         while q not in confirmed:
             if confirmed:
                 working = list(confirmed)
-                witness, best, functional = self._decide(point, point_image, working,
-                                                         confirmed, warm)
+                witness, best = self._decide(point, point_image, working, confirmed, warm)
                 if witness is not None:
                     return witness
                 if best in confirmed:  # the LP just separated these points
@@ -648,10 +508,10 @@ class IncrementalHull:
                 if best == q:
                     self._kept[q] = working, warm
             elif self.points:
-                best, functional = 0, None  # the least point is a vertex
+                best = 0  # the least point is a vertex
             else:
                 return None
-            confirmed[best] = functional
+            confirmed[best] = None
         return None
 
     def _certify(self, q, working):
@@ -698,10 +558,9 @@ class IncrementalHull:
         the list `warm` as there, which the LP leaves its final basis in;
         with no normalization row, on the cached columns, if `point` and the
         set lie on the simplex.  Inside, returns the nonzero (point, weight)
-        pairs, None and None.  Outside, returns `_lower`'s pair for the LP's
-        functional, then that functional as (D, func).  `bounded` holds the
-        indices in `working`: unless the final basis is all artificial,
-        `_lower` scores none of them.
+        pairs and None.  Outside, returns `_lower`'s pair for the LP's
+        functional.  `bounded` holds the indices in `working`: unless the
+        final basis is all artificial, `_lower` scores none of them.
         """
         if working:
             points = [self.points[i] for i in working]
@@ -710,15 +569,15 @@ class IncrementalHull:
             if self._all_on_simplex and _on_simplex(point_image):
                 columns = [self._columns[i] for i in working]
             res = _phase_one(point, points, images=images, point_image=point_image,
-                             columns=columns, cells=self._cells, warm=warm)
+                             columns=columns, warm=warm)
             if res.inside:
-                return tuple((p, w) for p, w in zip(points, res.coefficients) if w), None, None
+                return tuple((p, w) for p, w in zip(points, res.coefficients) if w), None
             den, func = res.functional._den, res.functional._func
             if all(var >= len(working) for var in warm[1]):  # no point column attains 0
                 bounded = ()
         else:
             den, func = 1, [0] * (len(point_image) - 1) + [1]
-        return (*self._lower(point_image, den, func, skip, bounded), (den, func))
+        return self._lower(point_image, den, func, skip, bounded)
 
     def _lower(self, point_image, den, func, skip=None, bounded=()):
         """
@@ -782,34 +641,12 @@ class IncrementalHull:
             tied = [q for q in tied if self.is_extreme_in(self.points[q])]
         return Fraction(-num, d * scale), [self.points[q] for q in tied]
 
-    def _in_a_cell(self, image, exclude=None) -> bool:
-        """
-        Does a cell, the most recent first, prove the point of `image` inside
-        the hull of its basic points?  Cells in which `exclude`, a point of the
-        set, is basic (`is` finds it) are passed over: they prove only that it
-        is itself.  A cell that proves it moves to the most recent end, where
-        the next scan starts.
-        """
-        cells = self._cells
-        for k, (point_rows, artificial_rows, basic) in enumerate(reversed(cells), 1):
-            for row in point_rows:  # a plain loop costs less per cell than all() on a generator
-                if sum(map(mul, row, image)) < 0:
-                    break
-            else:
-                if all(p is not exclude for p in basic) and not any(
-                        sum(map(mul, row, image)) for row in artificial_rows):
-                    cells.append(cells.pop(-k))
-                    return True
-        return False
-
     def vertices(self) -> list:
-        """The vertices of the hull, in lexicographic order.  A point that a cell
-        proves inside the hull of other points is not a vertex, and needs no walk."""
+        """The vertices of the hull, in lexicographic order."""
         confirmed = self._confirmed
         return [
             p for q, (p, image) in enumerate(zip(self.points, self._images))
-            if q in confirmed or (not self._in_a_cell(image, p)
-                                  and not isinstance(self._outside(p, image, q), tuple))
+            if q in confirmed or not isinstance(self._outside(p, image, q), tuple)
         ]
 
     def is_extreme_in(self, point) -> bool:
@@ -818,34 +655,208 @@ class IncrementalHull:
         return not isinstance(self._outside(self._query(point)), tuple)
 
     def contains(self, point) -> bool:
-        """Is `point` in the hull of the set?  A walk that ends outside keeps
-        its functional as a cut; a point that a cut scores > 0, or that a
-        cell proves inside, needs no walk.  A search state may come as its
-        `_StateImage`, whose point is built only for a walk, and kept in
-        `_walked` for `_extend` if the walk ends outside."""
-        if type(point) is _StateImage:
-            image, point = point, None
-        else:
-            point = self._query(point)
-            image = _image(point)
-        if image in self._index_of:
-            return True
-        if any(sum(map(mul, cut, image)) > 0 for cut in self._cuts):
-            return False
-        if self._in_a_cell(image):
-            return True
-        if point is None:
-            point = image.point()
-        witness = self._outside(point, image)  # not in the set: no index
-        if isinstance(witness, SeparatingFunctional):
-            self._cuts.append(witness._func)
-            if type(image) is _StateImage:
-                self._walked[image] = point
-        return isinstance(witness, tuple)
+        """Is `point` in the hull of the set?  A member is; any other point walks."""
+        point = self._query(point)
+        image = _image(point)
+        return image in self._index_of or isinstance(self._outside(point, image), tuple)
 
     def _query(self, point) -> tuple:
         """`point` as a tuple of exact rationals, as many as the set's points have."""
         return _exact_point(point, len(self.points[0]) if self.points else None)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _combine(x, cx, y, cy) -> list[int]:
+    """The primitive integer vector along cx*x - cy*y."""
+    out = [cx * s - cy * t for s, t in zip(x, y)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+class FacetHull:
+    """
+    The hull of a search's states, held as its facets and grown one state
+    at a time by the double-description step (Motzkin et al. 1953; Fukuda &
+    Prodon, "Double description method revisited", 1996).  It runs no LP.
+
+    States come as distinct `_StateImage`s v = (d*x, d), kept in the order
+    added, state q as bit q of a bitmask.  The hull is the cone of their
+    images, held as equations e, with e.v = 0 on every state, and facets a,
+    with a.v >= 0 on every state, each under an id, with the bitmask T(a) of
+    the states tight on it (a.v = 0); per state, the bitmask of the ids of
+    its tight facets.  Every vector is integer and primitive.  Before the
+    first state, every unit vector is an equation.
+
+    `add` puts state p in.  If an equation e has e.p != 0, p raises the
+    dimension: e, signed so that e.p > 0, becomes a facet tight on every
+    old state, and every other equation and facet f becomes
+    (e.p)*f - (f.p)*e, which is 0 at p, so p joins every old tight set.
+    Otherwise the facets with a.p >= 0 stay, p joining the tight sets of
+    those with a.p = 0, the others go, and each adjacent pair with
+    a.p > 0 > b.p gives the facet (a.p)*b - (b.p)*a, tight on
+    T(a) & T(b) and on p.  Adjacency is combinatorial: the pair shares the
+    dim - 2 states at least that a ridge of the cone holds (counted for
+    all of b's pairs at once, bit-parallel over the ids), and no other
+    facet is tight on every state of T(a) & T(b).
+
+    `contains` substitutes a state into every row, the facets, the
+    equations and their negations (= 0 is two tests of >= 0), with one
+    packed product: column j is the big integer sum_r r_j * 2^(W*r), so
+    sum_j t_j * column_j is sum_r (r.t) * 2^(W*r).  W is chosen so that
+    every |r.t| < 2^(W-1), for queries up to twice the sum |t_j| that
+    packed; adding G = sum_r 2^(W-1) * 2^(W*r) then leaves each field
+    r.t + 2^(W-1) in [0, 2^W), with no carry, and its top bit set exactly
+    when r.t >= 0: t is inside when (sum + G) & G == G.
+
+    A state is a vertex exactly when it is alone in the meet of the tight
+    sets that contain it.  A vertex's certificate is the sum of its tight
+    facets, 0 at the vertex and > 0 at every other state, negated and
+    lowered by `_lower` over the other states.
+    """
+
+    # the one support scan and its lowering, shared with the walk engine
+    _support = IncrementalHull._support
+    _lower = IncrementalHull._lower
+
+    def __init__(self, images: Sequence[_StateImage]):
+        self._images: list[_StateImage] = []
+        self._equations = [[int(i == j) for j in range(len(images[0]))]
+                           for i in range(len(images[0]))]
+        self._facets: dict[int, list[int]] = {}  # id -> facet
+        self._tight: dict[int, int] = {}  # id -> the bitmask of the states tight on the facet
+        self._on: list[int] = []  # per state, the bitmask of the ids of its tight facets
+        self._live = 0  # the bitmask of the ids in use
+        self._packed = None  # (bound, columns, G), built by `contains`
+        for image in images:
+            self.add(image)
+
+    def _facet(self, a: list[int], tight: int) -> None:
+        """Hold facet `a`, tight on the states of the bitmask `tight`, under the least free id."""
+        free = ~self._live & (self._live + 1)
+        j = free.bit_length() - 1
+        self._facets[j], self._tight[j] = a, tight
+        self._live |= free
+        for q in _bits(tight):
+            self._on[q] |= free
+
+    def add(self, image: _StateImage) -> None:
+        """Put the state of `image`, not yet in the hull's states, in."""
+        bit = 1 << len(self._images)
+        self._images.append(image)
+        self._on.append(0)
+        self._packed = None
+        facets, tight, on = self._facets, self._tight, self._on
+        for k, e in enumerate(self._equations):
+            ep = sum(map(mul, e, image))
+            if ep:  # the state raises the dimension
+                if ep < 0:
+                    e, ep = [-v for v in e], -ep
+                del self._equations[k]
+                self._equations = [_combine(f, ep, e, sum(map(mul, f, image)))
+                                   for f in self._equations]
+                for j, a in facets.items():
+                    facets[j] = _combine(a, ep, e, sum(map(mul, a, image)))
+                    tight[j] |= bit
+                on[-1] = self._live
+                self._facet(e, bit - 1)
+                return
+        values = {j: sum(map(mul, a, image)) for j, a in facets.items()}
+        positive, negative, new = 0, [], []
+        for j, v in values.items():
+            if v > 0:
+                positive |= 1 << j
+            elif v:
+                negative.append(j)
+            else:
+                tight[j] |= bit
+                on[-1] |= 1 << j
+        need = len(image) - len(self._equations) - 2  # the states a ridge holds, at least
+        for b in negative:
+            shared = [-1] + [0] * need  # shared[k]: the facets tight on k states of b at least
+            for q in _bits(tight[b]):
+                for k in range(need, 0, -1):
+                    shared[k] |= shared[k - 1] & on[q]
+            for a in _bits(positive & shared[-1]):
+                z, held = tight[a] & tight[b], self._live  # held: the facets tight on all of z
+                for q in _bits(z):
+                    held &= on[q]
+                if held == 1 << a | 1 << b:
+                    new.append((_combine(facets[b], values[a], facets[a], values[b]), z | bit))
+        for b in negative:
+            del facets[b]
+            for q in _bits(tight.pop(b)):
+                on[q] ^= 1 << b
+            self._live ^= 1 << b
+        for a, t in new:
+            self._facet(a, t)
+
+    def contains(self, image: _StateImage) -> bool:
+        """Is the state of `image` in the hull?"""
+        bound = sum(map(abs, image))
+        if self._packed is None or bound >= self._packed[0]:
+            self._pack(2 * bound)
+        _, columns, total = self._packed
+        guards = total
+        for t, column in zip(image, columns):
+            total += t * column
+        return total & guards == guards
+
+    def _pack(self, bound: int) -> None:
+        """Pack the rows for queries t with sum |t_j| < `bound` (see the class docstring)."""
+        rows = [*self._facets.values(), *self._equations, *([-v for v in e] for e in self._equations)]
+        top = max(abs(v) for row in rows for v in row)
+        size = ((top * bound).bit_length() + 8) // 8  # bytes per field: W = 8 * size > bits(top * bound)
+        half = 1 << (8 * size - 1)
+        ones = ((1 << (8 * size * len(rows))) - 1) // ((1 << (8 * size)) - 1)  # 1 in every field
+        # each column_j as sum (r_j + half) * 2^(W*r), every field in [0, 2^W), less half * ones
+        columns = [int.from_bytes(b"".join((v + half).to_bytes(size, "little") for v in column),
+                                  "little") - half * ones
+                   for column in zip(*rows)]
+        self._packed = bound, columns, half * ones
+
+    def _vertices(self) -> dict[int, list[int]]:
+        """Each vertex's index, in the order added, with the ids of its tight facets."""
+        everyone, vertices = (1 << len(self._images)) - 1, {}
+        for q, on in enumerate(self._on):
+            ids = list(_bits(on))
+            if reduce(and_, map(self._tight.__getitem__, ids), everyone) == 1 << q:
+                vertices[q] = ids
+        return vertices
+
+    def certificates(self) -> list[ExtremalityCertificate]:
+        """The hull's vertices, in lexicographic order, each with its certificate
+        (see the class docstring), checked by substitution against the other vertices."""
+        images, vertices = self._images, self._vertices()
+        certificates = []
+        for q, ids in vertices.items():
+            func = [-sum(c) for c in zip([0] * len(images[q]), *map(self._facets.get, ids))]
+            func[-1] += 1  # > 0 at the vertex even with no facet: a hull of one state
+            functional = self._lower(images[q], 1, func, skip=q)[0]
+            if functional is None or not functional._separates(
+                    images[q], (images[v] for v in vertices if v != q)):
+                raise AssertionError("certificate failed direct substitution")
+            certificates.append(ExtremalityCertificate(
+                point=images[q].point(), is_extreme=True, functional=functional))
+        return sorted(certificates, key=lambda c: c.point)
+
+    def least(self, weights: Sequence[Fraction]) -> tuple[Fraction, list]:
+        """
+        The least value of sum_i weights_i * x_i over the states, which is its
+        least over the hull, and the vertices that attain it, in
+        lexicographic order.
+        """
+        *scaled, scale = _image(weights)
+        num, d, tied = self._support([-w for w in scaled])
+        if len(tied) > 1:  # together they span the optimal face: keep its vertices
+            tied = list(filter(self._vertices().__contains__, tied))
+        return Fraction(-num, d * scale), sorted(self._images[q].point() for q in tied)
 
 
 def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
@@ -856,8 +867,7 @@ def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:
     return IncrementalHull(points).vertices()
 
 
-def extreme_points(points: Sequence[Sequence[Fraction]], *,
-                   _hull: IncrementalHull | None = None) -> list[ExtremalityCertificate]:
+def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCertificate]:
     """
     Certified vertices of the convex hull of a finite point set.
 
@@ -870,37 +880,21 @@ def extreme_points(points: Sequence[Sequence[Fraction]], *,
     a vertex that the scan's walk confirmed for itself resumes from that
     walk's last LP.  The certificates are deterministic, but they depend on
     the scan's path, not on the vertex set alone.
-
-    `_hull` is for the polytope search, which hands over its hull after
-    `vertices()` and that vertex list as `points`: the scan is skipped, and
-    the certificates come from the search's own witnesses.  Each vertex's
-    confirming functional, lowered by the best score over every other point
-    of the hull, is its certificate if it is still > 0 at the vertex; the
-    least point, confirmed without an LP, and a vertex that ties take the
-    certification LP.  Each certificate separates its vertex from every
-    other point of the hull, and is checked by substitution against the
-    other vertices; a point that is not a vertex fails the check that
-    certification and vertex list agree.
     """
-    hull = IncrementalHull(points) if _hull is None else _hull
-    vertices = [hull._index_of[_image(p)] for p in (hull.vertices() if _hull is None else points)]
-    indices = range(len(hull.points)) if _hull is None else vertices
+    hull = IncrementalHull(points)
+    vertices = [hull._index_of[_image(p)] for p in hull.vertices()]
     images = hull._images
     certificates = []
-    for q in indices:
-        p, image = hull.points[q], images[q]
+    for q, (p, image) in enumerate(zip(hull.points, images)):
         others = [v for v in vertices if v != q]
-        confirming = hull._confirmed.get(q) if _hull is not None else None
-        witness = None if confirming is None else hull._lower(image, *confirming, skip=q)[0]
-        if witness is None:
-            witness = hull._certify(q, others)
+        witness = hull._certify(q, others)
         if isinstance(witness, tuple):
             cert = ExtremalityCertificate(point=p, is_extreme=False, combination=witness)
             verified = cert.verify(())  # a reconstruction needs no other point
         else:
             cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
             # cert.verify on the cached images of p and of every other point
-            rest = [images[i] for i in indices if i != q]
+            rest = images[:q] + images[q + 1:]
             verified = witness is not None and witness._separates(image, rest)
         if cert.is_extreme != (len(others) < len(vertices)):
             raise AssertionError("certification disagrees with the vertex scan")

@@ -12,8 +12,8 @@ A linear objective's minimum over a polytope is its minimum over any
 point set spanning it, so neither route builds a vertex list: each builds
 a hull spanning the polytope, from the pruned search or from a
 closed-form spanning set, and asks it for its least points
-(`IncrementalHull.least`), which tests extremality only where several
-points tie.
+(`FacetHull.least` for the search, `IncrementalHull.least` for the
+closed form), which tests extremality only where several points tie.
 """
 from __future__ import annotations
 

@@ -419,9 +419,11 @@ class TestOps:
         ("word", [["pair", 1, 2], ["pair", 2]]),
     ])
     def test_json_decoders_reject_malformed_input(self, kind, data):
+        # a decoder checks the shape; a label of another type than int is
+        # refused by the operator or graph it would build, with its message
         decode = {"op": op_from_json, "graph": DiffusionGraph.from_json,
                   "rho": PopulationVector.from_json, "word": OperationSequence.from_json}[kind]
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError, match="expected|must be ints"):
             decode(data)
 
     @pytest.mark.parametrize("build", [
@@ -431,10 +433,16 @@ class TestOps:
         lambda: BlockOp((True, 2)),
         lambda: DiffusionGraph.from_edges(3, [(1.0, 2.0), (2, 3)]),
         lambda: DiffusionGraph.from_edges(2.0, [(1, 2)]),
+        lambda: PairOp.of("1", 2),
+        lambda: DiffusionGraph.from_edges(3, [("1", 2), (2, 3)]),
+        lambda: op_from_json(["pair", "1", 2]),
+        lambda: DiffusionGraph.from_json({"n": 3, "edges": [["1", 2], [2, 3]]}),
     ], ids=["pair-bool", "pair-float", "block-float", "block-bool", "graph-edge-float",
-            "graph-n-float"])
+            "graph-n-float", "pair-str", "graph-edge-str", "decoded-pair-str",
+            "decoded-graph-edge-str"])
     def test_labels_must_be_ints(self, build):
-        # each would build, and then write JSON that its own decoder refuses
+        # each would build, and then write JSON that its own decoder refuses;
+        # a label that cannot be ordered against an int is refused the same way
         with pytest.raises(ValueError, match="must be ints"):
             build()
 

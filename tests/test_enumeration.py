@@ -277,32 +277,33 @@ class TestPolytope:
         PopulationVector.normalized([314159, 265358, 979323, 846264]),
         PopulationVector.normalized([1, 1, 2, 3]),
     ], ids=["even", "generic", "tied"])
-    def test_confirming_functionals_certify_most_vertices(self, monkeypatch, rho):
-        # the search certifies most vertices by the functionals that
-        # confirmed them, with no LP; every certificate separates its
-        # vertex from every state the search kept
-        from diffpoly import enumeration
+    def test_facets_certify_every_vertex_with_no_lp(self, monkeypatch, rho):
+        # the search certifies every vertex by the facets of its hull, with
+        # no LP; every certificate separates its vertex from every state
+        # the search kept
+        from diffpoly import enumeration, geometry
 
-        hulls, certified = [], []
-        search, step = enumeration._saturating_bfs, IncrementalHull._certify
+        hulls, lps = [], []
+        search, phase_one = enumeration._saturating_bfs, geometry._phase_one
 
         def keep_hull(*args):
             found = search(*args)
             hulls.append(found[-1])
             return found
 
-        def certify(hull, point, working):
-            certified.append(point)
-            return step(hull, point, working)
+        def counted(*args, **kwargs):
+            lps.append(None)
+            return phase_one(*args, **kwargs)
 
         monkeypatch.setattr(enumeration, "_saturating_bfs", keep_hull)
-        monkeypatch.setattr(IncrementalHull, "_certify", certify)
-        res = polytope(cycle(4), rho)
+        monkeypatch.setattr(geometry, "_phase_one", counted)
+        res = polytope(cycle(4), rho, PolytopeConfig(classify=False))
         (hull,) = hulls
-        assert len(certified) < len(res.vertices)
+        states = [image.point() for image in hull._images]
+        assert lps == [] and len(states) > len(res.vertices)
         assert [c.point for c in res.certificates] == res.points()
         for c in res.certificates:
-            assert c.is_extreme and c.verify([q for q in hull.points if q != c.point])
+            assert c.is_extreme and c.verify([q for q in states if q != c.point])
 
     def test_helium_saturates(self):
         from diffpoly.core import helium_p5
@@ -568,8 +569,8 @@ def test_integer_step_matches_the_operators():
 
 
 def test_search_builds_each_state_point_once(monkeypatch):
-    # a state that a walk finds outside joins the hull with the point the
-    # walk built, so no state of one search builds its point twice
+    # the search and its hull hold every state as its image: only a vertex
+    # builds its point, once, for its certificate
     from diffpoly.enumeration import _saturating_bfs, graph_ops
     from diffpoly.geometry import _StateImage
 
@@ -583,8 +584,9 @@ def test_search_builds_each_state_point_once(monkeypatch):
     monkeypatch.setattr(_StateImage, "point", counted)
     graph, rho = helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11])
     _, saturated, hull = _saturating_bfs(graph, rho, graph_ops(graph, True), 15, True)
-    assert saturated and hull._walked == {}
-    assert len(built) == len(set(built)) >= len(hull.points) - 1  # all but rho
+    assert saturated and built == []
+    certificates = hull.certificates()
+    assert len(built) == len(set(built)) == len(certificates) < len(hull._images)
 
 
 @pytest.mark.parametrize("run", [
@@ -628,10 +630,12 @@ class TestLPCounts:
         return calls
 
     @pytest.mark.parametrize("graph, rho, classify, lps", [
-        (cycle(4), (1, 2, 3, 4), False, 78),
-        (helium_p5(), (1, 2, 4, 7, 11), False, 125),
-        (cycle(4), (1, 2, 3, 4), True, 90),
-        (helium_p5(), (1, 2, 4, 7, 11), True, 135),
+        # the search's hull is held as its facets and runs no LP;
+        # classification runs its LPs against the K_n candidates
+        (cycle(4), (1, 2, 3, 4), False, 0),
+        (helium_p5(), (1, 2, 4, 7, 11), False, 0),
+        (cycle(4), (1, 2, 3, 4), True, 12),
+        (helium_p5(), (1, 2, 4, 7, 11), True, 10),
     ], ids=["c4", "helium", "c4-classified", "helium-classified"])
     def test_polytope(self, lp_calls, graph, rho, classify, lps):
         polytope(graph, PopulationVector.normalized(rho), PolytopeConfig(classify=classify))
@@ -642,4 +646,4 @@ class TestLPCounts:
 
         optimize_over(complete(4), PopulationVector.normalized([3, 1, 4, 1]), (1, 2, 3, 4),
                       config=PolytopeConfig(classify=False))
-        assert len(lp_calls) == 148
+        assert len(lp_calls) == 0

@@ -1,3 +1,4 @@
+import math
 import operator
 import pickle
 import random
@@ -17,9 +18,10 @@ from diffpoly.core import (
     helium_p5,
     uniform_vector,
 )
-from diffpoly.enumeration import PolytopeConfig, polytope, triangle_decomposition
+from diffpoly.enumeration import explore, polytope, triangle_decomposition
 from diffpoly.geometry import (
     ExtremalityCertificate,
+    FacetHull,
     HullMembership,
     IncrementalHull,
     SeparatingFunctional,
@@ -137,50 +139,6 @@ class TestExtremePoints:
             {"point": [format_rational(c) for c in q], "weight": format_rational(w)}
             for q, w in cert.combination
         ]
-
-    def test_known_vertex_list_skips_the_scan_with_the_same_certificates(self):
-        # handed the hull that listed them, the vertices are certified from
-        # its witnesses, each against every point of the hull; a hull that
-        # confirmed nothing falls back to the certification LPs, so it gives
-        # the same certificates as the call without a hull
-        rnd = random.Random(3)
-        for _ in range(10):
-            cloud = [random_population(rnd, 4) for _ in range(12)]
-            hull = IncrementalHull(cloud)
-            vertices = hull.vertices()
-            certs = extreme_points(vertices, _hull=hull)
-            assert [c.point for c in certs] == vertices == hull_vertices(cloud)
-            for c in certs:
-                assert c.is_extreme and c.verify([q for q in hull.points if q != c.point])
-            fresh = extreme_points(vertices, _hull=IncrementalHull(vertices))
-            assert fresh == extreme_points(vertices)
-            assert [c.to_json() for c in fresh] == [c.to_json() for c in extreme_points(vertices)]
-        # a point that is not a vertex still fails the walk-against-scan check
-        square = [(0, 0), (0, 1), (1, 0), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
-        with pytest.raises(AssertionError, match="disagrees with the vertex scan"):
-            extreme_points(square, _hull=IncrementalHull(square))
-
-    def test_confirming_functionals_certify_all_but_the_least_point_and_ties(self, monkeypatch):
-        # (2, 0) is confirmed by x + y, which ties it with (0, 2): lowered
-        # over the other points it is 0 there, so (2, 0) takes the
-        # certification LP, as does the least point (0, 0), confirmed
-        # without one; (0, 2) is certified by its confirming functional
-        certified = []
-        step = IncrementalHull._certify
-
-        def certify(hull, q, working):
-            certified.append(hull.points[q])
-            return step(hull, q, working)
-
-        monkeypatch.setattr(IncrementalHull, "_certify", certify)
-        triangle = [(0, 0), (0, 2), (2, 0)]
-        hull = IncrementalHull(triangle)
-        assert hull.vertices() == triangle
-        assert hull._confirmed[hull.points.index((2, 0))] == (1, (1, 1, 0))
-        certs = extreme_points(triangle, _hull=hull)
-        assert certified == [(0, 0), (2, 0)]
-        for c in certs:
-            assert c.is_extreme and c.verify([q for q in triangle if q != c.point])
 
     def test_k3_reachable_states_give_seven_vertices(self, rho3):
         from diffpoly.enumeration import explore
@@ -356,198 +314,178 @@ class TestIncrementalHull:
             assert hull.vertices() == slow
             assert set(confirmed_points(hull)) == set(slow)
 
-    def test_extend_matches_a_fresh_hull(self):
-        # the set grows in three batches (with repeats); after each, every
-        # answer is that of a hull built from scratch on the same points,
-        # although the grown hull carries cuts and walks from earlier batches
-        rnd = random.Random(53)
-        for dim in (3, 3, 4, 4):
-            cloud = [random_population(rnd, dim, bound=6) for _ in range(24)]
-            batches = [cloud[:8], cloud[8:16] + cloud[:2], cloud[16:]]
-            probes = [random_population(rnd, dim) for _ in range(6)]
-            probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(6)] + cloud[8:]
-            hull, seen = IncrementalHull([]), []
-            for batch in batches:
-                hull._extend(batch)
-                seen += batch
-                assert hull._confirmed == {}
-                assert hull.points == sorted(set(seen))
-                fresh = IncrementalHull(seen)
-                assert [hull.contains(q) for q in probes] == [fresh.contains(q) for q in probes]
-                assert ([hull.is_extreme_in(p) for p in hull.points]
-                        == [fresh.is_extreme_in(p) for p in fresh.points])
-                assert hull.vertices() == fresh.vertices()
 
-    def test_state_images_answer_as_their_points(self):
-        # a search state comes to `contains` and `_extend` as its
-        # `_StateImage`, and joins the set as its point; members, points a
-        # cut or a cell decides and walked points all get the LP's answer
-        rnd = random.Random(71)
-        for dim in (3, 4):
-            cloud = [random_population(rnd, dim, bound=6) for _ in range(24)]
-            probes = [random_population(rnd, dim) for _ in range(12)]
-            probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(12)] + cloud
-            by_image, by_point, seen = IncrementalHull([]), IncrementalHull([]), []
-            for batch in (cloud[:8], cloud[8:16], cloud[16:]):
-                by_image._extend([_StateImage(_image(p)) for p in batch])
-                by_point._extend(batch)
-                seen += batch
-                assert by_image.points == by_point.points == sorted(set(seen))
-                answers = [hull_membership(q, seen).inside for q in probes]
-                assert [by_image.contains(_StateImage(_image(q))) for q in probes] == answers
-                assert [by_point.contains(q) for q in probes] == answers
-                assert True in answers and False in answers
-            assert by_image.vertices() == by_point.vertices()
+def facet_hull(points):
+    """A `FacetHull` of the distinct `points`, added in the order given."""
+    return FacetHull([_StateImage(_image(p)) for p in dict.fromkeys(points)])
 
-    def test_extend_drops_cuts(self):
-        # the centroid is outside the hull of two corners, and its cut
-        # scores it > 0; once the third corner joins, it is inside
-        corners = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        centroid = (Fraction(1, 3),) * 3
-        hull = IncrementalHull(corners[:2])
-        assert not hull.contains(centroid)
-        assert hull._cuts
-        hull._extend(corners[2:])
-        assert hull.contains(centroid)
 
-    def test_cut_decides_a_later_query(self, monkeypatch):
-        # the hull is the corner x >= 3/4 of the simplex; `near` is outside,
-        # and lies between the corner (1, 0, 0) and `far`, so the cut that
-        # separates `near` separates `far` too, and no LP runs for it
-        calls = []
+def facet_contains(hull, point):
+    return hull.contains(_StateImage(_image(point)))
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return _phase_one(*args, **kwargs)
 
-        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
-        q = Fraction(1, 4)
-        hull = IncrementalHull([(1, 0, 0), (1 - q, q, 0), (1 - q, 0, q)])
-        near, far = (Fraction(1, 2), q, q), (0, Fraction(1, 2), Fraction(1, 2))
-        assert not hull.contains(near) and calls
-        calls.clear()
-        assert not hull.contains(far) and not calls
-        assert not IncrementalHull(hull.points).contains(far) and calls
+def rank(rows):
+    """The rank of the rows, by elimination in `Fraction`s."""
+    rows, r = [[Fraction(x) for x in row] for row in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is not None:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            for i in range(r + 1, len(rows)):
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            r += 1
+    return r
 
-    def test_cells_agree_with_membership_while_the_set_grows(self, monkeypatch):
-        # every query is checked against the LP on all points so far; the
-        # clouds are populations (their sum row keeps an artificial basic
-        # at zero in every cell), populations with a last level of 0 (two
-        # such rows) and 40-digit states, grown in three batches; a third
-        # of the queries is shifted off the affine hull of the set, where
-        # a cell's point rows may still be >= 0 but an artificial row is not 0
-        calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return _phase_one(*args, **kwargs)
+def facet_clouds():
+    """Seeded clouds: mixed denominators, lattice ties, lower-dimensional,
+    collinear and 40-digit states."""
+    rnd = random.Random(2026)
+    clouds = [[random_population(rnd, dim, bound) for _ in range(rnd.randint(1, 24))]
+              for dim, bound in product((2, 3, 4, 5), (4, 50))]
+    for points in (simplex_lattice(3, 6), simplex_lattice(4, 4)):
+        clouds += [points, [p for p in points if max(p) <= Fraction(1, 2)]]
+    clouds += [[(*random_population(rnd, 3, 6), 0) for _ in range(16)] for _ in range(2)]
+    for dim in (2, 3, 4):  # on a line, each beyond the last, then back inside
+        a, b = random_population(rnd, dim), random_population(rnd, dim)
+        line = [tuple(x + Fraction(t, 8) * (y - x) for x, y in zip(a, b)) for t in range(9)]
+        clouds.append(line[4:6] + line[6:] + line[:4])
+    rho = exponential_populations(4)
+    pairs = [PairOp.of(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    clouds += [[apply_sequence(rnd.choices(pairs, k=rnd.randrange(5)), rho) for _ in range(20)]
+               for _ in range(2)]
+    return rnd, [list(dict.fromkeys(cloud)) for cloud in clouds]
 
-        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
-        rnd = random.Random(67)
-        rho = exponential_populations(4)
-        pairs = [PairOp.of(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-        clouds = [
-            [random_population(rnd, 4, bound=6) for _ in range(24)],
-            [(*random_population(rnd, 3, bound=6), 0) for _ in range(24)],
-            [apply_sequence(rnd.choices(pairs, k=rnd.randrange(6)), rho) for _ in range(24)],
-        ]
-        by_cell = 0
+
+class TestFacetHull:
+    def test_agrees_with_hull_membership_while_the_set_grows(self):
+        # each cloud grows in three batches; after each, every probe gets
+        # the LP's answer against all points so far, and the vertices are
+        # `hull_vertices`'; a third of the probes are shifted off the
+        # affine hull of the set
+        rnd, clouds = facet_clouds()
+        answers = set()
         for cloud in clouds:
-            hull, seen = IncrementalHull([]), []
-            for batch in (cloud[:8], cloud[8:16], cloud[16:]):
-                hull._extend(batch)
-                seen += batch
-                for _ in range(40):
-                    q = list(_combination(rnd, rnd.sample(seen, 3)))
+            hull, seen = None, []
+            for batch in (cloud[:len(cloud) // 3], cloud[len(cloud) // 3:-2], cloud[-2:]):
+                for p in batch:
+                    if hull is None:
+                        hull = facet_hull([p])
+                    else:
+                        hull.add(_StateImage(_image(p)))
+                    seen.append(p)
+                if not seen:
+                    continue
+                assert [c.point for c in hull.certificates()] == hull_vertices(seen)
+                probes = [random_population(rnd, len(seen[0])) for _ in range(4)]
+                probes += [_combination(rnd, rnd.sample(seen, min(3, len(seen)))) for _ in range(8)]
+                for q in probes:
+                    q = list(q)
                     if rnd.random() < 1 / 3:
                         q[rnd.randrange(len(q))] += Fraction(1, 97)
-                    lps = len(calls)
-                    inside = hull.contains(q)
-                    by_cell += inside and len(calls) == lps
-                    assert inside == hull_membership(q, seen).inside, q
-        assert by_cell > 0
+                    inside = facet_contains(hull, q)
+                    assert inside == hull_membership(q, seen).inside, (q, seen)
+                    answers.add(inside)
+        assert answers == {True, False}
 
-    def test_cell_decides_a_later_query(self, monkeypatch):
-        # the set is a triangle in the plane z = 0, so the cell of `first`
-        # has an artificial basic at zero on the z row; `second` lies in
-        # the same triangle and needs no LP, before and after the set grows,
-        # while `lifted`, above it, is outside
-        calls = []
+    def test_facets_are_tight_on_a_set_of_rank_one_below_the_hull(self):
+        # every facet is >= 0 on every state and tight on exactly the states
+        # its bitmask holds, which span one dimension less than the states
+        # (an affine rank of d - 1 for a hull of dimension d); every equation
+        # is 0 on every state, and they fill the rest
+        _, clouds = facet_clouds()
+        for cloud in clouds:
+            hull = facet_hull(cloud)
+            images, dim = hull._images, rank(hull._images)
+            assert len(hull._equations) == len(images[0]) - dim
+            assert all(sum(map(operator.mul, e, v)) == 0 for e in hull._equations for v in images)
+            for j, a in hull._facets.items():
+                values = [sum(map(operator.mul, a, v)) for v in images]
+                assert min(values) >= 0
+                tight = [q for q, value in enumerate(values) if value == 0]
+                assert hull._tight[j] == sum(1 << q for q in tight)
+                assert rank([images[q] for q in tight]) == dim - 1
+            for q in range(len(images)):  # per state, the ids of its tight facets
+                assert hull._on[q] == sum(1 << j for j, t in hull._tight.items() if t >> q & 1)
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return _phase_one(*args, **kwargs)
+    def test_growth_order_does_not_change_the_hull(self):
+        # the search's order, layer by layer, and any other give the same
+        # facets (as their values on the states), vertices and answers
+        from diffpoly.enumeration import _saturating_bfs, graph_ops
 
-        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
-        hull = IncrementalHull([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
-        first, second, third = (1, 1, 0), (1, 2, 0), (2, 1, 0)
-        assert hull.contains(first) and calls
-        calls.clear()
-        assert hull.contains(second) and not calls
-        assert not hull.contains((1, 2, 1)) and calls
-        hull._extend([(-4, -4, 0)])
-        calls.clear()
-        assert hull.contains(third) and not calls
-        assert not hull.contains((2, 1, 1))
+        rnd, clouds = facet_clouds()
+        for graph, populations in ((cycle(4), [1, 2, 3, 4]), (helium_p5(), [1, 2, 4, 7, 11])):
+            rho = PopulationVector.normalized(populations)
+            _, _, searched = _saturating_bfs(graph, rho, graph_ops(graph, True), 15, False)
+            clouds.append([image.point() for image in searched._images])  # in the order added
 
-    def test_cell_drops_a_point_hidden_by_a_later_batch(self, monkeypatch):
-        # (1, 1) joins first and is hidden when the triangle joins; the LP
-        # that proves (1, 2) inside leaves a cell on the triangle's corners,
-        # which proves (1, 1) inside them too, so the vertex scan drops it
-        # with no LP of its own, while a fresh hull needs one
-        calls = []
+        def facets(hull):
+            images = sorted(hull._images)
+            out = set()
+            for a in hull._facets.values():
+                values = [sum(map(operator.mul, a, v)) for v in images]
+                g = math.gcd(*values)
+                out.add(tuple(v // g for v in values))
+            return out
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return _phase_one(*args, **kwargs)
+        for cloud in clouds:
+            probes = [_combination(rnd, rnd.sample(cloud, min(3, len(cloud)))) for _ in range(6)]
+            probes += [random_population(rnd, len(cloud[0])) for _ in range(6)]
+            orders = [cloud, cloud[::-1], sorted(cloud), rnd.sample(cloud, len(cloud))]
+            hulls = [facet_hull(order) for order in orders]
+            first = hulls[0]
+            for hull in hulls[1:]:
+                assert facets(hull) == facets(first)
+                assert hull.certificates() == first.certificates()
+                assert ([facet_contains(hull, q) for q in probes]
+                        == [facet_contains(first, q) for q in probes])
 
-        monkeypatch.setattr("diffpoly.geometry._phase_one", counting)
+    def test_certificates_separate_each_vertex_from_every_other_state(self):
+        _, clouds = facet_clouds()
+        for cloud in clouds:
+            certs = facet_hull(cloud).certificates()
+            assert [c.point for c in certs] == hull_vertices(cloud)
+            for c in certs:
+                assert c.is_extreme and c.verify([q for q in cloud if q != c.point])
+
+    def test_point_beyond_a_segment_end_makes_a_ridge_tight_on_nothing(self):
+        # the segment's facets are tight on one end each; the point beyond
+        # (1, 0) meets the pair with T(a) & T(b) empty, which a ridge of a
+        # segment may be, and the new facet is tight on that point alone
+        line = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4)), (1, 0)]
+        hull = facet_hull(line)
+        assert sorted(hull._tight.values()) == [0b001, 0b100]
+        assert [c.point for c in hull.certificates()] == [line[0], line[2]]
+        assert facet_contains(hull, (Fraction(7, 8), Fraction(1, 8)))
+        assert not facet_contains(hull, (Fraction(1, 4), Fraction(3, 4)))
+
+    def test_a_state_hidden_by_later_states_is_not_a_vertex(self):
+        # (1, 1) comes first and is hidden when the triangle joins; points
+        # inside a triangle that came first leave its corners vertices
         corners = [(0, 0), (0, 4), (4, 0)]
-        hull = IncrementalHull([(1, 1)])
-        hull._extend(corners)
-        assert hull.contains((1, 2)) and len(hull._cells) == 1
-        calls.clear()
-        assert hull.vertices() == corners
-        assert (1, 1) not in calls
-        assert IncrementalHull(hull.points).vertices() == corners
-        assert (1, 1) in calls
+        for cloud in ([(1, 1), *corners], [*corners, (1, 1), (1, 2)]):
+            hull = facet_hull(cloud)
+            certs = hull.certificates()
+            assert [c.point for c in certs] == corners
+            for c in certs:
+                assert c.verify([q for q in cloud if q != c.point])
 
-    def test_cell_does_not_hide_its_own_basic_points(self):
-        # the cell of (1, 1) has all three corners basic, so it proves each
-        # corner inside the hull of the corners; that says nothing about
-        # whether a corner is a vertex, and the scan after the set grows
-        # (which drops the confirmed vertices) keeps all three
-        corners = [(0, 0), (0, 4), (4, 0)]
-        hull = IncrementalHull(corners)
-        assert hull.contains((1, 1))
-        (_, _, basic), = hull._cells
-        assert sorted(basic) == corners
-        hull._extend([(1, 2)])
-        assert hull._confirmed == {}
-        assert hull.vertices() == corners
-
-    def test_cells_prove_no_point_off_the_simplex(self):
-        # the inside LPs over population vectors drop the normalization row,
-        # so without that row's check their cells would prove only that a
-        # point is in the cone of the basic points: 2p would pass for each p
+    def test_lower_dimensional_hull_refuses_points_off_its_plane(self):
+        # a triangle in the plane z = 0 holds (1, 2, 0) but not (1, 2, 1),
+        # before and after the set grows; on the simplex, 2p and p shifted
+        # off it are outside, though p is inside
+        hull = facet_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
+        assert facet_contains(hull, (1, 1, 0)) and facet_contains(hull, (1, 2, 0))
+        assert not facet_contains(hull, (1, 2, 1))
+        hull.add(_StateImage(_image((-4, -4, 0))))
+        assert facet_contains(hull, (2, 1, 0)) and not facet_contains(hull, (2, 1, 1))
         points = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
-        rnd = random.Random(4)
-        inside = [_combination(rnd, rnd.sample(points, 4)) for _ in range(6)]
-        hull = IncrementalHull(points)
-        assert all(hull.contains(p) for p in inside)
-        assert hull._cells and all(len(rows[0]) == 4 for rows, _, _ in hull._cells)
-        for p in inside:
-            double = tuple(2 * x for x in p)
-            cell = next(c for c in hull._cells if cell_proves(c, _image(p)))
-            point_rows, artificial_rows, basic = cell
-            assert cell_proves((point_rows, artificial_rows[:-1], basic), _image(double))
-            for q in (double, p[:1] + (p[1] + Fraction(1, 10),) + p[2:]):
-                assert not hull._in_a_cell(_image(q))
-                assert not hull.contains(q)
-                witness = hull._outside(q)
-                assert isinstance(witness, SeparatingFunctional)
-                assert witness.separates(q, hull.points)
-                assert not hull_membership(q, points).inside
+        hull, rnd = facet_hull(points), random.Random(4)
+        for p in (_combination(rnd, rnd.sample(points, 4)) for _ in range(6)):
+            assert facet_contains(hull, p)
+            for q in (tuple(2 * x for x in p), p[:1] + (p[1] + Fraction(1, 10),) + p[2:]):
+                assert not facet_contains(hull, q) and not hull_membership(q, points).inside
 
 
 def on_simplex(point):
@@ -557,9 +495,7 @@ def on_simplex(point):
 def reference_phase_one(point, points, entered=None, final=None, normalization=False):
     """
     The phase-one simplex on a tableau of `Fraction`s, with the same Bland
-    rule and, once inside, the same degenerate pivots that take each basic
-    artificial out for the first nonbasic point column with a nonzero entry
-    in its row: the reference the integer kernel must agree with exactly.
+    rule: the reference the integer kernel must agree with exactly.
     As in the kernel, the normalization row is dropped when `point` and
     every point lie on the simplex, unless `normalization` is set.  Each
     entering column's index is appended to `entered`, if given, and the
@@ -627,12 +563,6 @@ def reference_phase_one(point, points, entered=None, final=None, normalization=F
                     leave = r
         pivot(leave, enter)
 
-    if reduced[-1] == 0:
-        for leave in range(rows):
-            if basis[leave] >= m:
-                enter = next((j for j in range(m) if j not in basis and tableau[leave][j]), None)
-                if enter is not None:
-                    pivot(leave, enter)
     if final is not None:
         final[:] = basis, tableau
     if reduced[-1] == 0:
@@ -708,61 +638,6 @@ def phase_one_cases():
     return cases
 
 
-def _dot(row, image):
-    return sum(a * x for a, x in zip(row, image))
-
-
-def cell_proves(cell, image):
-    """Does `cell` prove the point of `image` inside the hull of its basic points?"""
-    point_rows, artificial_rows, _ = cell
-    return (all(_dot(row, image) >= 0 for row in point_rows)
-            and not any(_dot(row, image) for row in artificial_rows))
-
-
-def assert_no_artificial_left_to_pivot_out(cell, points):
-    """
-    No artificial row of an inside LP's final basis has a nonzero entry in
-    a point column.  A basic point column has 0 there anyway, being a unit
-    column, so no nonbasic point column could have replaced the artificial.
-    The cell's rows carry the row signs, so row . image is the tableau's
-    entry.
-    """
-    _, artificial_rows, _ = cell
-    assert not any(_dot(row, _image(q)) for row in artificial_rows for q in points)
-
-
-def assert_cell_matches_reference(cells, result, point, points, basis, tableau):
-    """
-    The cell of an LP that ended inside, against the reference's final basis
-    and tableau: the same basic points, in row order, and rows that are the
-    tableau's artificial columns, with the row signs folded in (column r
-    times sign_r), times one positive factor, point rows first.  The kernel
-    scales point column j by the lcm d_j of its denominators, which divides
-    its basic row by d_j, so a point row is multiplied back by it first.  An
-    LP that dropped the normalization row ends its artificial rows with that
-    row's check.  An LP that ended outside leaves no cell; one that ended
-    inside leaves no artificial that a point column could have replaced.
-    """
-    if not result.inside:
-        assert cells == []
-        return
-    assert_no_artificial_left_to_pivot_out(cells[0], points)
-    (point_rows, artificial_rows, basic), = cells
-    m, n, rows = len(points), len(point), len(tableau)
-    if rows == n:
-        assert artificial_rows[-1] == [1] * n + [-1]
-        artificial_rows = artificial_rows[:-1]
-    sign = [-1 if x < 0 else 1 for x in point] + [1] * (rows - n)
-    assert basic == [points[var] for var in basis if var < m]
-    folded = [[tableau[r][m + c] * sign[c] for c in range(rows)] for r in range(rows)]
-    expected = ([row for row, var in zip(folded, basis) if var < m]
-                + [row for row, var in zip(folded, basis) if var >= m])
-    cell = [[_image(q)[-1] * x for x in row] for row, q in zip(point_rows, basic)] + artificial_rows
-    factor = next(Fraction(x) / y for row, ref in zip(cell, expected) for x, y in zip(row, ref) if y)
-    assert factor > 0
-    assert cell == [[factor * y for y in row] for row in expected]
-
-
 def assert_normalization_row_changes_no_pivot(point, points, result, entered):
     """
     On the simplex, the LP with the normalization row enters the same
@@ -801,10 +676,9 @@ def test_integer_kernel_matches_fraction_reference():
     assert len(cases) >= 300
     outcomes, simplex_cases = set(), 0
     for point, points in cases:
-        cells, final, entered = [], [], []
-        result = _phase_one(point, points, cells=cells)
-        assert result == reference_phase_one(point, points, entered, final), (point, points)
-        assert_cell_matches_reference(cells, result, point, points, *final)
+        entered = []
+        result = _phase_one(point, points)
+        assert result == reference_phase_one(point, points, entered), (point, points)
         outcomes.add(result.inside)
         if all(map(on_simplex, [point, *points])):
             assert_normalization_row_changes_no_pivot(point, points, result, entered)
@@ -1094,10 +968,9 @@ def test_wide_and_reentry_lps_match_fraction_reference():
     assert len(wide) == 64 + 43 + 2 * 8
     outcomes = set()
     for k, (point, points) in enumerate(wide + reentry):
-        cells, final, entered = [], [], []
-        result = _phase_one(point, points, cells=cells)
+        final, entered = [], []
+        result = _phase_one(point, points)
         assert result == reference_phase_one(point, points, entered, final), (point, points)
-        assert_cell_matches_reference(cells, result, point, points, *final)
         assert _phase_one(point, points, images=[_image(q) for q in points]) == result
         assert _phase_one(point, points, point_image=_image(point)) == result
         outcomes.add(result.inside)
@@ -1110,16 +983,15 @@ def test_wide_and_reentry_lps_match_fraction_reference():
 
 @pytest.fixture
 def resumed_lps(monkeypatch):
-    """(point, working, result, the cells it left) of every LP resumed from a
-    walk's last basis while the fixture is active, in call order."""
+    """(point, working, result) of every LP resumed from a walk's last basis
+    while the fixture is active, in call order."""
     calls = []
 
     def recording(point, points, **kwargs):
-        resumed, cells = bool(kwargs.get("warm")), kwargs.get("cells")
-        before = len(cells) if resumed else 0
+        resumed = bool(kwargs.get("warm"))
         result = _phase_one(point, points, **kwargs)
         if resumed:
-            calls.append((point, list(points), result, cells[before:]))
+            calls.append((point, list(points), result))
         return result
 
     monkeypatch.setattr(geometry, "_phase_one", recording)
@@ -1128,14 +1000,10 @@ def resumed_lps(monkeypatch):
 
 def assert_resumed_lps_match_cold_ones(calls):
     """Each resumed LP answers as a cold one of the same (point, working), with a
-    witness that passes substitution and, inside, one cell that proves the point."""
-    for point, working, result, cells in calls:
+    witness that passes substitution."""
+    for point, working, result in calls:
         assert result.inside == _phase_one(point, working).inside, (point, working)
         assert result.verify(point, working), (point, working)
-        assert len(cells) == result.inside
-        for cell in cells:
-            assert cell_proves(cell, _image(point))
-            assert_no_artificial_left_to_pivot_out(cell, working)
 
 
 def test_resumed_walk_lps_on_walk_clouds_match_cold_ones(resumed_lps):
@@ -1151,13 +1019,19 @@ def test_resumed_walk_lps_on_walk_clouds_match_cold_ones(resumed_lps):
         hull.vertices()
     assert_resumed_lps_match_cold_ones(resumed_lps)
     assert len(resumed_lps) > 50
-    assert {result.inside for _, _, result, _ in resumed_lps} == {True, False}
+    assert {result.inside for _, _, result in resumed_lps} == {True, False}
 
 
+def explored(graph, populations, depth):
+    """The states a search of `graph` from ∝`populations` reaches within `depth` steps."""
+    return explore(graph, PopulationVector.normalized(populations), depth).points()
+
+
+# the polytope search runs no walk: its hull is a `FacetHull`; the walks
+# run on the states it explores, and in the ordered path's certification
 @pytest.mark.parametrize("search", [
-    lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])),
-    lambda: polytope(helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11]),
-                     PolytopeConfig(classify=False)),
+    lambda: hull_vertices(explored(cycle(4), [1, 2, 3, 4], 4)),
+    lambda: hull_vertices(explored(helium_p5(), [1, 2, 4, 7, 11], 4)),
     lambda: pn_polytope(PopulationVector.normalized([2, 3, 5, 7, 11, 13])),
 ], ids=["c4", "helium", "pn-6"])
 def test_resumed_walk_lps_of_searches_match_cold_ones(resumed_lps, search):
@@ -1205,11 +1079,10 @@ def assert_certification_lps_match_cold_ones(calls):
 
 @pytest.mark.parametrize("search, resumed", [
     (lambda: pn_polytope(PopulationVector.normalized([2, 3, 5, 7, 11, 13])), 9),
-    # the search certifies by LP only its least point, confirmed with no
-    # walk, and ties, none of them confirmed by its own walk
-    (lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])), 0),
-    (lambda: polytope(helium_p5(), PopulationVector.normalized([1, 2, 4, 7, 11]),
-                      PolytopeConfig(classify=False)), 0),
+    # every point of the explored states takes a certification LP, and a
+    # vertex that its own walk confirmed resumes from that walk's last LP
+    (lambda: extreme_points(explored(cycle(4), [1, 2, 3, 4], 4)), 9),
+    (lambda: extreme_points(explored(helium_p5(), [1, 2, 4, 7, 11], 4)), 14),
 ], ids=["pn-6", "c4", "helium"])
 def test_resumed_certification_lps_match_cold_ones(certification_lps, search, resumed):
     search()
@@ -1248,13 +1121,15 @@ def certification_pivots(monkeypatch):
 @pytest.mark.parametrize("search, lps, pivots", [
     (lambda: pn_polytope(PopulationVector.normalized(
         sorted(random.Random(7).sample(range(100000, 1000000), 7)))), 127, 237),
-    (lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])), 90, 24),
+    (lambda: polytope(cycle(4), PopulationVector.normalized([1, 2, 3, 4])), 12, 0),
 ], ids=["pn-7", "c4"])
 def test_certification_pivots(certification_pivots, search, lps, pivots):
     # LPs, and the pivots of the certification LPs, pinned at their current
     # values; a change that lowers one updates it here and says so, none may
     # rise.  Certification LPs priced in lexicographic order from a cold
-    # start took 657 and 65 pivots
+    # start took 657 and 65 pivots.  The c4 search certifies its vertices
+    # by their facets, with no LP; its 12 LPs classify, against the K_4
+    # candidates
     search()
     assert certification_pivots == [lps, pivots]
 
@@ -1294,13 +1169,13 @@ def test_walks_scans_and_certification_hash_and_compare_no_point(monkeypatch):
     # per-point state is keyed by position: once the hull is built, the
     # vertex scan and one certification LP per point against the other
     # vertices neither hash nor compare a `PopulationVector`; the K_4
-    # candidates come with points inside, some of which a cell hides
+    # candidates come with points inside
     rnd = random.Random(2)
     candidates = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
     clouds = [[subset_point(a, rho_7()) for k in range(7) for a in combinations(range(1, 7), k)],
               candidates + [PopulationVector(_combination(rnd, rnd.sample(candidates, 3)))
                             for _ in range(8)]]
-    calls, sizes, hidden = [], [], []
+    calls, sizes = [], []
 
     def counted(name, method):
         def wrapper(*args):
@@ -1308,16 +1183,9 @@ def test_walks_scans_and_certification_hash_and_compare_no_point(monkeypatch):
             return method(*args)
         return wrapper
 
-    in_a_cell = IncrementalHull._in_a_cell
-
-    def hiding(hull, image, exclude=None):
-        hidden.append(in_a_cell(hull, image, exclude))
-        return hidden[-1]
-
     for cloud in clouds:
         hull = IncrementalHull(cloud)
         assert all(type(p) is PopulationVector for p in hull.points)
-        monkeypatch.setattr(IncrementalHull, "_in_a_cell", hiding)
         monkeypatch.setattr(PopulationVector, "__hash__", counted("hash", PopulationVector.__hash__))
         monkeypatch.setattr(PopulationVector, "__eq__", counted("eq", tuple.__eq__))
         vertices = hull.vertices()
@@ -1330,7 +1198,7 @@ def test_walks_scans_and_certification_hash_and_compare_no_point(monkeypatch):
         assert vertices == hull_vertices(cloud)
         assert [not isinstance(w, tuple) for w in witnesses] == [id(p) in listed for p in hull.points]
         sizes.append((len(hull.points), len(vertices)))
-    assert sizes[0] == (64, 64) and sizes[1][1] < sizes[1][0] and any(hidden)
+    assert sizes[0] == (64, 64) and sizes[1][1] < sizes[1][0]
 
 
 def reference_support(hull, func, skip, bounded):
