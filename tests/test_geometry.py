@@ -314,6 +314,121 @@ class TestIncrementalHull:
             assert hull.vertices() == slow
             assert set(confirmed_points(hull)) == set(slow)
 
+    def test_state_images_answer_as_their_points(self):
+        # a search state joins the facet hull as its `_StateImage`; after
+        # each of three batches, it answers as a hull of the points so far
+        # does, and as the LP on them
+        rnd = random.Random(71)
+        for dim in (3, 4):
+            cloud = list(dict.fromkeys(random_population(rnd, dim, bound=6) for _ in range(24)))
+            probes = [random_population(rnd, dim) for _ in range(12)]
+            probes += [_combination(rnd, rnd.sample(cloud, 3)) for _ in range(12)] + cloud
+            by_image, seen = facet_hull(cloud[:8]), cloud[:8]
+            for batch in (cloud[8:16], cloud[16:]):
+                for p in batch:
+                    by_image.add(_StateImage(_image(p)))
+                seen += batch
+                by_point = IncrementalHull(seen)
+                answers = [hull_membership(q, seen).inside for q in probes]
+                assert [facet_contains(by_image, q) for q in probes] == answers
+                assert [by_point.contains(q) for q in probes] == answers
+                assert True in answers and False in answers
+                assert [c.point for c in by_image.certificates()] == by_point.vertices()
+
+    def test_cells_agree_with_membership_while_the_set_grows(self):
+        # every query is checked against the LP on all points so far; the
+        # clouds are populations, populations with a last level of 0 and
+        # 40-digit states, grown in three batches; a third of the queries is
+        # shifted off the affine hull of the set
+        rnd = random.Random(67)
+        rho = exponential_populations(4)
+        pairs = [PairOp.of(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        clouds = [
+            [random_population(rnd, 4, bound=6) for _ in range(24)],
+            [(*random_population(rnd, 3, bound=6), 0) for _ in range(24)],
+            [apply_sequence(rnd.choices(pairs, k=rnd.randrange(6)), rho) for _ in range(24)],
+        ]
+        answers = set()
+        for cloud in clouds:
+            cloud = list(dict.fromkeys(cloud))
+            grown, seen = facet_hull(cloud[:8]), cloud[:8]
+            for batch in ((), cloud[8:16], cloud[16:]):
+                for p in batch:
+                    grown.add(_StateImage(_image(p)))
+                seen += batch
+                hull = IncrementalHull(seen)
+                for _ in range(40):
+                    q = list(_combination(rnd, rnd.sample(seen, 3)))
+                    if rnd.random() < 1 / 3:
+                        q[rnd.randrange(len(q))] += Fraction(1, 97)
+                    inside = hull_membership(q, seen).inside
+                    assert hull.contains(q) == facet_contains(grown, q) == inside, q
+                    answers.add(inside)
+        assert answers == {True, False}
+
+    def test_cell_decides_a_later_query(self):
+        # the set is a triangle in the plane z = 0: points in the triangle
+        # are inside and points above it outside, before and after the set
+        # grows, whether the hull is built at once or grown
+        triangle = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
+        grown = facet_hull(triangle)
+
+        def grown_contains(q):
+            return facet_contains(grown, q)
+
+        for contains in (IncrementalHull(triangle).contains, grown_contains):
+            assert contains((1, 1, 0)) and contains((1, 2, 0))
+            assert not contains((1, 2, 1))
+        grown.add(_StateImage(_image((-4, -4, 0))))
+        for contains in (IncrementalHull([*triangle, (-4, -4, 0)]).contains, grown_contains):
+            assert contains((2, 1, 0)) and not contains((2, 1, 1))
+            assert contains((-3, -3, 0)) and not contains((-5, -5, 0))
+
+    def test_cell_drops_a_point_hidden_by_a_later_batch(self):
+        # (1, 1) joins first and is hidden when the triangle joins: it is
+        # not a vertex, and each corner's certificate separates it
+        corners = [(0, 0), (0, 4), (4, 0)]
+        hull = IncrementalHull([(1, 1), *corners])
+        assert hull.contains((1, 2)) and not hull.is_extreme_in((1, 1))
+        assert hull.vertices() == corners
+        grown = facet_hull([(1, 1)])
+        for p in corners:
+            grown.add(_StateImage(_image(p)))
+        certs = grown.certificates()
+        assert [c.point for c in certs] == corners
+        for c in certs:
+            assert c.verify([q for q in hull.points if q != c.point])
+
+    def test_cell_does_not_hide_its_own_basic_points(self):
+        # (1, 1) is a combination of all three corners; that says nothing
+        # about whether a corner is a vertex, and once (1, 2) joins, all
+        # three still are
+        corners = [(0, 0), (0, 4), (4, 0)]
+        assert IncrementalHull(corners).contains((1, 1))
+        cloud = [*corners, (1, 1), (1, 2)]
+        assert IncrementalHull(cloud).vertices() == corners
+        certs = facet_hull(cloud).certificates()
+        assert [c.point for c in certs] == corners
+        for c in certs:
+            assert c.verify([q for q in cloud if q != c.point])
+
+    def test_cells_prove_no_point_off_the_simplex(self):
+        # the inside LPs over population vectors drop the normalization row,
+        # which the cone of the points does not: 2p must still be outside
+        # for each p inside, as must p moved off the simplex
+        points = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
+        rnd = random.Random(4)
+        inside = [_combination(rnd, rnd.sample(points, 4)) for _ in range(6)]
+        hull, facets = IncrementalHull(points), facet_hull(points)
+        for p in inside:
+            assert hull.contains(p) and facet_contains(facets, p)
+            for q in (tuple(2 * x for x in p), p[:1] + (p[1] + Fraction(1, 10),) + p[2:]):
+                assert not hull.contains(q) and not facet_contains(facets, q)
+                witness = hull._outside(q)
+                assert isinstance(witness, SeparatingFunctional)
+                assert witness.separates(q, hull.points)
+                assert not hull_membership(q, points).inside
+
 
 def facet_hull(points):
     """A `FacetHull` of the distinct `points`, added in the order given."""
@@ -459,33 +574,6 @@ class TestFacetHull:
         assert [c.point for c in hull.certificates()] == [line[0], line[2]]
         assert facet_contains(hull, (Fraction(7, 8), Fraction(1, 8)))
         assert not facet_contains(hull, (Fraction(1, 4), Fraction(3, 4)))
-
-    def test_a_state_hidden_by_later_states_is_not_a_vertex(self):
-        # (1, 1) comes first and is hidden when the triangle joins; points
-        # inside a triangle that came first leave its corners vertices
-        corners = [(0, 0), (0, 4), (4, 0)]
-        for cloud in ([(1, 1), *corners], [*corners, (1, 1), (1, 2)]):
-            hull = facet_hull(cloud)
-            certs = hull.certificates()
-            assert [c.point for c in certs] == corners
-            for c in certs:
-                assert c.verify([q for q in cloud if q != c.point])
-
-    def test_lower_dimensional_hull_refuses_points_off_its_plane(self):
-        # a triangle in the plane z = 0 holds (1, 2, 0) but not (1, 2, 1),
-        # before and after the set grows; on the simplex, 2p and p shifted
-        # off it are outside, though p is inside
-        hull = facet_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
-        assert facet_contains(hull, (1, 1, 0)) and facet_contains(hull, (1, 2, 0))
-        assert not facet_contains(hull, (1, 2, 1))
-        hull.add(_StateImage(_image((-4, -4, 0))))
-        assert facet_contains(hull, (2, 1, 0)) and not facet_contains(hull, (2, 1, 1))
-        points = sorted(kn_candidate_points(PopulationVector.normalized([1, 3, 5, 8])))
-        hull, rnd = facet_hull(points), random.Random(4)
-        for p in (_combination(rnd, rnd.sample(points, 4)) for _ in range(6)):
-            assert facet_contains(hull, p)
-            for q in (tuple(2 * x for x in p), p[:1] + (p[1] + Fraction(1, 10),) + p[2:]):
-                assert not facet_contains(hull, q) and not hull_membership(q, points).inside
 
 
 def on_simplex(point):
