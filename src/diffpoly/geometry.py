@@ -29,6 +29,12 @@ substitution, a vertex is a state alone in the meet of the tight sets
 that contain it, and a vertex's certificate is the sum of its facets,
 lowered below every other state.  It runs no LP.
 
+Where one integer vector meets many, in a membership query of the facet
+hull, a certificate check against every point or state, or the
+nearest-first keys of a certification LP, one packed big-integer product
+(`packing.PackedRows`) takes the place of one dot product per row: the
+rows are packed once, and a query reads back every sign or value.
+
 A support scan (`IncrementalHull._support`, which both engines share)
 scores the set's points against a functional: for the next vertex of a
 walk, to lower a functional into a certificate, and for the least points
@@ -55,7 +61,9 @@ simplex, where every state lies, it drops the normalization row.  An LP
 of a point can resume from the final basis of an earlier LP of the same
 point against a prefix of its columns: each LP of a walk resumes from the
 walk's last one, and a certification LP, its columns nearest first, from
-the last LP of its point's own walk.  Column order and start change only
+the last LP of its point's own walk.  A resumed LP's first pricing round
+starts after the kept columns, which the kept LP left priced <= 0, so it
+enters what a full round would.  Column order and start change only
 which pivots Bland's rule takes, not an answer.
 """
 from __future__ import annotations
@@ -69,6 +77,7 @@ from operator import and_, mul
 from typing import Sequence
 
 from .core import PopulationVector, format_rational
+from .packing import PackedRows
 
 __all__ = [
     "SeparatingFunctional",
@@ -164,14 +173,10 @@ class SeparatingFunctional:
 
     def separates(self, point: Sequence[Fraction], others: Sequence[Sequence[Fraction]]) -> bool:
         """value > 0 at `point` and <= 0 at every other point, decided on integers."""
-        return self._separates(_image(point), (_image(q) for q in others))
-
-    def _separates(self, point_image, other_images) -> bool:
-        """`separates` on the points' `_image`s."""
         func = self._func
         # func . image is the value at the point times D*d > 0
-        return sum(map(mul, func, point_image)) > 0 and all(
-            sum(map(mul, func, image)) <= 0 for image in other_images
+        return sum(map(mul, func, _image(point))) > 0 and all(
+            sum(map(mul, func, _image(q))) <= 0 for q in others
         )
 
     def to_json(self) -> dict:
@@ -281,7 +286,11 @@ def _phase_one(
     best-scoring point of the last functional, which prices in, so Bland's
     rule goes on from there, where a cold start would first redo the last
     LP's pivots; a certification LP adds the other vertices to the last LP
-    of the point's own walk (`IncrementalHull._certify`).
+    of the point's own walk (`IncrementalHull._certify`).  The kept LP
+    ended with each of its m0 columns priced <= 0 under the dual row it
+    left, which the resumed LP starts from, so its first pricing round
+    starts at column m0: Bland's rule enters the column a full round would,
+    and every pivot, witness and certificate is the same.
     """
     m = len(points)
     if images is None:
@@ -305,12 +314,13 @@ def _phase_one(
         tab = [[int(r == c) for c in range(rows)] + [abs(v)] for r, v in enumerate(b)]
         tab.append([1] * rows + [sum(abs(v) for v in b)])
         basis = [m + r for r in range(rows)]
-        det = 1
+        det, m0 = 1, 0
     dual = tab[rows]
     basic = set(basis)
+    first = m0  # the first round skips the kept columns, which price <= 0 until a pivot
 
     while True:
-        for enter, a in enumerate(columns):
+        for enter, a in enumerate(columns[first:], first):
             if enter not in basic and sum(map(mul, dual, a)) > 0:
                 column = [sum(map(mul, row, a)) for row in tab]
                 break
@@ -337,6 +347,7 @@ def _phase_one(
             raise ArithmeticError("phase-one LP unbounded")
         det = _pivot(tab, column, leave, det)
         dual = tab[rows]
+        first = 0
         basic.remove(basis[leave])
         basic.add(enter)
         basis[leave] = enter
@@ -348,7 +359,7 @@ def _phase_one(
                 lam[var] = Fraction(tab[r][rows] * images[var][-1], det * image[-1])
         return HullMembership(inside=True, coefficients=tuple(lam))
 
-    if warm is not None:
+    if warm is not None:  # every column priced <= 0 in the last round
         warm[:] = tab, basis, det, m
     # infeasible: dual vector y_r = u_r / det, rows un-flipped; with no
     # normalization row, the offset is 0
@@ -475,8 +486,8 @@ class IncrementalHull:
         # the index of a point its own walk confirmed -> that walk's last LP,
         # as its columns and its final basis (`_phase_one`'s `warm`), for `_certify`
         self._kept: dict = {}
-        # per point, (D*x, its squared norm), D the lcm of the set's d, built by `_certify`
-        self._scaled: list | None = None
+        # per point, the row (D*x, |D*x|^2), D the lcm of the set's d, packed by `_distances`
+        self._near: PackedRows | None = None
         self._index_of = {image: q for q, image in enumerate(self._images)}
 
     def _outside(self, point, point_image=None, q=None):
@@ -523,10 +534,10 @@ class IncrementalHull:
         functional, lowered, does not.  Confirms nothing.
 
         The LP starts near its answer.  It prices `working` nearest first,
-        by exact squared Euclidean distance to the point, ties in the order
-        given.  If the point's own walk confirmed it and `working` holds that
-        walk's columns, they come first, and the LP resumes from the walk's
-        last basis.  Only the order and the start change: every answer is
+        by exact squared Euclidean distance to the point (`_distances`),
+        ties in the order given.  If the point's own walk confirmed it and
+        `working` holds that walk's columns, they come first, and the LP
+        resumes from the walk's last basis.  Only the order and the start change: every answer is
         the exact one, whatever they are.  The lowering scores only the
         points outside `working` (see `_lower`).
         """
@@ -536,20 +547,22 @@ class IncrementalHull:
         rest = [i for i in working if i not in kept]
         if len(rest) + len(walked) != len(working):  # not every walk column is in working
             walked, warm, rest = (), None, list(working)
-        if self._scaled is None:
-            scale = math.lcm(*(image[-1] for image in self._images))
-            vectors = ([a * (scale // image[-1]) for a in image[:-1]] for image in self._images)
-            self._scaled = [(v, sum(map(mul, v, v))) for v in vectors]
-        scaled, (origin, _) = self._scaled, self._scaled[q]
-
-        def distance(i):  # |q_i - q|^2 less |q|^2, the same for every i
-            v, norm = scaled[i]
-            return norm - 2 * sum(map(mul, v, origin))
-
-        rest.sort(key=distance)
+        rest.sort(key=self._distances(q).__getitem__)  # the keys go before the LP runs
         # a copy of the kept basis, or a fresh list: either way the final basis comes back
         return self._decide(self.points[q], self._images[q], [*walked, *rest], bounded,
                             list(warm or ()), skip=q)[0]
+
+    def _distances(self, q) -> list[int]:
+        """
+        Per point i, |q_i - q|^2 less |q|^2, the same for every i, times D^2,
+        D the lcm of the set's d: from one packed product of (-2*D*q, 1) with
+        the rows (D*q_i, |D*q_i|^2), packed at the first call.
+        """
+        if self._near is None:
+            scale = math.lcm(*(image[-1] for image in self._images))
+            vectors = ([a * (scale // image[-1]) for a in image[:-1]] for image in self._images)
+            self._near = PackedRows([[*v, sum(map(mul, v, v))] for v in vectors])
+        return self._near.values([*(-2 * a for a in self._near.rows[q][:-1]), 1])
 
     def _decide(self, point, point_image, working, bounded, warm, skip=None):
         """
@@ -708,17 +721,14 @@ class FacetHull:
 
     `contains` substitutes a state into every row, the facets, the
     equations and their negations (= 0 is two tests of >= 0), with one
-    packed product: column j is the big integer sum_r r_j * 2^(W*r), so
-    sum_j t_j * column_j is sum_r (r.t) * 2^(W*r).  W is chosen so that
-    every |r.t| < 2^(W-1), for queries up to twice the sum |t_j| that
-    packed; adding G = sum_r 2^(W-1) * 2^(W*r) then leaves each field
-    r.t + 2^(W-1) in [0, 2^W), with no carry, and its top bit set exactly
-    when r.t >= 0: t is inside when (sum + G) & G == G.
+    packed product (`packing.PackedRows`): it is inside when every sign
+    is >= 0.
 
     A state is a vertex exactly when it is alone in the meet of the tight
     sets that contain it.  A vertex's certificate is the sum of its tight
     facets, 0 at the vertex and > 0 at every other state, negated and
-    lowered by `_lower` over the other states.
+    lowered by `_lower` over the other states, and checked by one packed
+    product of the states' images, as in `extreme_points`.
     """
 
     # the one support scan and its lowering, shared with the walk engine
@@ -733,7 +743,7 @@ class FacetHull:
         self._tight: dict[int, int] = {}  # id -> the bitmask of the states tight on the facet
         self._on: list[int] = []  # per state, the bitmask of the ids of its tight facets
         self._live = 0  # the bitmask of the ids in use
-        self._packed = None  # (bound, columns, G), built by `contains`
+        self._packed: PackedRows | None = None  # the facets and equations, packed by `contains`
         for image in images:
             self.add(image)
 
@@ -799,27 +809,11 @@ class FacetHull:
 
     def contains(self, image: _StateImage) -> bool:
         """Is the state of `image` in the hull?"""
-        bound = sum(map(abs, image))
-        if self._packed is None or bound >= self._packed[0]:
-            self._pack(2 * bound)
-        _, columns, total = self._packed
-        guards = total
-        for t, column in zip(image, columns):
-            total += t * column
-        return total & guards == guards
-
-    def _pack(self, bound: int) -> None:
-        """Pack the rows for queries t with sum |t_j| < `bound` (see the class docstring)."""
-        rows = [*self._facets.values(), *self._equations, *([-v for v in e] for e in self._equations)]
-        top = max(abs(v) for row in rows for v in row)
-        size = ((top * bound).bit_length() + 8) // 8  # bytes per field: W = 8 * size > bits(top * bound)
-        half = 1 << (8 * size - 1)
-        ones = ((1 << (8 * size * len(rows))) - 1) // ((1 << (8 * size)) - 1)  # 1 in every field
-        # each column_j as sum (r_j + half) * 2^(W*r), every field in [0, 2^W), less half * ones
-        columns = [int.from_bytes(b"".join((v + half).to_bytes(size, "little") for v in column),
-                                  "little") - half * ones
-                   for column in zip(*rows)]
-        self._packed = bound, columns, half * ones
+        if self._packed is None:
+            equations = self._equations
+            self._packed = PackedRows([*self._facets.values(), *equations,
+                                       *([-v for v in e] for e in equations)])
+        return self._packed.holds(image)
 
     def _vertices(self) -> dict[int, list[int]]:
         """Each vertex's index, in the order added, with the ids of its tight facets."""
@@ -832,15 +826,16 @@ class FacetHull:
 
     def certificates(self) -> list[ExtremalityCertificate]:
         """The hull's vertices, in lexicographic order, each with its certificate
-        (see the class docstring), checked by substitution against the other vertices."""
+        (see the class docstring), checked by substitution into every state at
+        once: one packed product of the states' images."""
         images, vertices = self._images, self._vertices()
-        certificates = []
+        packed, certificates = PackedRows(images), []
         for q, ids in vertices.items():
             func = [-sum(c) for c in zip([0] * len(images[q]), *map(self._facets.get, ids))]
             func[-1] += 1  # > 0 at the vertex even with no facet: a hull of one state
             functional = self._lower(images[q], 1, func, skip=q)[0]
-            if functional is None or not functional._separates(
-                    images[q], (images[v] for v in vertices if v != q)):
+            # > 0 at the vertex and <= 0 at every other state
+            if functional is None or not packed.holds([-v for v in functional._func], q):
                 raise AssertionError("certificate failed direct substitution")
             certificates.append(ExtremalityCertificate(
                 point=images[q].point(), is_extreme=True, functional=functional))
@@ -879,13 +874,14 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
     (`IncrementalHull._certify`) against the other vertices, nearest first;
     a vertex that the scan's walk confirmed for itself resumes from that
     walk's last LP.  The certificates are deterministic, but they depend on
-    the scan's path, not on the vertex set alone.
+    the scan's path, not on the vertex set alone.  Each functional is
+    checked against every point at once, by its signs in one packed
+    product with the points' images (`packing.PackedRows`, packed once).
     """
     hull = IncrementalHull(points)
     vertices = [hull._index_of[_image(p)] for p in hull.vertices()]
-    images = hull._images
-    certificates = []
-    for q, (p, image) in enumerate(zip(hull.points, images)):
+    packed, certificates = PackedRows(hull._images), []
+    for q, p in enumerate(hull.points):
         others = [v for v in vertices if v != q]
         witness = hull._certify(q, others)
         if isinstance(witness, tuple):
@@ -893,9 +889,8 @@ def extreme_points(points: Sequence[Sequence[Fraction]]) -> list[ExtremalityCert
             verified = cert.verify(())  # a reconstruction needs no other point
         else:
             cert = ExtremalityCertificate(point=p, is_extreme=True, functional=witness)
-            # cert.verify on the cached images of p and of every other point
-            rest = images[:q] + images[q + 1:]
-            verified = witness is not None and witness._separates(image, rest)
+            # cert.verify, > 0 at p and <= 0 at every other point, on the images at once
+            verified = witness is not None and packed.holds([-v for v in witness._func], q)
         if cert.is_extreme != (len(others) < len(vertices)):
             raise AssertionError("certification disagrees with the vertex scan")
         if not verified:

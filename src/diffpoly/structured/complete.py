@@ -105,12 +105,20 @@ def kn_candidate_points(rho0: Sequence[Fraction]) -> dict[PopulationVector, Oper
     several classes keeps the sequence of the least (permutation, word),
     and the points come in that key's order.
     """
-    rho0 = PopulationVector(rho0)
+    return _candidates(PopulationVector(rho0))
+
+
+def _candidates(rho0: PopulationVector, classes: dict | None = None) -> dict:
+    """`kn_candidate_points` of `rho0`, in one walk; if `classes` is given, it
+    also gets, per point, the (word, steps) of every class that reaches it,
+    in walk order."""
     best: dict[PopulationVector, tuple] = {}
     for perm, word, point, steps in _rank_words(rho0):
         key = (perm, word)
         if point not in best or key < best[point][0]:
             best[point] = (key, steps)
+        if classes is not None:
+            classes.setdefault(point, []).append((word, steps))
     ordered = sorted(best.items(), key=lambda item: item[1][0])
     return {point: OperationSequence(op for op in steps if op) for point, (_key, steps) in ordered}
 
@@ -122,18 +130,22 @@ def _kn_hull(rho0: Sequence[Fraction]):
     their order, with sequences.  On ties each takes its shortest sequence
     over every reduced word, least in the canonical operator order: the
     least over the classes of each class's `_least_order` (module docstring).
+    The classes are walked once: on ties the walk keeps each class's word
+    and steps for `label`, and on distinct populations nothing.
     """
     rho0 = PopulationVector(rho0)
-    candidates = kn_candidate_points(rho0)
+    classes = {} if len(set(rho0)) != len(rho0) else None
+    candidates = _candidates(rho0, classes)
 
     def label(points) -> list[tuple[PopulationVector, OperationSequence]]:
         sequences = {p: candidates[p] for p in points}
-        if len(set(rho0)) != len(rho0):
+        if classes is not None:
             def key(ops):
                 return len(ops), [op_sort_key(op) for op in ops]
-            for _perm, word, point, steps in _rank_words(rho0):
-                if point in sequences and key(ops := _least_order(word, steps)) < key(sequences[point]):
-                    sequences[point] = OperationSequence(ops)
+            for point, best in sequences.items():
+                for word, steps in classes[point]:
+                    if key(ops := _least_order(word, steps)) < key(best):
+                        best = sequences[point] = OperationSequence(ops)
         return list(sequences.items())
 
     return IncrementalHull(list(candidates)), label

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import pickle
@@ -9,6 +10,7 @@ from itertools import combinations, product
 import pytest
 
 from diffpoly import geometry
+from diffpoly.cli import canonical_json
 from diffpoly.core import (
     PairOp,
     PopulationVector,
@@ -33,6 +35,7 @@ from diffpoly.geometry import (
     hull_vertices,
 )
 from diffpoly.optimize import exponential_populations
+from diffpoly.packing import PackedRows
 from diffpoly.structured.complete import kn_candidate_points
 from diffpoly.structured.ordered_path import pn_polytope, subset_point
 
@@ -1319,6 +1322,84 @@ def test_support_that_scores_no_point_returns_at_once(monkeypatch):
     for cloud in walk_clouds()[1]:
         scan_and_certify(cloud)
     assert 64 < sum(covered) < len(covered)
+
+
+def test_packed_checks_and_keys_match_the_scalar_reference():
+    # every certificate of every cloud, substituted into every point by one
+    # packed product, agrees with the Fraction reference; tampered ones are
+    # rejected, and a functional that outgrows the field width repacks
+    checked = tampered = 0
+    for cloud in walk_clouds()[1]:
+        hull = IncrementalHull(cloud)
+        pts, packed = hull.points, PackedRows(hull._images)
+        for q, cert in enumerate(extreme_points(cloud)):
+            if not cert.is_extreme:
+                continue
+            func, p, others = cert.functional, pts[q], pts[:q] + pts[q + 1:]
+            assert packed.holds([-v for v in func._func], q) is reference_separates(func, p, others) is True
+            fresh = PackedRows(hull._images)
+            assert fresh.holds([-v for v in func._func], q)
+            bound = fresh._bound
+            assert fresh.holds([-(v << 200) for v in func._func], q)  # the same functional, repacked
+            assert fresh._bound > bound << 199
+            checked += 1
+            wrong = [SeparatingFunctional(func.coefficients, func.offset - reference_value(func, p))]
+            for other in others[:2]:  # > 0 at a second point, and so with coefficients 2^200 larger
+                wrong.append(SeparatingFunctional(func.coefficients, func.offset - reference_value(func, other) + 1))
+                big = [c * 2 ** 200 for c in func.coefficients]
+                wrong.append(SeparatingFunctional(big, 1 - sum(c * x for c, x in zip(big, other))))
+            for bad in wrong:
+                assert not reference_separates(bad, p, others)
+                assert not packed.holds([-v for v in bad._func], q)
+                tampered += 1
+        # the nearest-first keys of each point, against Fractions scaled by D^2
+        scale = math.lcm(*(image[-1] for image in hull._images))
+        for q, origin in enumerate(pts):
+            keys = [scale ** 2 * sum(Fraction(a) ** 2 - 2 * Fraction(a) * b for a, b in zip(x, origin))
+                    for x in pts]
+            assert hull._distances(q) == keys
+    assert checked > 150 and tampered > 3 * checked
+
+
+def test_readme_p7_pivots_and_certificates_are_pinned(monkeypatch):
+    # the README's ordered P_7: every LP, pivot and certificate, pinned at
+    # the values of the pricing that scans every column in every round.  A
+    # resumed LP's first round prices none of the columns it kept, which
+    # priced <= 0 under the dual it starts from; later rounds do
+    phase_one, pivot = geometry._phase_one, geometry._pivot
+    counts = {"lps": 0, "pivots": 0, "kept first": 0, "kept later": 0}
+    first_round = []
+
+    class Kept(tuple):
+        def __iter__(self):
+            counts["kept first" if first_round[-1] else "kept later"] += 1
+            return super().__iter__()
+
+    def watched(point, points, **kwargs):
+        counts["lps"] += 1
+        warm = kwargs.get("warm")
+        if warm:
+            m0 = warm[3]
+            kwargs["columns"] = [*map(Kept, kwargs["columns"][:m0]), *kwargs["columns"][m0:]]
+        first_round.append(True)
+        try:
+            return phase_one(point, points, **kwargs)
+        finally:
+            first_round.pop()
+
+    def counted(*args):
+        counts["pivots"] += 1
+        first_round[-1] = False
+        return pivot(*args)
+
+    monkeypatch.setattr(geometry, "_phase_one", watched)
+    monkeypatch.setattr(geometry, "_pivot", counted)
+    certificates = pn_polytope(rho_7()).certificates
+    text = canonical_json([c.to_json() for c in certificates])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba6869e13c8cee4ba1b4a5f0a4c266687fc8158d692c92ed6b5aaada2d64ee1d")
+    assert (counts["lps"], counts["pivots"], counts["kept first"]) == (127, 565, 0)
+    assert counts["kept later"] > 1000
 
 
 def test_functional_from_integers_matches_fraction_form():

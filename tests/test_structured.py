@@ -23,7 +23,7 @@ from diffpoly.core import (
     path,
     uniform_vector,
 )
-from diffpoly import verify
+from diffpoly import optimize_over, verify
 from diffpoly.enumeration import PolytopeConfig, _average, polytope
 from diffpoly.geometry import _image, _StateImage, hull_membership, hull_vertices
 from diffpoly.structured import (
@@ -37,7 +37,8 @@ from diffpoly.structured import (
     subset_point,
     subset_sequence,
 )
-from diffpoly.structured.complete import _least_order, _rank_words
+import diffpoly.structured.complete as kn_module
+from diffpoly.structured.complete import _kn_hull, _least_order, _rank_words
 from diffpoly.structured.ordered_path import _slacks, _subset_points, triangular
 
 from conftest import random_sorted_population
@@ -197,6 +198,74 @@ class TestCompleteGraph:
             for cls in commutation_classes(perm):
                 _, seq = word_sequence(cls[0], rho)
                 assert len(seq) == len(cls[0]), (values, cls[0])
+
+
+def two_walk_labels(rho, points):
+    """The tie pass as a second walk over every class: each point of `points`
+    takes the least `_least_order` over the classes that reach it."""
+    def key(ops):
+        return len(ops), [op_sort_key(op) for op in ops]
+    candidates = kn_candidate_points(rho)
+    sequences = {p: candidates[p] for p in points}
+    for _perm, word, point, steps in _rank_words(rho):
+        if point in sequences and key(ops := _least_order(word, steps)) < key(sequences[point]):
+            sequences[point] = OperationSequence(ops)
+    return list(sequences.items())
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The number of `_rank_words` walks begun while the fixture is active."""
+    count = [0]
+
+    def counted(rho0):
+        count[0] += 1
+        return _rank_words(rho0)
+
+    monkeypatch.setattr(kn_module, "_rank_words", counted)
+    return count
+
+
+class TestOneWalk:
+    def test_every_tie_pattern_of_k4_walks_once(self, walks):
+        # the tie pass reads the classes the candidate walk kept, and labels
+        # as a second walk over every class would, on chosen vertices and
+        # on every candidate alike
+        for rho in tie_patterns(4):
+            walks[0] = 0
+            got = kn_extreme_points(rho)
+            assert walks[0] == 1, rho
+            _, label = _kn_hull(rho)
+            candidates = list(kn_candidate_points(rho))
+            assert got == two_walk_labels(rho, [p for p, _ in got]), rho
+            assert label(candidates) == two_walk_labels(rho, candidates), rho
+
+    def test_tied_k6_optimization_walks_once(self, walks, monkeypatch):
+        # the label of the optimization's own hull, on its optimal vertex
+        # and on a sample of the 9,661 classes' points
+        made = []
+        monkeypatch.setattr(kn_module, "_kn_hull", lambda rho0: made.append(_kn_hull(rho0)) or made[-1])
+        rho = PopulationVector.normalized([1, 1, 5, 8, 14, 14])
+        report = optimize_over(complete(6), rho, range(1, 7), method="structured")
+        assert walks[0] == 1
+        (hull, label), = made
+        chosen = [(v.point, v.sequence) for v in report.optimal_vertices]
+        points = [p for p, _ in chosen] + hull.points[::97]
+        assert label(points) == two_walk_labels(rho, points)
+        assert label(points)[:len(chosen)] == chosen
+
+    def test_distinct_populations_keep_no_class(self, walks, monkeypatch):
+        kept, candidates = [], kn_module._candidates
+
+        def recording(rho0, classes=None):
+            kept.append(classes)
+            return candidates(rho0, classes)
+
+        monkeypatch.setattr(kn_module, "_candidates", recording)
+        for values in ([1, 3, 5, 8], [1, 1, 5, 8]):
+            kn_extreme_points(PopulationVector.normalized(values))
+        assert walks[0] == 2
+        assert kept[0] is None and sum(map(len, kept[1].values())) == total_commutation_classes(4)
 
 
 def oracle_candidates(rho, classes):
