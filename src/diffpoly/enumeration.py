@@ -57,6 +57,7 @@ from .core import (
 from .geometry import (
     ExtremalityCertificate,
     FacetHull,
+    IncrementalHull,
     _average,
     _image,
     _is_convex_combination,
@@ -449,7 +450,7 @@ def _classify(graph: DiffusionGraph, rho0: PopulationVector,
     # complete-graph reference: the hull of the candidate points, DP(K_n),
     # ties included (a tied rho0 is the limit of distinct ones ranked alike);
     # every vertex of that hull is a candidate, so only candidates need an LP
-    kn_hull, _ = complete._kn_hull(rho0)
+    kn_hull = IncrementalHull(list(complete._candidates(rho0)))
     kinds = [
         "nonlocal" if _image(p) in kn_hull._index_of and kn_hull.is_extreme_in(p)
         else "local_finite" if all(isinstance(op, PairOp) for op in seq)

@@ -35,11 +35,13 @@ nearest-first keys of a certification LP, one packed big-integer product
 (`packing.PackedRows`) takes the place of one dot product per row: the
 rows are packed once, and a query reads back every sign or value.
 
-A support scan (`IncrementalHull._support`, which both engines share)
-scores the set's points against a functional: for the next vertex of a
-walk, to lower a functional into a certificate, and for the least points
-of an objective.  After an LP that ends outside, it skips the LP's
-columns, on which the LP's functional is at most 0 (see `_lower`).
+One support scan, `_support`, scores a list of images against a
+functional: for the next vertex of a walk, to lower a functional into a
+certificate (`_lower`, which both engines share), and for the least points
+of an objective (`_least`, which builds no hull unless points tie, and
+then only the facet hull of the tied points).  After an LP that ends
+outside, it skips the LP's columns, on which the LP's functional is at
+most 0 (see `_lower`).
 
 Everything is decided in integers.  A point is checked once, where it
 enters (ints and Fractions, as many as the set's points have), and
@@ -445,6 +447,32 @@ class ExtremalityCertificate:
         return data
 
 
+def _support(images, func, skip=None, bounded=()):
+    """
+    The best score num / d of the integer functional `func` over `images`
+    but the one of index `skip`, as num, d and the indices that attain it,
+    in order.  Image (d*x, d) scores func.image / d; a `func` without an
+    offset is one shorter than the images.
+
+    Images indexed in `bounded`, which the caller knows to score at most
+    0, and exactly 0 at one of them at least, are not scored: the best
+    score is then 0 or more, and the images listed are those outside
+    `bounded`, none at once if `bounded` and `skip` cover the list.
+    """
+    if len(bounded) + (skip is not None and skip not in bounded) == len(images):
+        return 0, 1, []
+    best_num, best_d, best = 0, 1, []
+    for q, image in enumerate(images):
+        if q != skip and q not in bounded:
+            num, d = sum(map(mul, func, image)), image[-1]
+            gap = num * best_d - best_num * d
+            if gap > 0 or not (best or bounded):
+                best_num, best_d, best = num, d, [q]
+            elif gap == 0:
+                best.append(q)
+    return best_num, best_d, best
+
+
 class IncrementalHull:
     """
     Membership and extremality queries against a point set, sharing work
@@ -608,7 +636,7 @@ class IncrementalHull:
         and, whenever the point is read, the same point: it is read only at a
         score >= the value at the point, which is > 0, and no column ties there.
         """
-        best_num, best_d, support = self._support(func, skip, bounded)
+        best_num, best_d, support = _support(self._images, func, skip, bounded)
         best = support[-1] if support else None
         if best_num * point_image[-1] >= sum(map(mul, func, point_image)) * best_d:
             return None, best
@@ -616,43 +644,6 @@ class IncrementalHull:
         lowered = [c * best_d for c in func]
         lowered[-1] -= best_num
         return SeparatingFunctional._from_integers(den * best_d, lowered), best
-
-    def _support(self, func, skip=None, bounded=()):
-        """
-        The best score num / d of the integer functional `func` over the
-        set's points but the one of index `skip`, as num, d and the indices
-        that attain it, in order.  Image (d*x, d) scores func.image / d; a
-        `func` without an offset is one shorter than the images.
-
-        Points indexed in `bounded`, which the caller knows to score at most
-        0, and exactly 0 at one of them at least, are not scored: the best
-        score is then 0 or more, and the points listed are those outside
-        `bounded`, none at once if `bounded` and `skip` cover the set.
-        """
-        if len(bounded) + (skip is not None and skip not in bounded) == len(self._images):
-            return 0, 1, []
-        best_num, best_d, best = 0, 1, []
-        for q, image in enumerate(self._images):
-            if q != skip and q not in bounded:
-                num, d = sum(map(mul, func, image)), image[-1]
-                gap = num * best_d - best_num * d
-                if gap > 0 or not (best or bounded):
-                    best_num, best_d, best = num, d, [q]
-                elif gap == 0:
-                    best.append(q)
-        return best_num, best_d, best
-
-    def least(self, weights: Sequence[Fraction]) -> tuple[Fraction, list]:
-        """
-        The least value of sum_i weights_i * x_i over the set, which is its
-        least over the hull, and the vertices that attain it, in
-        lexicographic order.
-        """
-        *scaled, scale = _image(weights)
-        num, d, tied = self._support([-w for w in scaled])
-        if len(tied) > 1:  # together they span the optimal face: keep its vertices
-            tied = [q for q in tied if self.is_extreme_in(self.points[q])]
-        return Fraction(-num, d * scale), [self.points[q] for q in tied]
 
     def vertices(self) -> list:
         """The vertices of the hull, in lexicographic order."""
@@ -731,8 +722,7 @@ class FacetHull:
     product of the states' images, as in `extreme_points`.
     """
 
-    # the one support scan and its lowering, shared with the walk engine
-    _support = IncrementalHull._support
+    # the lowering of a functional into a certificate, shared with the walk engine
     _lower = IncrementalHull._lower
 
     def __init__(self, images: Sequence[_StateImage]):
@@ -841,17 +831,22 @@ class FacetHull:
                 point=images[q].point(), is_extreme=True, functional=functional))
         return sorted(certificates, key=lambda c: c.point)
 
-    def least(self, weights: Sequence[Fraction]) -> tuple[Fraction, list]:
-        """
-        The least value of sum_i weights_i * x_i over the states, which is its
-        least over the hull, and the vertices that attain it, in
-        lexicographic order.
-        """
-        *scaled, scale = _image(weights)
-        num, d, tied = self._support([-w for w in scaled])
-        if len(tied) > 1:  # together they span the optimal face: keep its vertices
-            tied = list(filter(self._vertices().__contains__, tied))
-        return Fraction(-num, d * scale), sorted(self._images[q].point() for q in tied)
+
+def _least(images: Sequence[_StateImage], weights: Sequence[Fraction]) -> tuple[Fraction, list]:
+    """
+    The least value of sum_i weights_i * x_i over the states of the distinct
+    `images`, which is its least over their hull, and the vertices of that
+    hull that attain it, as points in lexicographic order.  One `_support`
+    scan finds the value; if several states tie, together they span the
+    optimal face, whose vertices are the hull's optimal vertices: those of
+    the `FacetHull` of the tied states alone, found with no LP.
+    """
+    *scaled, scale = _image(weights)
+    num, d, tied = _support(images, [-w for w in scaled])
+    tied = [images[q] for q in tied]
+    if len(tied) > 1:
+        tied = [tied[q] for q in FacetHull(tied)._vertices()]
+    return Fraction(-num, d * scale), sorted(image.point() for image in tied)
 
 
 def hull_vertices(points: Sequence[Sequence[Fraction]]) -> list:

@@ -9,11 +9,11 @@ increasing weights -- is the unrestricted-rearrangement baseline, and the
 report states which fraction of that limit the graph recovers.
 
 A linear objective's minimum over a polytope is its minimum over any
-point set spanning it, so neither route builds a vertex list: each builds
-a hull spanning the polytope, from the pruned search or from a
-closed-form spanning set, and asks it for its least points
-(`FacetHull.least` for the search, `IncrementalHull.least` for the
-closed form), which tests extremality only where several points tie.
+point set spanning it, so neither route builds a vertex list or a hull:
+each takes the integer images of a spanning set, the pruned search's
+states or a closed-form set, and `geometry._least` scans them once.  Only
+where several states tie does it build a hull, the facet hull of the tied
+states, whose vertices are the optimal vertices, with no LP.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .core import (
 )
 from . import enumeration
 from .enumeration import ClassifiedVertex, PolytopeConfig
-from .geometry import IncrementalHull
+from .geometry import _image, _least, _StateImage
 from .structured import complete, ordered_path
 
 __all__ = [
@@ -158,19 +158,19 @@ class EnergyReport:
         }
 
 
-def _structured_hull(graph: DiffusionGraph, rho0: PopulationVector):
-    """The unscanned hull of a closed-form spanning set of the polytope, and a
-    function that labels chosen vertices of it as `ClassifiedVertex`."""
+def _structured(graph: DiffusionGraph, rho0: PopulationVector):
+    """The integer images of a closed-form spanning set of the polytope, and
+    a function that labels chosen vertices of it as `ClassifiedVertex`."""
     n = graph.n
     if len(graph.edges) == comb(n, 2):  # one candidate per commutation class
-        hull, sequences = complete._kn_hull(rho0)
-        return hull, lambda points: tuple(
+        candidates, sequences = complete._kn_hull(rho0)
+        return [_StateImage(_image(p)) for p in candidates], lambda points: tuple(
             ClassifiedVertex(point=p, sequence=seq, kind="nonlocal") for p, seq in sequences(points))
     if n >= 2 and graph.edges == path(n).edges:  # the ordered path's subset points
-        subsets = ordered_path._subset_points(rho0)
-        return IncrementalHull(list(subsets)), lambda points: tuple(
+        subsets = ordered_path._subset_images(rho0)
+        return list(subsets), lambda points: tuple(
             ClassifiedVertex(point=v.point, sequence=v.sequence, kind=v.kind)
-            for v in (ordered_path._pn_vertex(p, subsets[p]) for p in points))
+            for v in (ordered_path._pn_vertex(p, subsets[_image(p)]) for p in points))
     raise ValueError("no structured solver for this graph; use method='enumerate'")
 
 
@@ -180,16 +180,17 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     """
     Minimize the objective over the diffusion polytope of (graph, rho0).
 
-    Both methods minimize over every point of a hull spanning the polytope,
-    with no vertex list and no certificates; only tied least points take an
-    extremality test.  "enumerate" runs the hull-pruned search of `polytope`
-    with `config` (default: no classification, since kinds are not part of
-    the report's value).  "structured" spans the polytope in closed form,
-    not by a vertex list: one candidate per commutation class on the
-    complete graph, the subset points on the ordered path; it takes no
-    `config`.  If the search was truncated the optimum is only a bound, and
-    the report says so.  The sizes of rho0 and of the weights are checked
-    before any search.
+    Both methods score every point of a set spanning the polytope on its
+    integer image, in one scan, with no vertex list, no certificates and no
+    LP; only tied least points are sorted into vertices, by the facet hull
+    of the ties alone.  "enumerate" spans the polytope by the states of the
+    hull-pruned search of `polytope` with `config` (default: no
+    classification, since kinds are not part of the report's value).
+    "structured" spans it in closed form: one candidate per commutation
+    class on the complete graph, the subset points on the ordered path; it
+    takes no `config`.  If the search was truncated the optimum is only a
+    bound, and the report says so.  The sizes of rho0 and of the weights
+    are checked before any search.
     """
     objective, rho0 = _checked(w, _population(graph, rho0))
     ws = objective.weights
@@ -197,13 +198,14 @@ def optimize_over(graph: DiffusionGraph, rho0: Sequence[Fraction],
     if method == "structured":
         if config is not None:
             raise ValueError("method 'structured' runs no search and takes no config")
-        (hull, label), saturated = _structured_hull(graph, rho0), True
+        (images, label), saturated = _structured(graph, rho0), True
     elif method == "enumerate":
         cfg = PolytopeConfig(classify=False) if config is None else config
         hull, saturated, label = enumeration._search(graph, rho0, cfg)
+        images = hull._images
     else:
         raise ValueError(f"unknown method {method!r}")
-    best, least = hull.least(ws)
+    best, least = _least(images, ws)
 
     e0 = _dot(ws, rho0)
     gardner = gardner_limit(objective, rho0)

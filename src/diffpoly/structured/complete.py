@@ -125,8 +125,8 @@ def _candidates(rho0: PopulationVector, classes: dict | None = None) -> dict:
 
 def _kn_hull(rho0: Sequence[Fraction]):
     """
-    The unscanned hull of the candidates of `rho0`, which is the
-    complete-graph polytope, and a function that pairs chosen vertices, in
+    The candidates of `rho0`, whose hull is the complete-graph polytope, as
+    `_candidates` gives them, and a function that pairs chosen vertices, in
     their order, with sequences.  On ties each takes its shortest sequence
     over every reduced word, least in the canonical operator order: the
     least over the classes of each class's `_least_order` (module docstring).
@@ -148,11 +148,11 @@ def _kn_hull(rho0: Sequence[Fraction]):
                         best = sequences[point] = OperationSequence(ops)
         return list(sequences.items())
 
-    return IncrementalHull(list(candidates)), label
+    return candidates, label
 
 
 def kn_extreme_points(rho0: Sequence[Fraction]) -> list[tuple[PopulationVector, OperationSequence]]:
     """The certified extreme points of the complete-graph polytope of `rho0`,
     with their `_kn_hull` sequences, in lexicographic point order."""
-    hull, label = _kn_hull(rho0)
-    return label(hull.vertices())
+    candidates, label = _kn_hull(rho0)
+    return label(IncrementalHull(list(candidates)).vertices())

@@ -579,6 +579,31 @@ class TestFacetHull:
         assert not facet_contains(hull, (Fraction(1, 4), Fraction(3, 4)))
 
 
+def test_least_matches_the_fraction_minimum_and_the_lp_vertices():
+    # per cloud, equal weights, which every state ties on, weights equal
+    # but at one level, which the states least at that level tie on, and
+    # weights of 1..4: the value is the least score in `Fraction`s, and the
+    # vertices are the walk engine's vertices of the tied states, which are
+    # the optimal vertices of the whole cloud
+    rnd, clouds = facet_clouds()
+    tied = 0
+    for cloud in clouds:
+        images = [_StateImage(_image(p)) for p in cloud]
+        hull = hull_vertices(cloud)
+        n = len(cloud[0])
+        weights = [[1 + (i == r) for i in range(n)] for r in range(n)]
+        weights += [[1] * n, [rnd.randint(1, 4) for _ in range(n)]]
+        for w in weights:
+            scores = [sum(map(operator.mul, map(Fraction, w), p)) for p in cloud]
+            best = min(scores)
+            ties = [p for p, score in zip(cloud, scores) if score == best]
+            value, vertices = geometry._least(images, w)
+            assert value == best
+            assert vertices == hull_vertices(ties) == [v for v in hull if v in ties]
+            tied += len(ties) > 2
+    assert tied > 2 * len(clouds)
+
+
 def on_simplex(point):
     return min(point) >= 0 and sum(point) == 1
 
@@ -951,17 +976,17 @@ def test_bounded_support_scan_matches_full_scan(monkeypatch):
     # after an LP that ends outside, the scan skips the LP's columns; with
     # the skip disabled every point is scored, and nothing may change
     _, clouds = walk_clouds()
-    support, skipped = IncrementalHull._support, []
+    support, skipped = geometry._support, []
 
-    def recording(hull, func, skip=None, bounded=()):
+    def recording(images, func, skip=None, bounded=()):
         skipped.append(len(bounded))
-        return support(hull, func, skip, bounded)
+        return support(images, func, skip, bounded)
 
-    monkeypatch.setattr(IncrementalHull, "_support", recording)
+    monkeypatch.setattr(geometry, "_support", recording)
     bounded = [scan_and_certify(cloud) for cloud in clouds]
     assert sum(skipped) > 1000
-    monkeypatch.setattr(IncrementalHull, "_support",
-                        lambda hull, func, skip=None, bounded=(): support(hull, func, skip))
+    monkeypatch.setattr(geometry, "_support",
+                        lambda images, func, skip=None, bounded=(): support(images, func, skip))
     assert [scan_and_certify(cloud) for cloud in clouds] == bounded
 
 
@@ -969,13 +994,13 @@ def test_all_artificial_outside_lp_scans_the_whole_set(monkeypatch):
     # the LP of (5,) against the least point (-20,) ends at once with both
     # artificials basic: its functional x + 1 is -19 there, not 0, so the
     # scan scores (-20,) too, and the best score is -9, at (-10,)
-    support, skipped = IncrementalHull._support, []
+    support, skipped = geometry._support, []
 
-    def recording(hull, func, skip=None, bounded=()):
+    def recording(images, func, skip=None, bounded=()):
         skipped.append(bounded)
-        return support(hull, func, skip, bounded)
+        return support(images, func, skip, bounded)
 
-    monkeypatch.setattr(IncrementalHull, "_support", recording)
+    monkeypatch.setattr(geometry, "_support", recording)
     points = [(-20,), (-10,)]
     witness = IncrementalHull(points)._outside((5,))
     assert skipped == [()]
@@ -1231,7 +1256,7 @@ def test_pn_certification_scores_no_point(monkeypatch):
     # the points not yet confirmed.  Scanning every point, the walks scored
     # 4,032 points and certification 4,032
     scored, certifying = [0, 0], []
-    certify, support = IncrementalHull._certify, IncrementalHull._support
+    certify, support = IncrementalHull._certify, geometry._support
 
     def counted_certify(*args):
         certifying.append(None)
@@ -1240,13 +1265,13 @@ def test_pn_certification_scores_no_point(monkeypatch):
         finally:
             certifying.pop()
 
-    def counted_support(hull, func, skip=None, bounded=()):
+    def counted_support(images, func, skip=None, bounded=()):
         scored[bool(certifying)] += sum(q != skip and q not in bounded
-                                        for q in range(len(hull.points)))
-        return support(hull, func, skip, bounded)
+                                        for q in range(len(images)))
+        return support(images, func, skip, bounded)
 
     monkeypatch.setattr(IncrementalHull, "_certify", counted_certify)
-    monkeypatch.setattr(IncrementalHull, "_support", counted_support)
+    monkeypatch.setattr(geometry, "_support", counted_support)
     pn_polytope(PopulationVector.normalized(
         sorted(random.Random(7).sample(range(100000, 1000000), 7))))
     assert scored == [2016, 0]
@@ -1292,12 +1317,12 @@ def test_walks_scans_and_certification_hash_and_compare_no_point(monkeypatch):
     assert sizes[0] == (64, 64) and sizes[1][1] < sizes[1][0]
 
 
-def reference_support(hull, func, skip, bounded):
-    """`IncrementalHull._support` as a full loop in `Fraction`s: the best
-    score over the points neither skipped nor bounded, at least 0 if any is
-    bounded, and the indices of the points that attain it."""
+def reference_support(images, func, skip, bounded):
+    """`geometry._support` as a full loop in `Fraction`s: the best score
+    over the images neither skipped nor bounded, at least 0 if any is
+    bounded, and the indices of the images that attain it."""
     scores = {q: Fraction(sum(map(operator.mul, func, image)), image[-1])
-              for q, image in enumerate(hull._images) if q != skip and q not in bounded}
+              for q, image in enumerate(images) if q != skip and q not in bounded}
     best = max([*scores.values(), *([0] if bounded else [])], default=0)
     return best, [q for q, score in scores.items() if score == best]
 
@@ -1307,16 +1332,16 @@ def test_support_that_scores_no_point_returns_at_once(monkeypatch):
     # point, which then bounds them all, and skips the point itself:
     # `_support` returns (0, 1, []) without its loop; every scan, that one
     # or not, gives what a full loop gives
-    support, covered = IncrementalHull._support, []
+    support, covered = geometry._support, []
 
-    def checked(hull, func, skip=None, bounded=()):
-        num, d, best = result = support(hull, func, skip, bounded)
-        assert (Fraction(num, d), best) == reference_support(hull, func, skip, bounded)
-        covered.append({*bounded, skip} >= set(range(len(hull.points))))
+    def checked(images, func, skip=None, bounded=()):
+        num, d, best = result = support(images, func, skip, bounded)
+        assert (Fraction(num, d), best) == reference_support(images, func, skip, bounded)
+        covered.append({*bounded, skip} >= set(range(len(images))))
         assert result == (0, 1, []) or not covered[-1]
         return result
 
-    monkeypatch.setattr(IncrementalHull, "_support", checked)
+    monkeypatch.setattr(geometry, "_support", checked)
     pn_polytope(rho_7())
     assert sum(covered) == 64  # one certification LP per subset point; no walk LP
     for cloud in walk_clouds()[1]:
@@ -1533,15 +1558,15 @@ def test_hull_membership_refuses_an_lp_answer_that_fails_substitution(monkeypatc
 def test_walk_refuses_a_support_point_that_the_lp_separated(monkeypatch):
     # a support scan that also lists a confirmed point, which the walk's LP
     # has just separated from the point it walks to
-    support = IncrementalHull._support
+    support = geometry._support
+    hull = IncrementalHull([pv("1", "0", "0"), pv("0", "1", "0"), pv("0", "0", "1")])
 
-    def with_a_confirmed_point(self, func, skip=None, bounded=()):
-        num, d, best = support(self, func, skip, bounded)
-        if self._confirmed:
-            best = best + [next(iter(self._confirmed))]
+    def with_a_confirmed_point(images, func, skip=None, bounded=()):
+        num, d, best = support(images, func, skip, bounded)
+        if hull._confirmed:
+            best = best + [next(iter(hull._confirmed))]
         return num, d, best
 
-    monkeypatch.setattr(IncrementalHull, "_support", with_a_confirmed_point)
-    hull = IncrementalHull([pv("1", "0", "0"), pv("0", "1", "0"), pv("0", "0", "1")])
+    monkeypatch.setattr(geometry, "_support", with_a_confirmed_point)
     with pytest.raises(AssertionError, match="support maximization returned a separated point"):
         hull.vertices()

@@ -369,14 +369,22 @@ class TestOptimizeOver:
             assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
         assert tied >= 20
 
-    @pytest.mark.parametrize("graph, pops, w", [
-        (complete(5), (1, 3, 5, 8, 14), (1, 2, 3, 4, 5)),
-        (path(8), (1, 2, 3, 5, 8, 13, 21, 34), (3, 1, 4, 8, 5, 7, 2, 6)),
-    ])
-    def test_structured_route_builds_no_vertex_list(self, monkeypatch, graph, pops, w):
-        # a unique least point of a spanning set is a vertex: no scan, no LP
+    @pytest.mark.parametrize("graph, pops, w, optimal", [
+        (complete(5), (1, 3, 5, 8, 14), (1, 2, 3, 4, 5), 1),
+        (path(8), (1, 2, 3, 5, 8, 13, 21, 34), (3, 1, 4, 8, 5, 7, 2, 6), 1),
+        (complete(4), (3, 2, 0, 2), (3, 2, 1, 4), 2),
+        (path(5), (0, 1, 1, 3, 4), (4, 3, 1, 5, 2), 2),
+    ], ids=[f"graph{i}-pops{i}-w{i}" for i in range(4)])  # ids by position, without the count
+    def test_structured_route_builds_no_vertex_list(self, monkeypatch, graph, pops, w, optimal):
+        # a unique least point of a spanning set is a vertex; tied ones are
+        # sorted by the facet hull of the ties: no walk hull, no scan, no LP
         calls = []
-        vertices, phase_one = IncrementalHull.vertices, geometry._phase_one
+        init, vertices = IncrementalHull.__init__, IncrementalHull.vertices
+        phase_one = geometry._phase_one
+
+        def counting_init(hull, points):
+            calls.append("hull")
+            init(hull, points)
 
         def counting_vertices(hull):
             calls.append("vertices")
@@ -386,10 +394,11 @@ class TestOptimizeOver:
             calls.append("lp")
             return phase_one(*args, **kwargs)
 
+        monkeypatch.setattr(IncrementalHull, "__init__", counting_init)
         monkeypatch.setattr(IncrementalHull, "vertices", counting_vertices)
         monkeypatch.setattr(geometry, "_phase_one", counting_phase_one)
         report = optimize_over(graph, PopulationVector.normalized(pops), w, method="structured")
-        assert len(report.optimal_vertices) == 1
+        assert len(report.optimal_vertices) == optimal
         assert calls == []
 
     def test_json_fields(self, rho3):

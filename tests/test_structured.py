@@ -241,16 +241,16 @@ class TestOneWalk:
             assert label(candidates) == two_walk_labels(rho, candidates), rho
 
     def test_tied_k6_optimization_walks_once(self, walks, monkeypatch):
-        # the label of the optimization's own hull, on its optimal vertex
+        # the label of the optimization's own candidates, on its optimal vertex
         # and on a sample of the 9,661 classes' points
         made = []
         monkeypatch.setattr(kn_module, "_kn_hull", lambda rho0: made.append(_kn_hull(rho0)) or made[-1])
         rho = PopulationVector.normalized([1, 1, 5, 8, 14, 14])
         report = optimize_over(complete(6), rho, range(1, 7), method="structured")
         assert walks[0] == 1
-        (hull, label), = made
+        (candidates, label), = made
         chosen = [(v.point, v.sequence) for v in report.optimal_vertices]
-        points = [p for p, _ in chosen] + hull.points[::97]
+        points = [p for p, _ in chosen] + sorted(candidates)[::97]
         assert label(points) == two_walk_labels(rho, points)
         assert label(points)[:len(chosen)] == chosen
 
